@@ -8,16 +8,7 @@ one cell go through that lifecycle.
 
 import numpy as np
 
-from memdecide import (
-    OFF,
-    DeviceParams,
-    RetentionDistribution,
-    SwitchingCurve,
-    apply_pulse,
-    read_current,
-    relax,
-    switching_probability,
-)
+from memdecide import DeviceParams, RetentionDistribution, SwitchingCurve, Synapse
 
 rng = np.random.default_rng(1)
 
@@ -26,7 +17,7 @@ rng = np.random.default_rng(1)
 curve = SwitchingCurve(v_median=0.6, v_spread=0.05)
 print("switching probability vs. pulse amplitude:")
 for v in (0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75):
-    print(f"  {v:.2f} V -> P(switch) = {switching_probability(curve, v):.4f}")
+    print(f"  {v:.2f} V -> P(switch) = {float(curve.probability(v)):.4f}")
 
 # Retention is lognormal; the median scales with the compliance current. Here
 # one second, with a half-decade of spread.
@@ -35,19 +26,20 @@ params = DeviceParams(
     switching=curve,
     retention=RetentionDistribution(median_s=1.0, sigma_log=0.5),
 )
+draws = params.retention.sample(rng, 5)
+print("\nfive retention times (s):", " ".join(f"{d:.2f}" for d in draws))
 
-# Fire ten pulses at the half-switching amplitude and watch the state.
+# A synapse of one cell is the cell itself. Fire ten pulses at the
+# half-switching amplitude and read the cell right after each one.
+cell = Synapse(1, params)
 print("\npulse train at 0.6 V, one pulse per 100 ms:")
-state = OFF
 for k in range(10):
     t = 0.1 * k
-    state = relax(state, t)
-    state = apply_pulse(state, params, v_pulse=0.6, t=t, rng=rng)
-    marker = f"ON until t={state.expiry:.2f} s" if state.is_on else "off"
-    print(f"  t={t:.1f} s: {marker}, read current {read_current(state, params):.0f} uA")
+    count, current = cell.stimulate(t, 0.6, rng).read(t)
+    print(f"  t={t:.1f} s: {'ON' if count else 'off'}, read current {current:.0f} uA")
 
 # After the train stops the filament dissolves on its own.
 print("\nafter the train:")
 for t in (1.0, 1.5, 2.0, 3.0, 5.0):
-    state = relax(state, t)
-    print(f"  t={t:.1f} s: {'still ON' if state.is_on else 'relaxed OFF'}")
+    count, _ = cell.read(t)
+    print(f"  t={t:.1f} s: {'still ON' if count else 'relaxed OFF'}")

@@ -15,7 +15,6 @@ from memdecide import (
     SwitchingCurve,
     TwoAfcConfig,
     estimate_accuracy,
-    invert_p_on,
     run_trial,
 )
 
@@ -23,7 +22,7 @@ curve = SwitchingCurve(v_median=0.6, v_spread=0.05)
 cfg = TwoAfcConfig(
     n_devices=20,
     params=DeviceParams(270.0, curve, RetentionDistribution(2.0, 0.5)),
-    v_pulse=invert_p_on(curve, 0.05),  # amplitude realizing a 5% switch rate
+    v_pulse=curve.quantile(0.05),  # amplitude realizing a 5% switch rate
     spec_a=StreamSpec(n_pulses=40, duration_s=2.0),
     spec_b=StreamSpec(n_pulses=20, duration_s=2.0),
 )

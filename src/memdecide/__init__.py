@@ -24,18 +24,7 @@ from .calibration import (
     read_switching_csv,
     write_deck,
 )
-from .device import (
-    OFF,
-    DeviceParams,
-    DeviceState,
-    RetentionDistribution,
-    SwitchingCurve,
-    apply_pulse,
-    read_current,
-    relax,
-    sample_retention,
-    switching_probability,
-)
+from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -47,7 +36,6 @@ from .experiment import (
     SweepGrid,
     estimate_accuracy,
     expected_on_count_no_decay,
-    invert_p_on,
     run_trace_experiment,
     sweep,
     wilson_interval,
@@ -71,9 +59,7 @@ __all__ = [
     "ConfigError",
     "DegenerateDataError",
     "DeviceParams",
-    "DeviceState",
     "InsufficientDataError",
-    "OFF",
     "ParamDeck",
     "PulseStream",
     "RetentionDistribution",
@@ -88,7 +74,6 @@ __all__ = [
     "Trace",
     "TrialResult",
     "TwoAfcConfig",
-    "apply_pulse",
     "decide",
     "default_deck",
     "derive_seed",
@@ -100,19 +85,14 @@ __all__ = [
     "generate_periodic",
     "generate_random",
     "interpolate_retention",
-    "invert_p_on",
-    "read_current",
     "read_deck",
     "read_retention_csv",
     "read_stream_csv",
     "read_switching_csv",
-    "relax",
     "run_trace_experiment",
     "run_trial",
-    "sample_retention",
     "spawn_rng",
     "sweep",
-    "switching_probability",
     "wilson_interval",
     "write_deck",
     "write_stream_csv",

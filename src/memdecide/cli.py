@@ -10,9 +10,10 @@
 Configuration files are JSON. The top level holds the seed, output options,
 an optional device/deck section, and exactly the section named after the
 subcommand being run; ``comment`` keys are allowed anywhere and ignored.
-Unknown keys are errors; the whole file is validated before any simulation
-starts. Command-line flags override their config counterparts, and the
-effective configuration is echoed into every CSV as leading comment lines.
+Unknown keys and non-finite numbers (``NaN``, ``Infinity``) are errors; the
+whole file is validated before any simulation starts. Command-line flags
+override their config counterparts, and the effective configuration is
+echoed into every CSV as leading comment lines.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from .calibration import (
 )
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import ConfigError
-from .experiment import SweepGrid, invert_p_on, run_trace_experiment, sweep
+from .experiment import SweepGrid, run_trace_experiment, sweep
 from .network import TwoAfcConfig, run_trial
 from .reports import (
     REPORT_HEADER,
@@ -81,6 +83,14 @@ def _positive_number(section: dict, name: str, key: str) -> float:
     if not isinstance(value, _NUMBER) or isinstance(value, bool) or value <= 0:
         raise ConfigError(f"{name}.{key} must be a positive number")
     return float(value)
+
+
+def _finite_number(token: str) -> float:
+    """JSON number hook: ``NaN``, ``Infinity`` and overflowing literals are config errors."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {token} is not allowed")
+    return value
 
 
 def _check_p_on(value, where: str) -> float:
@@ -359,7 +369,7 @@ def _trial_config(cfg: RunConfig, section: dict) -> TwoAfcConfig:
         return TwoAfcConfig(
             n_devices=int(section["n_devices"]),
             params=params,
-            v_pulse=invert_p_on(params.switching, _check_p_on(section["p_on"], "trial.p_on")),
+            v_pulse=params.switching.quantile(_check_p_on(section["p_on"], "trial.p_on")),
             spec_a=StreamSpec(int(section["n_a"]), duration),
             spec_b=StreamSpec(int(section["n_b"]), duration),
         )
@@ -550,7 +560,9 @@ def main(argv=None) -> int:
         if not config_path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
         try:
-            raw = json.loads(config_path.read_text())
+            raw = json.loads(
+                config_path.read_text(), parse_float=_finite_number, parse_constant=_finite_number
+            )
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{config_path}: invalid JSON ({exc})") from exc
         cfg = RunConfig(args.command, raw, config_path.parent, args)

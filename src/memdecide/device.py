@@ -20,29 +20,27 @@ mechanisms drive the dynamics:
 
 A pulse delivered to a cell that is already ON rebuilds the filament: the
 expiry is resampled from the retention distribution (refresh, not stacking).
-All operations are pure functions of their inputs plus an explicitly passed
-``numpy.random.Generator``.
+This module holds the parameters of that model, and every field must be
+finite. :class:`memdecide.synapse.Synapse` runs the model, one filament-expiry
+time per cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-__all__ = [
-    "SwitchingCurve",
-    "RetentionDistribution",
-    "DeviceParams",
-    "DeviceState",
-    "OFF",
-    "switching_probability",
-    "sample_retention",
-    "apply_pulse",
-    "relax",
-    "read_current",
-]
+__all__ = ["SwitchingCurve", "RetentionDistribution", "DeviceParams"]
+
+
+def _require_finite(obj, *fields) -> None:
+    for name in fields:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +58,7 @@ class SwitchingCurve:
     v_spread: float
 
     def __post_init__(self):
+        _require_finite(self, "v_median", "v_spread")
         if not (self.v_spread > 0.0):
             raise ValueError(f"v_spread must be > 0, got {self.v_spread}")
 
@@ -87,6 +86,7 @@ class RetentionDistribution:
     sigma_log: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "median_s", "sigma_log")
         if not (self.median_s > 0.0):
             raise ValueError(f"median_s must be > 0, got {self.median_s}")
         if self.sigma_log < 0.0:
@@ -120,87 +120,10 @@ class DeviceParams:
             raise ValueError(f"i_cc_uA must be > 0, got {self.i_cc_uA}")
         if self.i_on_uA is None:
             object.__setattr__(self, "i_on_uA", float(self.i_cc_uA))
+        _require_finite(self, "i_cc_uA", "i_on_uA", "i_off_uA")
         if self.i_off_uA < 0.0:
             raise ValueError(f"i_off_uA must be >= 0, got {self.i_off_uA}")
         if not (self.i_on_uA > self.i_off_uA):
             raise ValueError(
                 f"i_on_uA ({self.i_on_uA}) must exceed i_off_uA ({self.i_off_uA})"
             )
-
-
-@dataclass(frozen=True)
-class DeviceState:
-    """State of one cell: OFF, or ON until an absolute expiry time.
-
-    ``expiry`` is ``None`` for an OFF cell, otherwise the simulation time in
-    seconds at which the filament dissolves. States change only through
-    :func:`apply_pulse` and :func:`relax`.
-    """
-
-    expiry: float | None = None
-
-    @property
-    def is_on(self) -> bool:
-        return self.expiry is not None
-
-
-#: Canonical OFF state (shared; DeviceState is immutable).
-OFF = DeviceState()
-
-
-def switching_probability(curve, v_pulse: float) -> float:
-    """Probability that a pulse of amplitude ``v_pulse`` switches an OFF cell.
-
-    Pure and monotone non-decreasing in ``v_pulse``, with limits 0 and 1 at
-    minus/plus infinity. ``curve`` may be any object with a ``probability``
-    method.
-    """
-    return float(curve.probability(v_pulse))
-
-
-def sample_retention(dist: RetentionDistribution, rng: np.random.Generator, size=None):
-    """Draw retention time(s) from ``dist``; strictly positive."""
-    return dist.sample(rng, size)
-
-
-def apply_pulse(
-    state: DeviceState,
-    params: DeviceParams,
-    v_pulse: float,
-    t: float,
-    rng: np.random.Generator,
-) -> DeviceState:
-    """Outcome of a voltage pulse at time ``t``.
-
-    The caller must have relaxed ``state`` to time ``t`` already (pulses and
-    reads are processed in chronological order). An OFF cell switches ON with
-    ``switching_probability(params.switching, v_pulse)``; an ON cell stays ON
-    with its expiry refreshed. Either way a fresh retention time is drawn for
-    the new ON state.
-    """
-    if state.is_on:
-        return DeviceState(expiry=t + float(sample_retention(params.retention, rng)))
-    p_on = switching_probability(params.switching, v_pulse)
-    if rng.random() < p_on:
-        return DeviceState(expiry=t + float(sample_retention(params.retention, rng)))
-    return OFF
-
-
-def relax(state: DeviceState, t: float) -> DeviceState:
-    """Spontaneous relaxation up to time ``t``.
-
-    An ON cell whose expiry is at or before ``t`` becomes OFF (the boundary is
-    inclusive: at ``t == expiry`` the filament has dissolved). Idempotent, and
-    OFF is absorbing in the absence of pulses.
-    """
-    if state.is_on and t >= state.expiry:
-        return OFF
-    return state
-
-
-def read_current(state: DeviceState, params: DeviceParams) -> float:
-    """Readout current in microamperes; non-destructive.
-
-    The caller must have relaxed ``state`` to the read time.
-    """
-    return params.i_on_uA if state.is_on else params.i_off_uA

@@ -31,7 +31,6 @@ __all__ = [
     "wilson_interval",
     "estimate_accuracy",
     "sweep",
-    "invert_p_on",
     "expected_on_count_no_decay",
     "run_trace_experiment",
 ]
@@ -95,35 +94,6 @@ class AccuracyPoint:
     ci_high: float
     n_trials: int
     n_ties: int
-
-
-def invert_p_on(curve, p_target: float) -> float:
-    """Pulse amplitude that realizes a target switching probability.
-
-    Uses the curve's own quantile when available (exact for the normal-CDF
-    family), otherwise bisects the probability function; either way the
-    returned amplitude reproduces ``p_target`` to within 1e-9.
-    """
-    if not 0.0 < p_target < 1.0:
-        raise ValueError(f"p_target must lie in (0, 1), got {p_target}")
-    quantile = getattr(curve, "quantile", None)
-    if quantile is not None:
-        return float(quantile(p_target))
-    lo, hi = -1.0, 1.0
-    while curve.probability(lo) > p_target:
-        lo *= 2.0
-    while curve.probability(hi) < p_target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        p_mid = float(curve.probability(mid))
-        if abs(p_mid - p_target) < 1e-12 or hi - lo < 1e-15 * max(1.0, abs(mid)):
-            return mid
-        if p_mid < p_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def expected_on_count_no_decay(n: int, p: float, k: int) -> float:
@@ -192,7 +162,7 @@ def _cell_config(
     return TwoAfcConfig(
         n_devices=n_devices,
         params=params,
-        v_pulse=invert_p_on(deck.switching, p_on),
+        v_pulse=deck.switching.quantile(p_on),
         spec_a=StreamSpec(n_pulses=ratio[0], duration_s=duration_s),
         spec_b=StreamSpec(n_pulses=ratio[1], duration_s=duration_s),
     )
@@ -265,7 +235,7 @@ def run_trace_experiment(
     t_end = stream.duration_s + tail_s
     n_samples = int(np.floor(t_end * sample_rate_hz)) + 1
     sample_times = np.arange(n_samples, dtype=float) / sample_rate_hz
-    v_pulse = invert_p_on(params.switching, p_on)
+    v_pulse = params.switching.quantile(p_on)
 
     count_sum = np.zeros(n_samples)
     current_sum = np.zeros(n_samples)

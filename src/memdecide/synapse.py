@@ -6,11 +6,11 @@ probability. The synaptic weight is the number of cells currently ON; the
 summed current is ``count_on * i_on + (N - count_on) * i_off``. Between
 pulses the weight only decays, as individual filaments dissolve.
 
-Internally the cell states are a single vector of filament-expiry times with
-``-inf`` meaning OFF, which keeps the per-pulse cost at one vectorized update
-and makes Monte Carlo sweeps over thousands of trials practical. The scalar
-per-cell semantics live in :mod:`memdecide.device`; the vector update applies
-the same rules to all cells of the synapse.
+The whole state is one vector of filament-expiry times: a cell is ON at time
+``t`` if and only if its expiry is after ``t`` (``-inf`` for a cell that has
+never switched). That keeps the per-pulse cost at one vectorized update and
+makes Monte Carlo sweeps over thousands of trials practical. The cell model
+and its parameters are described in :mod:`memdecide.device`.
 
 A ``Synapse`` is a self-contained mutable value. It is not safe for
 concurrent mutation, but distinct instances may be driven in parallel.
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import DeviceParams, DeviceState, switching_probability
+from .device import DeviceParams
 from .errors import TimeOrderError
 from .stream import PulseStream
 
@@ -51,14 +51,6 @@ class Synapse:
     def n(self) -> int:
         return int(self._expiry.size)
 
-    @property
-    def states(self) -> list[DeviceState]:
-        """Per-cell states, materialized from the expiry vector."""
-        return [
-            DeviceState(expiry=float(e)) if np.isfinite(e) else DeviceState()
-            for e in self._expiry
-        ]
-
     def count_on(self) -> int:
         """Cells ON as of the last processed event."""
         return int(np.count_nonzero(self._expiry > self.last_event_time))
@@ -72,26 +64,24 @@ class Synapse:
     def stimulate(self, t: float, v_pulse: float, rng: np.random.Generator) -> "Synapse":
         """Deliver one pulse at time ``t`` to all cells.
 
-        Cells are first relaxed to ``t`` (expiry at or before ``t`` means OFF),
-        then every OFF cell switches independently with the pulse's switching
-        probability and every ON cell has its expiry refreshed.
+        A cell whose expiry is at or before ``t`` is OFF. Every OFF cell
+        switches independently with the pulse's switching probability, and
+        every ON cell has its expiry refreshed.
         """
         self._check_time(t)
-        p_on = switching_probability(self.params.switching, v_pulse)
+        p_on = self.params.switching.probability(v_pulse)
         on = self._expiry > t
         switched = ~on & (rng.random(self.n) < p_on)
         lit = on | switched
         k = int(np.count_nonzero(lit))
         if k:
             self._expiry[lit] = t + self.params.retention.sample(rng, k)
-        self._expiry[~lit] = -np.inf
         self.last_event_time = t
         return self
 
     def read(self, t: float) -> tuple[int, float]:
-        """Relax to ``t`` and return ``(count_on, current_uA)``."""
+        """Return ``(count_on, current_uA)`` at ``t``; only advances the clock."""
         self._check_time(t)
-        self._expiry[self._expiry <= t] = -np.inf
         self.last_event_time = t
         count = int(np.count_nonzero(self._expiry > t))
         current = count * self.params.i_on_uA + (self.n - count) * self.params.i_off_uA

@@ -38,7 +38,6 @@ from memdecide import (
     fit_switching_curve,
     generate_periodic,
     interpolate_retention,
-    invert_p_on,
     run_trial,
     spawn_rng,
 )
@@ -69,7 +68,7 @@ def _accuracy(n_a, n_b, n_devices, duration, retention, p_on, trials, label):
     cfg = TwoAfcConfig(
         n_devices=n_devices,
         params=_params(retention),
-        v_pulse=invert_p_on(CURVE, p_on),
+        v_pulse=CURVE.quantile(p_on),
         spec_a=StreamSpec(n_a, duration),
         spec_b=StreamSpec(n_b, duration),
     )
@@ -87,7 +86,7 @@ def test_binomial_oracle_equivalence():
     all_ok = True
     details = []
     for n, p, k in cases:
-        v = invert_p_on(CURVE, p)
+        v = CURVE.quantile(p)
         total = 0
         for i in range(trials):
             rng = spawn_rng(MASTER_SEED, "binomial-oracle", n, p, k, i)
@@ -115,7 +114,7 @@ def test_integration_regimes():
     repeats = 1000
 
     def mean_trace(p_on):
-        v = invert_p_on(CURVE, p_on)
+        v = CURVE.quantile(p_on)
         total = np.zeros(stream.times.size)
         for r in range(repeats):
             rng = spawn_rng(MASTER_SEED, "integration", p_on, r)
@@ -146,7 +145,7 @@ def test_integration_regimes():
 def test_retention_ordering():
     """Time-averaged ON count under sustained drive rises with retention."""
     stream = generate_periodic(50, 10.0)
-    v = invert_p_on(CURVE, 0.10)
+    v = CURVE.quantile(0.10)
     sample_times = np.arange(99) / 20.0  # 20 Hz over the stimulation window
     repeats = 1000
     intervals = []
@@ -428,7 +427,7 @@ def test_scale_invariance_of_decisions():
         cfg = TwoAfcConfig(
             n_devices=20,
             params=DeviceParams(270.0, CURVE, REF_RETENTION, i_on_uA=i_on),
-            v_pulse=invert_p_on(CURVE, REF_P_ON),
+            v_pulse=CURVE.quantile(REF_P_ON),
             spec_a=StreamSpec(40, 2.0),
             spec_b=StreamSpec(20, 2.0),
         )

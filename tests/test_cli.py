@@ -1,6 +1,7 @@
 """Command-line front end: schema validation, outputs, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -261,6 +262,37 @@ class TestConfigErrors:
         payload["trial"]["p_on"] = 1.0
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main(["trial", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "command,path,value",
+        [
+            ("sweep", ("sweep", "sigma_log"), math.nan),
+            ("sweep", ("sweep", "durations_s"), [math.nan]),
+            ("trace", ("trace", "pulses", "rate_hz"), math.inf),
+        ],
+        ids=["sweep.sigma_log=NaN", "sweep.durations_s=[NaN]", "trace.pulses.rate_hz=Infinity"],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, command, path, value):
+        out = tmp_path / "out"
+        payload = _sweep_config(out) if command == "sweep" else _trace_config(out)
+        if command == "sweep":
+            payload["sweep"]["retention_median_s"] = 2.0
+        section = payload
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfg = _write_config(tmp_path / "t.cfg", payload)
+        assert main([command, "--config", cfg]) == 2
+        assert not out.exists()
+
+    def test_overflowing_number_rejected(self, tmp_path):
+        # 1e999 is valid JSON but parses to an infinite float.
+        out = tmp_path / "out"
+        text = json.dumps(_sweep_config(out)).replace("[0.5, 2.0]", "[0.5, 1e999]")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert not out.exists()
 
     def test_calibrate_needs_some_input(self, tmp_path):
         cfg = _write_config(

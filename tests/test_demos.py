@@ -1,0 +1,19 @@
+"""Smoke test: demos run end to end against the current package API."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize(
+    "script,expected",
+    [("01_single_cell.py", "after the train:"), ("03_decision_trial.py", "no-evidence baseline")],
+    ids=["01_single_cell", "03_decision_trial"],
+)
+def test_demo_runs(tmp_path, monkeypatch, capsys, script, expected):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / script), run_name="__main__")
+    assert expected in capsys.readouterr().out

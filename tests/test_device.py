@@ -1,4 +1,8 @@
-"""Single-cell model: switching curve, retention law, pulse/relax lifecycle."""
+"""Single-cell model: switching curve, retention law, pulse and relaxation lifecycle.
+
+The lifecycle tests drive one cell, or many independent ones, through
+:class:`memdecide.Synapse`, whose expiry vector is the only cell state.
+"""
 
 import math
 
@@ -7,20 +11,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from memdecide import (
-    OFF,
-    DeviceParams,
-    DeviceState,
-    RetentionDistribution,
-    SwitchingCurve,
-    apply_pulse,
-    read_current,
-    relax,
-    sample_retention,
-    switching_probability,
-)
+from memdecide import DeviceParams, RetentionDistribution, SwitchingCurve, Synapse
 
 CURVE = SwitchingCurve(v_median=0.6, v_spread=0.05)
+V_CERTAIN = np.inf
+V_NEVER = -np.inf
 
 # Normal CDF one spread above the median, frozen from the analytic value and
 # re-derived below by integrating the density.
@@ -36,17 +31,22 @@ def _params(median_s=1.0, sigma_log=0.0, i_cc=300.0, **kw):
     )
 
 
+def _cell_on_until(expiry, rng, **kw):
+    """One cell switched ON at t=0 with a deterministic retention of ``expiry``."""
+    return Synapse(1, _params(median_s=expiry, sigma_log=0.0, **kw)).stimulate(
+        0.0, V_CERTAIN, rng
+    )
+
+
 class TestSwitchingCurve:
     def test_median_gives_half(self):
-        assert switching_probability(CURVE, 0.6) == pytest.approx(0.5, abs=1e-15)
+        assert CURVE.probability(0.6) == pytest.approx(0.5, abs=1e-15)
 
     def test_far_left_tail_negligible(self):
-        assert switching_probability(CURVE, 0.0) < 1e-6
+        assert CURVE.probability(0.0) < 1e-6
 
     def test_one_spread_above_median_golden(self):
-        assert switching_probability(CURVE, 0.65) == pytest.approx(
-            PHI_AT_PLUS_ONE_SPREAD, abs=1e-12
-        )
+        assert CURVE.probability(0.65) == pytest.approx(PHI_AT_PLUS_ONE_SPREAD, abs=1e-12)
 
     def test_golden_value_against_quadrature(self):
         # Independent re-derivation: integrate the set-voltage density up to
@@ -60,8 +60,8 @@ class TestSwitchingCurve:
         assert integral == pytest.approx(PHI_AT_PLUS_ONE_SPREAD, abs=1e-9)
 
     def test_limits(self):
-        assert switching_probability(CURVE, -np.inf) == 0.0
-        assert switching_probability(CURVE, np.inf) == 1.0
+        assert CURVE.probability(-np.inf) == 0.0
+        assert CURVE.probability(np.inf) == 1.0
 
     @given(
         v1=st.floats(-2.0, 2.0),
@@ -69,12 +69,19 @@ class TestSwitchingCurve:
     )
     def test_monotone_in_amplitude(self, v1, v2):
         lo, hi = sorted((v1, v2))
-        assert switching_probability(CURVE, lo) <= switching_probability(CURVE, hi)
+        assert CURVE.probability(lo) <= CURVE.probability(hi)
 
     @pytest.mark.parametrize("bad_spread", [0.0, -0.05])
     def test_invalid_spread_rejected(self, bad_spread):
         with pytest.raises(ValueError):
             SwitchingCurve(v_median=0.6, v_spread=bad_spread)
+
+    @pytest.mark.parametrize(
+        "median,spread", [(math.nan, 0.05), (math.inf, 0.05), (0.6, math.nan), (0.6, math.inf)]
+    )
+    def test_non_finite_rejected(self, median, spread):
+        with pytest.raises(ValueError):
+            SwitchingCurve(v_median=median, v_spread=spread)
 
     def test_independent_of_compliance_current(self):
         # Same curve in parameter sets with different compliance currents must
@@ -82,19 +89,17 @@ class TestSwitchingCurve:
         p_small = _params(i_cc=10.0)
         p_large = _params(i_cc=300.0)
         for v in (0.45, 0.6, 0.62, 0.8):
-            assert switching_probability(p_small.switching, v) == switching_probability(
-                p_large.switching, v
-            )
+            assert p_small.switching.probability(v) == p_large.switching.probability(v)
 
 
 class TestRetention:
     def test_degenerate_spread_is_exact(self, rng):
         dist = RetentionDistribution(median_s=1.0, sigma_log=0.0)
-        assert sample_retention(dist, rng) == 1.0
+        assert dist.sample(rng) == 1.0
 
     def test_median_convergence(self, rng):
         dist = RetentionDistribution(median_s=1.0, sigma_log=0.5)
-        samples = sample_retention(dist, rng, size=100_000)
+        samples = dist.sample(rng, size=100_000)
         assert np.all(samples > 0.0)
         # Sample-median standard error is ~1.2533 * sigma_log / sqrt(n) in the
         # log domain, about 0.2% here; [0.98, 1.02] is a ~10-sigma band.
@@ -102,12 +107,19 @@ class TestRetention:
 
     def test_millisecond_scale(self, rng):
         dist = RetentionDistribution(median_s=0.01, sigma_log=0.5)
-        samples = sample_retention(dist, rng, size=100_000)
+        samples = dist.sample(rng, size=100_000)
         assert np.all(samples > 0.0)
         assert 0.0098 <= np.median(samples) <= 0.0102
 
     @pytest.mark.parametrize("median,sigma", [(0.0, 0.5), (-1.0, 0.5), (1.0, -0.1)])
     def test_invalid_parameters_rejected(self, median, sigma):
+        with pytest.raises(ValueError):
+            RetentionDistribution(median_s=median, sigma_log=sigma)
+
+    @pytest.mark.parametrize(
+        "median,sigma", [(math.inf, 0.5), (math.nan, 0.5), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_rejected(self, median, sigma):
         with pytest.raises(ValueError):
             RetentionDistribution(median_s=median, sigma_log=sigma)
 
@@ -124,37 +136,56 @@ class TestDeviceParams:
         with pytest.raises(ValueError):
             _params(i_cc=0.0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"i_cc": math.inf}, {"i_cc": math.nan}, {"i_on_uA": math.inf},
+         {"i_on_uA": math.nan}, {"i_off_uA": math.nan}],
+        ids=["i_cc=inf", "i_cc=nan", "i_on=inf", "i_on=nan", "i_off=nan"],
+    )
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(ValueError):
+            _params(**kw)
+
 
 class TestApplyPulse:
     def test_certain_switching(self, rng):
-        # +inf amplitude realizes switching probability exactly 1.
-        params = _params(median_s=2.0, sigma_log=0.5)
-        for _ in range(100):
-            state = apply_pulse(OFF, params, np.inf, t=1.0, rng=rng)
-            assert state.is_on and state.expiry > 1.0
+        # +inf amplitude realizes switching probability exactly 1, and every
+        # retention draw is positive, so all cells are still ON at the pulse.
+        syn = Synapse(100, _params(median_s=2.0, sigma_log=0.5))
+        syn.stimulate(1.0, V_CERTAIN, rng)
+        assert syn.read(1.0) == (100, 100 * 300.0)
 
     def test_impossible_switching(self, rng):
-        params = _params()
-        for _ in range(100):
-            assert apply_pulse(OFF, params, -np.inf, t=1.0, rng=rng) is OFF
+        syn = Synapse(100, _params())
+        syn.stimulate(1.0, V_NEVER, rng)
+        assert syn.read(1.0) == (0, 0.0)
 
     def test_bernoulli_frequency(self, rng):
-        # 3-standard-error band around p=0.1 over 1e5 Bernoulli repetitions.
-        params = _params()
-        v_10pct = CURVE.quantile(0.1)
+        # One pulse at p=0.1 on 1e5 independent cells; 3-standard-error band.
         n = 100_000
-        hits = sum(
-            apply_pulse(OFF, params, v_10pct, 0.0, rng).is_on for _ in range(n)
-        )
+        syn = Synapse(n, _params())
+        syn.stimulate(0.0, CURVE.quantile(0.1), rng)
         band = 3.0 * math.sqrt(0.1 * 0.9 / n)
-        assert abs(hits / n - 0.1) < band
+        assert abs(syn.count_on() / n - 0.1) < band
 
     def test_repulse_refreshes_expiry(self, rng):
-        params = _params(median_s=1.0, sigma_log=0.0)
-        state = DeviceState(expiry=5.0)
-        refreshed = apply_pulse(state, params, -np.inf, t=4.0, rng=rng)
-        assert refreshed.is_on
-        assert refreshed.expiry == 5.0  # t + deterministic retention of 1.0
+        # Deterministic 1 s retention: ON at 3.5 until 4.5. A pulse at 4.0 that
+        # switches nothing still rebuilds the filament, so the cell outlives
+        # 4.5 and dissolves at 4.0 + 1.0 = 5.0; stacking would give 5.5.
+        syn = Synapse(1, _params(median_s=1.0, sigma_log=0.0))
+        syn.stimulate(3.5, V_CERTAIN, rng)
+        syn.stimulate(4.0, V_NEVER, rng)
+        assert syn.read(4.75) == (1, 300.0)
+        assert syn.read(np.nextafter(5.0, 0.0))[0] == 1
+        assert syn.read(5.0)[0] == 0
+
+    def test_pulse_at_expiry_does_not_refresh(self, rng):
+        # The expiry boundary is inclusive for pulses too: ON at 3.0 until 4.0,
+        # the cell is already OFF when a never-switching pulse arrives at 4.0.
+        syn = Synapse(1, _params(median_s=1.0, sigma_log=0.0))
+        syn.stimulate(3.0, V_CERTAIN, rng)
+        syn.stimulate(4.0, V_NEVER, rng)
+        assert syn.read(4.0) == (0, 0.0)
 
     def test_determinism(self):
         params = _params(median_s=1.0, sigma_log=0.5)
@@ -162,32 +193,36 @@ class TestApplyPulse:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            state = OFF
-            states = []
+            syn = Synapse(1, params)
+            history = []
             for k in range(20):
-                state = relax(state, 0.1 * k)
-                state = apply_pulse(state, params, v, 0.1 * k, rng)
-                states.append(state)
-            runs.append(states)
+                syn.stimulate(0.1 * k, v, rng)
+                history.append(syn.read(0.1 * k + 0.05))
+            runs.append(history)
         assert runs[0] == runs[1]
 
 
 class TestRelax:
-    def test_before_expiry_unchanged(self):
-        state = DeviceState(expiry=2.0)
-        assert relax(state, 1.0) == state
+    def test_before_expiry_unchanged(self, rng):
+        assert _cell_on_until(2.0, rng).read(1.0) == (1, 300.0)
 
-    def test_boundary_is_inclusive(self):
-        assert relax(DeviceState(expiry=2.0), 2.0) is OFF
+    def test_boundary_is_inclusive(self, rng):
+        # At t == expiry the filament has dissolved.
+        assert _cell_on_until(2.0, rng).read(2.0) == (0, 0.0)
 
-    def test_off_is_absorbing(self):
-        assert relax(OFF, 123.0) is OFF
+    def test_off_is_absorbing(self, rng):
+        syn = _cell_on_until(2.0, rng)
+        assert syn.read(2.0)[0] == 0
+        assert syn.read(123.0)[0] == 0
+        syn.stimulate(124.0, V_NEVER, rng)
+        assert syn.read(200.0)[0] == 0
 
     @given(expiry=st.floats(0.1, 100.0), t=st.floats(0.0, 200.0))
     def test_idempotent(self, expiry, t):
-        state = DeviceState(expiry=expiry)
-        once = relax(state, t)
-        assert relax(once, t) == once
+        syn = _cell_on_until(expiry, np.random.default_rng(0))
+        once = syn.read(t)
+        assert syn.read(t) == once
+        assert once[0] == (1 if t < expiry else 0)
 
     @given(
         expiry=st.floats(0.1, 100.0),
@@ -195,21 +230,22 @@ class TestRelax:
         dt=st.floats(0.0, 100.0),
     )
     def test_off_stays_off(self, expiry, t1, dt):
-        state = relax(DeviceState(expiry=expiry), t1)
-        if not state.is_on:
-            assert not relax(state, t1 + dt).is_on
+        syn = _cell_on_until(expiry, np.random.default_rng(0))
+        if syn.read(t1)[0] == 0:
+            assert syn.read(t1 + dt)[0] == 0
 
 
 class TestReadCurrent:
     @pytest.mark.parametrize("i_on", [300.0, 10.0])
-    def test_on_reads_on_current(self, i_on):
-        params = _params(i_cc=i_on)
-        assert read_current(DeviceState(expiry=9.0), params) == i_on
+    def test_on_reads_on_current(self, i_on, rng):
+        assert _cell_on_until(9.0, rng, i_cc=i_on).read(1.0) == (1, i_on)
 
     def test_off_reads_leakage(self):
-        assert read_current(OFF, _params()) == 0.0
+        assert Synapse(1, _params(i_off_uA=2.0)).read(0.0) == (0, 2.0)
 
-    def test_non_destructive(self):
-        state = DeviceState(expiry=9.0)
-        read_current(state, _params())
-        assert state == DeviceState(expiry=9.0)
+    def test_non_destructive(self, rng):
+        # Repeated reads neither turn the cell off nor shorten its retention.
+        syn = _cell_on_until(9.0, rng)
+        assert [syn.read(1.0) for _ in range(5)] == [(1, 300.0)] * 5
+        assert syn.read(np.nextafter(9.0, 0.0)) == (1, 300.0)
+        assert syn.read(9.0) == (0, 0.0)

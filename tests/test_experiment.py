@@ -19,7 +19,6 @@ from memdecide import (
     expected_on_count_no_decay,
     generate_periodic,
     interpolate_retention,
-    invert_p_on,
     run_trace_experiment,
     spawn_rng,
     sweep,
@@ -39,7 +38,7 @@ def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05, median=2.0):
     return TwoAfcConfig(
         n_devices=n_devices,
         params=params,
-        v_pulse=(-np.inf if p_on == 0.0 else invert_p_on(CURVE, p_on)),
+        v_pulse=(-np.inf if p_on == 0.0 else CURVE.quantile(p_on)),
         spec_a=StreamSpec(n_a, duration),
         spec_b=StreamSpec(n_b, duration),
     )
@@ -82,31 +81,22 @@ class TestSeedDerivation:
 
 
 class TestInvertPOn:
+    """``SwitchingCurve.quantile``: the pulse amplitude realizing a target p_on."""
+
     def test_median(self):
-        assert invert_p_on(CURVE, 0.5) == pytest.approx(0.6, abs=1e-12)
+        assert CURVE.quantile(0.5) == pytest.approx(0.6, abs=1e-12)
 
     def test_round_trip(self):
-        v = invert_p_on(CURVE, 0.02)
+        v = CURVE.quantile(0.02)
         assert float(CURVE.probability(v)) == pytest.approx(0.02, abs=1e-9)
 
     def test_ten_percent_golden(self):
-        assert invert_p_on(CURVE, 0.1) == pytest.approx(V_AT_TEN_PERCENT, abs=1e-12)
-
-    def test_bisection_fallback_matches_quantile(self):
-        class OpaqueCurve:
-            # Same CDF but without a quantile method: forces bisection.
-            def probability(self, v):
-                return CURVE.probability(v)
-
-        for p in (0.1, 0.02, 0.9):
-            v_bisect = invert_p_on(OpaqueCurve(), p)
-            assert float(CURVE.probability(v_bisect)) == pytest.approx(p, abs=1e-9)
-            assert v_bisect == pytest.approx(invert_p_on(CURVE, p), abs=1e-7)
+        assert CURVE.quantile(0.1) == pytest.approx(V_AT_TEN_PERCENT, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.7])
     def test_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            invert_p_on(CURVE, bad)
+            CURVE.quantile(bad)
 
 
 class TestExpectedOnCount:
@@ -171,7 +161,7 @@ class TestSweep:
                 270.0, deck.switching,
                 retention=interpolate_retention(deck.retention_table, 270.0),
             ),
-            v_pulse=invert_p_on(deck.switching, 0.05),
+            v_pulse=deck.switching.quantile(0.05),
             spec_a=StreamSpec(40, 2.0),
             spec_b=StreamSpec(20, 2.0),
         )
@@ -245,7 +235,7 @@ class TestTraceExperiment:
             30, stream, 0.1, params, sample_rate_hz=10.0, repeats=1, master_seed=31
         )
         manual = Synapse(30, params).trace(
-            stream, invert_p_on(CURVE, 0.1), averaged.times, spawn_rng(31, "trace", 0)
+            stream, CURVE.quantile(0.1), averaged.times, spawn_rng(31, "trace", 0)
         )
         assert np.array_equal(averaged.count_on, manual.count_on.astype(float))
         assert np.array_equal(averaged.current_uA, manual.current_uA.astype(float))

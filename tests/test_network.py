@@ -12,7 +12,6 @@ from memdecide import (
     SwitchingCurve,
     TwoAfcConfig,
     decide,
-    invert_p_on,
     run_trial,
     spawn_rng,
 )
@@ -29,7 +28,7 @@ def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05,
         i_on_uA=i_on,
         i_off_uA=i_off,
     )
-    v = np.inf if p_on == 1.0 else (-np.inf if p_on == 0.0 else invert_p_on(CURVE, p_on))
+    v = np.inf if p_on == 1.0 else (-np.inf if p_on == 0.0 else CURVE.quantile(p_on))
     return TwoAfcConfig(
         n_devices=n_devices,
         params=params,

@@ -14,7 +14,6 @@ from memdecide import (
     TimeOrderError,
     expected_on_count_no_decay,
     generate_periodic,
-    invert_p_on,
     spawn_rng,
 )
 
@@ -33,7 +32,7 @@ def _params(retention=NO_DECAY, **kw):
 def _final_counts(n, p, k, trials, seed):
     """Final ON counts after k pulses with decay disabled, one per trial."""
     params = _params()
-    v = invert_p_on(CURVE, p)
+    v = CURVE.quantile(p)
     counts = np.empty(trials, dtype=np.int64)
     for i in range(trials):
         rng = spawn_rng(seed, i)
@@ -77,13 +76,6 @@ class TestStimulate:
         with pytest.raises(TimeOrderError):
             syn.read(0.5)
 
-    def test_states_exposed(self, rng):
-        syn = Synapse(4, _params())
-        syn.stimulate(1.0, V_CERTAIN, rng)
-        states = syn.states
-        assert len(states) == 4
-        assert all(s.is_on and s.expiry > 1.0 for s in states)
-
     def test_mean_count_matches_binomial_oracle(self):
         # 50 pulses at p=0.02 with decay disabled: closed form gives
         # 50 * (1 - 0.98^50) ~= 31.79; check a 3-SE band at 2000 trials.
@@ -108,14 +100,15 @@ class TestStimulate:
 
 class TestRead:
     def test_linear_current_sum(self, rng):
+        # Ten cells with lognormal retentions dissolve one by one; at every
+        # read the current is the ON count times the ON current.
         syn = Synapse(10, _params(retention=RetentionDistribution(1.0, 0.5)))
         syn.stimulate(0.0, V_CERTAIN, rng)
-        # Relax to just past the 7th-largest expiry (inclusive boundary turns
-        # that device off), leaving exactly 3 on.
-        expiries = sorted(s.expiry for s in syn.states)
-        count, current = syn.read(expiries[-4])
-        assert count == 3
-        assert current == 3 * 300.0
+        reads = [syn.read(t) for t in np.linspace(0.0, 10.0, 10_001)]
+        counts = [count for count, _ in reads]
+        assert counts[0] == 10 and counts[-1] == 0
+        assert 3 in counts
+        assert all(current == count * 300.0 for count, current in reads)
 
     def test_leakage_included(self, rng):
         syn = Synapse(10, _params(i_on_uA=300.0, i_off_uA=2.0))
@@ -172,7 +165,7 @@ class TestTrace:
         # should hit 95% of the device count well before the train ends.
         stream = generate_periodic(50, 10.0)
         params = _params(retention=RetentionDistribution(1e3, 0.5))
-        v = invert_p_on(CURVE, 0.10)
+        v = CURVE.quantile(0.10)
         sample_times = stream.times
         total = np.zeros(sample_times.size)
         for r in range(200):
@@ -196,7 +189,7 @@ class TestTrace:
         # linearly with pulse index (R^2 of a straight-line fit > 0.98).
         stream = generate_periodic(50, 10.0)
         params = _params(retention=RetentionDistribution(1e3, 0.5))
-        v = invert_p_on(CURVE, 0.01)
+        v = CURVE.quantile(0.01)
         total = np.zeros(stream.times.size)
         for r in range(300):
             trace = Synapse(50, params).trace(stream, v, stream.times, spawn_rng(11, r))
@@ -212,7 +205,7 @@ class TestTrace:
         # Sustained 10 Hz drive: the time-averaged count drops when retention
         # shrinks below the inter-pulse interval scale.
         stream = generate_periodic(50, 10.0)
-        v = invert_p_on(CURVE, 0.10)
+        v = CURVE.quantile(0.10)
         averages = []
         for median in (0.02, 2.0):
             params = _params(retention=RetentionDistribution(median, 0.5))
