@@ -40,7 +40,7 @@ from .experiment import (
     sweep,
     wilson_interval,
 )
-from .network import TrialResult, TwoAfcConfig, decide, run_trial
+from .network import TrialBatch, TrialResult, TwoAfcConfig, decide, run_trial, run_trials
 from .seeding import derive_seed, spawn_rng
 from .stream import (
     PulseStream,
@@ -72,6 +72,7 @@ __all__ = [
     "Synapse",
     "TimeOrderError",
     "Trace",
+    "TrialBatch",
     "TrialResult",
     "TwoAfcConfig",
     "decide",
@@ -91,6 +92,7 @@ __all__ = [
     "read_switching_csv",
     "run_trace_experiment",
     "run_trial",
+    "run_trials",
     "spawn_rng",
     "sweep",
     "wilson_interval",

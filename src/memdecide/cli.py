@@ -12,8 +12,9 @@ an optional device/deck section, and exactly the section named after the
 subcommand being run; ``comment`` keys are allowed anywhere and ignored.
 Unknown keys and non-finite numbers (``NaN``, ``Infinity``) are errors; the
 whole file is validated before any simulation starts. Command-line flags
-override their config counterparts, and the effective configuration is
-echoed into every CSV as leading comment lines.
+override their config counterparts, and the effective configuration and the
+random-number layout version are echoed into every CSV as leading comment
+lines. ``python -m memdecide.cli`` runs the same commands as ``memdecide``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -39,7 +40,7 @@ from .calibration import (
 )
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import ConfigError
-from .experiment import SweepGrid, run_trace_experiment, sweep
+from .experiment import RNG_LAYOUT, SweepGrid, run_trace_experiment, sweep
 from .network import TwoAfcConfig, run_trial
 from .reports import (
     REPORT_HEADER,
@@ -204,7 +205,10 @@ class RunConfig:
             deck_path = self._resolve(raw["deck"])
             if not deck_path.is_file():
                 raise ConfigError(f"config: deck file not found: {deck_path}")
-            self.deck = read_deck(deck_path)
+            try:
+                self.deck = read_deck(deck_path)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"config: invalid deck {deck_path}: {exc!r}") from exc
         elif "device" in raw:
             self.deck = self._parse_device(raw["device"])
         else:
@@ -246,7 +250,7 @@ class RunConfig:
 
     def header_comments(self) -> list[str]:
         canonical = json.dumps(self.effective, sort_keys=True, separators=(",", ":"))
-        return [f"command={self.command}", f"config={canonical}"]
+        return [f"command={self.command}", f"config={canonical}", f"rng_layout={RNG_LAYOUT}"]
 
     def params_at(self, i_cc_uA: float, retention: RetentionDistribution | None = None) -> DeviceParams:
         return device_params(self.deck, i_cc_uA, i_off_uA=self.i_off_uA, retention=retention)
@@ -577,3 +581,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

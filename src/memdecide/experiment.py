@@ -2,10 +2,17 @@
 
 Accuracy is the fraction of correct choices over independent seeded trials,
 reported with a Wilson 95% confidence interval (well behaved both near chance
-and near saturation, the two regimes of interest). Sweep cells and trials get
-their random streams from :func:`memdecide.seeding.derive_seed`, so a report
-is a pure function of its grid (master seed included), and cells may be
-evaluated concurrently without changing a single byte of the output.
+and near saturation, the two regimes of interest). Sweep cells and trial
+chunks get their random streams from :func:`memdecide.seeding.derive_seed`,
+so a report is a pure function of its grid (master seed included), and cells
+may be evaluated concurrently without changing a single byte of the output.
+
+Random-number layout, version ``RNG_LAYOUT = 2``: the trials of one cell are
+cut into chunks of ``TRIAL_CHUNK`` trials. Chunk ``c`` covers trials
+``[TRIAL_CHUNK*c, min(TRIAL_CHUNK*(c+1), trials))`` and is run by
+:func:`memdecide.network.run_trials` from ``spawn_rng(cell_seed, "chunk", c)``,
+in the draw order that function documents. A batch can therefore be split or
+extended at chunk boundaries without changing any trial.
 """
 
 from __future__ import annotations
@@ -20,12 +27,14 @@ import numpy as np
 
 from .calibration import ParamDeck, default_deck, device_params
 from .device import DeviceParams, RetentionDistribution
-from .network import TwoAfcConfig, run_trial
+from .network import TwoAfcConfig, run_trials
 from .seeding import derive_seed, spawn_rng
 from .stream import PulseStream, StreamSpec
 from .synapse import Synapse, Trace
 
 __all__ = [
+    "RNG_LAYOUT",
+    "TRIAL_CHUNK",
     "SweepGrid",
     "AccuracyPoint",
     "wilson_interval",
@@ -38,6 +47,11 @@ __all__ = [
 # Two-sided 95% normal quantile, pinned so reports never depend on library
 # rounding differences.
 _Z95 = 1.959963984540054
+
+# Version of the random-number layout described in the module docstring;
+# echoed into every CSV header. Change it whenever the draws change.
+RNG_LAYOUT = 2
+TRIAL_CHUNK = 256
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -118,19 +132,26 @@ def estimate_accuracy(
 ) -> AccuracyPoint:
     """Run independent seeded trials and report accuracy with a Wilson CI.
 
-    Trial ``i`` draws from the stream seeded by
-    ``derive_seed(master_seed, "trial", trial_offset + i)``, so batches can be
-    split, extended, or parallelized without disturbing each other.
+    Trials ``trial_offset .. trial_offset + trials - 1`` are run in chunks of
+    ``TRIAL_CHUNK`` (see the module docstring), so ``trial_offset`` must be a
+    non-negative multiple of ``TRIAL_CHUNK``. Two calls at offsets 0 and
+    ``TRIAL_CHUNK`` give the same trials as one call over both.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trial_offset < 0 or trial_offset % TRIAL_CHUNK:
+        raise ValueError(
+            f"trial_offset must be a non-negative multiple of {TRIAL_CHUNK}, got {trial_offset}"
+        )
     n_correct = 0
     n_ties = 0
-    for i in range(trials):
-        rng = spawn_rng(master_seed, "trial", trial_offset + i)
-        result = run_trial(cfg, rng)
-        n_correct += result.correct
-        n_ties += result.tie
+    for start in range(0, trials, TRIAL_CHUNK):
+        chunk = (trial_offset + start) // TRIAL_CHUNK
+        batch = run_trials(
+            cfg, min(TRIAL_CHUNK, trials - start), spawn_rng(master_seed, "chunk", chunk)
+        )
+        n_correct += int(np.count_nonzero(batch.correct))
+        n_ties += int(np.count_nonzero(batch.tie))
     accuracy = n_correct / trials
     ci_low, ci_high = wilson_interval(n_correct, trials)
     return AccuracyPoint(

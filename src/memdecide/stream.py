@@ -15,6 +15,7 @@ __all__ = [
     "StreamSpec",
     "PulseStream",
     "generate_random",
+    "random_times",
     "generate_periodic",
     "write_stream_csv",
     "read_stream_csv",
@@ -56,23 +57,31 @@ class PulseStream:
         return int(self.times.size)
 
 
-def _break_ties(times: np.ndarray) -> np.ndarray:
-    # Exact collisions of uniform draws are measure-zero but representable in
-    # binary64; nudge duplicates up by one ulp so the stream stays strict.
-    if times.size > 1 and np.any(np.diff(times) <= 0.0):
-        for i in range(1, times.size):
-            if times[i] <= times[i - 1]:
-                times[i] = np.nextafter(times[i - 1], np.inf)
-    return times
-
-
 def generate_random(spec: StreamSpec, rng: np.random.Generator) -> PulseStream:
     """``spec.n_pulses`` times drawn i.i.d. uniform on [0, duration), sorted.
 
-    The pulse count is deterministic; only the placement is random.
+    The pulse count is deterministic; only the placement is random. This is
+    the one-row case of :func:`random_times` and draws the same numbers.
     """
-    times = np.sort(rng.random(spec.n_pulses) * spec.duration_s)
-    return PulseStream(times=_break_ties(times), duration_s=spec.duration_s)
+    return PulseStream(times=random_times(spec, 1, rng)[0], duration_s=spec.duration_s)
+
+
+def random_times(spec: StreamSpec, m: int, rng: np.random.Generator) -> np.ndarray:
+    """``m`` independent streams of ``spec`` as an ``(m, n_pulses)`` matrix.
+
+    All ``m * n_pulses`` uniforms are drawn at once, in C order, scaled to
+    the window and sorted per row.
+    """
+    times = np.sort(rng.random((m, spec.n_pulses)) * spec.duration_s, axis=1)
+    # Exact collisions of uniform draws are measure-zero but representable in
+    # binary64; nudge duplicates up by one ulp so every row stays strict.
+    # Column by column, so each row gets the same nudges as on its own.
+    if spec.n_pulses > 1 and np.any(np.diff(times, axis=1) <= 0.0):
+        for i in range(1, spec.n_pulses):
+            prev, cur = times[:, i - 1], times[:, i]
+            dup = cur <= prev
+            cur[dup] = np.nextafter(prev[dup], np.inf)
+    return times
 
 
 def generate_periodic(n_pulses: int, rate_hz: float, start_s: float = 0.0) -> PulseStream:

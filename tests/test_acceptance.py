@@ -42,6 +42,9 @@ from memdecide import (
     spawn_rng,
 )
 from memdecide.cli import main as cli_main
+from memdecide.synapse import pulse_update
+
+from exact_accuracy import exact_accuracy
 
 MASTER_SEED = 2026
 CURVE = SwitchingCurve(v_median=0.6, v_spread=0.05)
@@ -78,24 +81,23 @@ def _accuracy(n_a, n_b, n_devices, duration, retention, p_on, trials, label):
 
 
 def test_binomial_oracle_equivalence():
-    """Mean final ON count matches n(1-(1-p)^k) within 3 SE, decay disabled."""
+    """Mean final ON count matches n(1-(1-p)^k) within 3 SE, decay disabled.
+
+    All trials of a case are rows of one ``(trials, n)`` expiry array driven
+    by the shared pulse kernel.
+    """
     no_decay = RetentionDistribution(1e9, 0.0)
-    params = _params(no_decay, i_cc=300.0)
     trials = 10_000
     cases = [(50, 0.02, 50), (50, 0.10, 50), (10, 0.5, 3), (100, 0.01, 100), (20, 0.3, 10)]
     all_ok = True
     details = []
     for n, p, k in cases:
-        v = CURVE.quantile(p)
-        total = 0
-        for i in range(trials):
-            rng = spawn_rng(MASTER_SEED, "binomial-oracle", n, p, k, i)
-            syn = Synapse(n, params)
-            for j in range(k):
-                syn.stimulate(0.1 * j, v, rng)
-            count, _ = syn.read(0.1 * k)
-            total += count
-        mean = total / trials
+        p_on = CURVE.probability(CURVE.quantile(p))
+        rng = spawn_rng(MASTER_SEED, "binomial-oracle", n, p, k)
+        expiry = np.full((trials, n), -np.inf)
+        for j in range(k):
+            pulse_update(expiry, 0.1 * j, p_on, no_decay, rng)
+        mean = np.count_nonzero(expiry > 0.1 * k) / trials
         expected = expected_on_count_no_decay(n, p, k)
         q = 1.0 - (1.0 - p) ** k
         se = math.sqrt(n * q * (1.0 - q) / trials)
@@ -235,6 +237,16 @@ def test_small_synapse_short_duration_target():
         f"(no-decay ceiling ~0.798)",
     )
     assert ok
+
+
+def test_exact_oracle_reduces_to_no_decay_closed_form():
+    """The conditional-binomial oracle, with decay disabled, is the closed form."""
+    exact, se = exact_accuracy(5, 40, 20, 0.5, 0.05, 1e9, 0.0, pairs=100, seed=1)
+    closed = _exact_accuracy_no_decay(5, 0.05, 40, 20)
+    _report("exact oracle, no-decay limit", abs(exact - closed) < 1e-12,
+            f"{exact:.6f} vs {closed:.6f}")
+    assert se == 0.0
+    assert exact == pytest.approx(closed, abs=1e-12)
 
 
 def test_ratio_and_duration_ordering():

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from memdecide import RetentionDistribution, SwitchingCurve, SwitchingRecord, read_deck
 from memdecide.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write_config(path, payload):
@@ -86,7 +92,8 @@ class TestTrace:
         lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert lines[0].startswith("# command=trace")
         assert lines[1].startswith("# config=")
-        assert lines[2] == "series,p_on,i_cc_uA,t_s,count_on,current_uA,repeat_mean"
+        assert lines[2] == "# rng_layout=2"
+        assert lines[3] == "series,p_on,i_cc_uA,t_s,count_on,current_uA,repeat_mean"
         assert any(line.startswith("p_on=0.2,") for line in lines[3:])
 
     def test_svg_is_presentational_only(self, tmp_path):
@@ -141,6 +148,20 @@ class TestTrial:
         assert fields[0] == "0" and fields[1] in ("A", "B")
         csv_lines = (tmp_path / "out" / "trial.csv").read_text().splitlines()
         assert csv_lines[-1] == out_lines[1]
+
+    def test_module_entry_point_runs_command(self, tmp_path):
+        cfg = _write_config(tmp_path / "t.cfg", _trial_config(tmp_path / "out"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "memdecide.cli", "trial", "--config", cfg],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("trial,decision,")
+        assert (tmp_path / "out" / "trial.csv").is_file()
 
     def test_no_evidence_row_is_tie(self, tmp_path, capsys):
         payload = _trial_config(tmp_path / "out")
@@ -292,6 +313,24 @@ class TestConfigErrors:
         cfg = tmp_path / "t.cfg"
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "broken",
+        ["nan_field", "missing_key"],
+    )
+    def test_invalid_deck_exits_two(self, tmp_path, broken):
+        deck = json.loads((ROOT / "out" / "calibration" / "deck.json").read_text())
+        if broken == "nan_field":
+            deck["switching"]["v_spread_V"] = math.nan
+        else:
+            del deck["switching"]["v_median_V"]
+        (tmp_path / "deck.json").write_text(json.dumps(deck))
+        out = tmp_path / "out"
+        payload = _trial_config(out)
+        payload["deck"] = "deck.json"
+        cfg = _write_config(tmp_path / "t.cfg", payload)
+        assert main(["trial", "--config", cfg]) == 2
         assert not out.exists()
 
     def test_calibrate_needs_some_input(self, tmp_path):

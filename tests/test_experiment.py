@@ -24,13 +24,22 @@ from memdecide import (
     sweep,
     wilson_interval,
 )
+from memdecide.experiment import TRIAL_CHUNK
 from memdecide.synapse import Synapse
+
+from exact_accuracy import exact_accuracy
 
 CURVE = SwitchingCurve(v_median=0.6, v_spread=0.05)
 
 # Standard-normal 10% quantile puts the 10%-switching amplitude at
 # 0.6 - 1.2815515655446004 * 0.05.
 V_AT_TEN_PERCENT = 0.5359224217227699
+
+
+def _exact_bound(point, exact, se_exact):
+    """3 * sqrt(SE_mc^2 + SE_oracle^2), the bound fixed for every oracle check."""
+    se_mc = math.sqrt(exact * (1.0 - exact) / point.n_trials)
+    return 3.0 * math.sqrt(se_mc ** 2 + se_exact ** 2)
 
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05, median=2.0):
@@ -124,9 +133,11 @@ class TestExpectedOnCount:
 
 class TestEstimateAccuracy:
     def test_chance_baseline_with_no_evidence(self):
-        point = estimate_accuracy(_config(p_on=0.0), trials=500, master_seed=3)
-        assert point.ci_low <= 0.5 <= point.ci_high
-        assert point.n_ties == 500
+        # Every trial is a tie, so the number correct is Binomial(500, 0.5).
+        trials = 500
+        point = estimate_accuracy(_config(p_on=0.0), trials=trials, master_seed=3)
+        assert point.n_ties == trials
+        assert abs(point.accuracy - 0.5) < 3.0 * math.sqrt(0.25 / trials)
 
     def test_point_metadata(self):
         point = estimate_accuracy(_config(), trials=50, master_seed=3)
@@ -140,8 +151,38 @@ class TestEstimateAccuracy:
 
     def test_trial_offset_shifts_streams(self):
         a = estimate_accuracy(_config(), trials=30, master_seed=3, trial_offset=0)
-        b = estimate_accuracy(_config(), trials=30, master_seed=3, trial_offset=30)
+        b = estimate_accuracy(_config(), trials=30, master_seed=3, trial_offset=TRIAL_CHUNK)
         assert a.accuracy != b.accuracy or a.n_ties != b.n_ties
+
+    def test_split_at_chunk_boundary_is_exact(self):
+        cfg = _config(p_on=0.2)
+        whole = estimate_accuracy(cfg, trials=2 * TRIAL_CHUNK, master_seed=3)
+        parts = [
+            estimate_accuracy(cfg, trials=TRIAL_CHUNK, master_seed=3, trial_offset=offset)
+            for offset in (0, TRIAL_CHUNK)
+        ]
+        n_correct = lambda point: round(point.accuracy * point.n_trials)
+        assert n_correct(whole) == sum(n_correct(p) for p in parts)
+        assert whole.n_ties == sum(p.n_ties for p in parts)
+
+    @pytest.mark.parametrize("offset", [1, 30, TRIAL_CHUNK - 1, TRIAL_CHUNK + 1, -TRIAL_CHUNK])
+    def test_offset_off_chunk_grid_rejected(self, offset):
+        with pytest.raises(ValueError):
+            estimate_accuracy(_config(), trials=10, master_seed=3, trial_offset=offset)
+
+    @pytest.mark.parametrize(
+        "median,label",
+        [(0.05, "fast-decay"), (2.0, "reference")],
+    )
+    def test_matches_exact_conditional_binomial(self, median, label):
+        # 20 cells, 40 vs 20 pulses in 2 s, p_on 5%, sigma_log 0.5.
+        point = estimate_accuracy(
+            _config(median=median), trials=4000, master_seed=derive_seed(41, label)
+        )
+        exact, se_exact = exact_accuracy(
+            20, 40, 20, 2.0, point.p_on, median, 0.5, pairs=4000, seed=43
+        )
+        assert abs(point.accuracy - exact) < _exact_bound(point, exact, se_exact)
 
 
 class TestSweep:
@@ -204,20 +245,25 @@ class TestSweep:
         assert saturated.n_ties > moderate.n_ties
 
     def test_accuracy_non_increasing_in_duration_at_fixed_retention(self):
-        # Stretching the same 40/20 streams over a longer window at a fixed
-        # 1 s retention median only loses evidence; adjacent points may
-        # overlap within their CIs but must not invert beyond them.
+        # Stretching the same 40/20 streams at a fixed 1 s retention median
+        # loses evidence only once the window is long against the retention.
+        # At 1 s the 25 ms pulse gaps keep nearly every lit cell ON and both
+        # synapses crowd toward saturation, so the exact accuracy rises from
+        # 1 s to 5 s (about 0.958 -> 0.979) before it falls at 20 s (about
+        # 0.79). Every point must match its exact conditional-binomial value,
+        # and the 5 s -> 20 s loss must show beyond the CIs.
         grid = SweepGrid(
             durations_s=[1.0, 5.0, 20.0], ratios=[(40, 20)], device_counts=[20],
             i_cc_values_uA=[270.0], p_on_values=[0.05],
             trials_per_point=400, master_seed=31,
         )
         points = sweep(grid, retention=RetentionDistribution(1.0, 0.5))
-        for shorter, longer in zip(points, points[1:]):
-            assert (
-                shorter.accuracy >= longer.accuracy
-                or shorter.ci_high >= longer.ci_low
+        for point in points:
+            exact, se_exact = exact_accuracy(
+                20, 40, 20, point.duration_s, point.p_on, 1.0, 0.5, pairs=4000, seed=47
             )
+            assert abs(point.accuracy - exact) < _exact_bound(point, exact, se_exact)
+        assert points[1].ci_low > points[2].ci_high
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,14 @@ def _data_lines(path: Path) -> list[bytes]:
 
 @pytest.mark.parametrize(
     "command,config,csv_name",
-    [("trace", "fig2b", "trace.csv"), ("sweep", "fig3d", "report.csv")],
+    [
+        ("trace", "fig2b", "trace.csv"),
+        ("trace", "fig2c", "trace.csv"),
+        ("sweep", "fig3c", "report.csv"),
+        ("sweep", "fig3d", "report.csv"),
+        ("sweep", "fig3e", "report.csv"),
+        ("sweep", "fig3f", "report.csv"),
+    ],
 )
 def test_data_rows_match_committed_output(tmp_path, command, config, csv_name):
     golden = _data_lines(ROOT / "out" / config / csv_name)

@@ -40,14 +40,15 @@ def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05,
 
 class TestDecide:
     def test_sign_comparison(self, rng):
-        assert decide(900.0, 300.0, rng) == ("A", False)
-        assert decide(0.0, 10.0, rng) == ("B", False)
+        choose_a, tie = decide([900.0, 0.0], [300.0, 10.0], rng)
+        assert choose_a.tolist() == [True, False]
+        assert tie.tolist() == [False, False]
 
     def test_tie_is_uniform(self, rng):
         n = 10_000
-        outcomes = [decide(5.0, 5.0, rng) for _ in range(n)]
-        assert all(tie for _, tie in outcomes)
-        a_rate = sum(d == "A" for d, _ in outcomes) / n
+        choose_a, tie = decide(np.full(n, 5.0), np.full(n, 5.0), rng)
+        assert tie.all()
+        a_rate = np.count_nonzero(choose_a) / n
         assert abs(a_rate - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
 

@@ -56,8 +56,8 @@ class TestGenerateRandom:
 
     def test_exact_collisions_are_nudged(self):
         class StubRng:
-            def random(self, n):
-                return np.array([0.5, 0.1, 0.5])
+            def random(self, size):
+                return np.array([0.5, 0.1, 0.5]).reshape(size)
 
         stream = generate_random(StreamSpec(3, 1.0), StubRng())
         assert np.all(np.diff(stream.times) > 0.0)
