@@ -40,7 +40,7 @@ from .calibration import (
 )
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import ConfigError
-from .experiment import RNG_LAYOUT, SweepGrid, run_trace_experiment, sweep
+from .experiment import RNG_LAYOUT, SweepGrid, run_trace_experiment, sweep, sweep_cells
 from .network import TwoAfcConfig, run_trial
 from .reports import (
     REPORT_HEADER,
@@ -296,27 +296,33 @@ def _trace_stream(cfg: RunConfig, section: dict):
     )
 
 
-def _trace_series(section: dict) -> list[dict]:
-    """Expand the one list-valued knob (if any) into labeled series."""
+def _trace_series(cfg: RunConfig, section: dict) -> list[tuple]:
+    """Expand the one list-valued knob (if any) into validated, labeled series.
+
+    Returns ``(label, p_on, i_cc_uA, params)`` per series, all built before
+    any is simulated.
+    """
     listy = [k for k in ("p_on", "i_cc_uA", "retention_median_s") if isinstance(section.get(k), list)]
     if len(listy) > 1:
         raise ConfigError(f"trace: only one of p_on/i_cc_uA/retention_median_s may be a list, got {listy}")
-    base = {
-        "p_on": section.get("p_on"),
-        "i_cc_uA": section.get("i_cc_uA"),
-        "retention_median_s": section.get("retention_median_s"),
-    }
-    if base["p_on"] is None or base["i_cc_uA"] is None:
+    if section.get("p_on") is None or section.get("i_cc_uA") is None:
         raise ConfigError("trace: p_on and i_cc_uA are required")
-    if not listy:
-        return [dict(base, label=f"p_on={base['p_on']}")]
-    key = listy[0]
+    key = listy[0] if listy else "p_on"
     series = []
-    for value in section[key]:
-        entry = dict(base)
-        entry[key] = value
-        entry["label"] = f"{key}={value}"
-        series.append(entry)
+    for value in section[key] if listy else [section[key]]:
+        knobs = {**section, key: value}
+        label = f"{key}={value}"
+        p_on = _check_p_on(knobs["p_on"], "trace.p_on")
+        try:
+            i_cc = float(knobs["i_cc_uA"])
+            retention = None
+            if knobs.get("retention_median_s") is not None:
+                retention = RetentionDistribution(
+                    float(knobs["retention_median_s"]), float(section.get("sigma_log", 0.5))
+                )
+            series.append((label, p_on, i_cc, cfg.params_at(i_cc, retention)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"trace series {label}: {exc}") from exc
     return series
 
 
@@ -326,28 +332,26 @@ def cmd_trace(cfg: RunConfig) -> int:
     n_devices = int(section["n_devices"])
     sample_rate = _positive_number(section, "trace", "sample_rate_hz")
     repeats = int(section["repeats"])
+    tail_s = float(section.get("tail_s", 0.0))
+    if n_devices < 1:
+        raise ConfigError("trace.n_devices must be >= 1")
     if repeats < 1:
         raise ConfigError("trace.repeats must be >= 1")
-    tail_s = float(section.get("tail_s", 0.0))
-    sigma_log = float(section.get("sigma_log", 0.5))
+    if tail_s < 0.0:
+        raise ConfigError("trace.tail_s must be >= 0")
     stream = _trace_stream(cfg, section)
+    series = _trace_series(cfg, section)
 
     rows = []
     chart_series = []
-    for entry in _trace_series(section):
-        p_on = _check_p_on(entry["p_on"], "trace.p_on")
-        i_cc = float(entry["i_cc_uA"])
-        retention = None
-        if entry["retention_median_s"] is not None:
-            retention = RetentionDistribution(float(entry["retention_median_s"]), sigma_log)
-        params = cfg.params_at(i_cc, retention)
+    for label, p_on, i_cc, params in series:
         trace = run_trace_experiment(
             n_devices, stream, p_on, params, sample_rate, repeats,
-            master_seed=derive_seed(cfg.seed, "trace", entry["label"]),
+            master_seed=derive_seed(cfg.seed, "trace", label),
             tail_s=tail_s,
         )
-        rows.extend(trace_rows(entry["label"], p_on, i_cc, trace, repeats))
-        chart_series.append((entry["label"], trace.times, trace.count_on))
+        rows.extend(trace_rows(label, p_on, i_cc, trace, repeats))
+        chart_series.append((label, trace.times, trace.count_on))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = cfg.out_dir / "trace.csv"
@@ -425,6 +429,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     section = cfg.section
     grid = _sweep_grid(cfg, section)
     retention = _retention_override(section, "sweep")
+    try:
+        sweep_cells(grid, deck=cfg.deck, retention=retention, i_off_uA=cfg.i_off_uA)
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
     points = sweep(grid, deck=cfg.deck, retention=retention,
                    i_off_uA=cfg.i_off_uA, max_workers=cfg.threads)
 

@@ -7,12 +7,19 @@ chunks get their random streams from :func:`memdecide.seeding.derive_seed`,
 so a report is a pure function of its grid (master seed included), and cells
 may be evaluated concurrently without changing a single byte of the output.
 
-Random-number layout, version ``RNG_LAYOUT = 2``: the trials of one cell are
+Random-number layout, version ``RNG_LAYOUT = 3``: the trials of one cell are
 cut into chunks of ``TRIAL_CHUNK`` trials. Chunk ``c`` covers trials
 ``[TRIAL_CHUNK*c, min(TRIAL_CHUNK*(c+1), trials))`` and is run by
 :func:`memdecide.network.run_trials` from ``spawn_rng(cell_seed, "chunk", c)``,
 in the draw order that function documents. A batch can therefore be split or
 extended at chunk boundaries without changing any trial.
+
+Trace repeats are chunked the same way, chunk ``c`` being one ``(m, N)``
+expiry array run by :func:`memdecide.synapse.trace_counts` from
+``spawn_rng(series_seed, "chunk", c)``. Per pulse, in time order, it draws
+``rng.random((m, N))``, then one ``standard_normal`` per lit cell in C order;
+reads draw nothing. (Layout 2 drew repeat ``r`` from its own
+``spawn_rng(series_seed, "trace", r)``; sweep draws are unchanged.)
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .device import DeviceParams, RetentionDistribution
 from .network import TwoAfcConfig, run_trials
 from .seeding import derive_seed, spawn_rng
 from .stream import PulseStream, StreamSpec
-from .synapse import Synapse, Trace
+from .synapse import Trace, trace_counts
 
 __all__ = [
     "RNG_LAYOUT",
@@ -39,6 +46,7 @@ __all__ = [
     "AccuracyPoint",
     "wilson_interval",
     "estimate_accuracy",
+    "sweep_cells",
     "sweep",
     "expected_on_count_no_decay",
     "run_trace_experiment",
@@ -50,7 +58,7 @@ _Z95 = 1.959963984540054
 
 # Version of the random-number layout described in the module docstring;
 # echoed into every CSV header. Change it whenever the draws change.
-RNG_LAYOUT = 2
+RNG_LAYOUT = 3
 TRIAL_CHUNK = 256
 
 
@@ -169,24 +177,38 @@ def estimate_accuracy(
     )
 
 
-def _cell_config(
-    deck: ParamDeck,
-    duration_s: float,
-    ratio: tuple[int, int],
-    n_devices: int,
-    i_cc_uA: float,
-    p_on: float,
-    retention: RetentionDistribution | None,
-    i_off_uA: float,
-) -> TwoAfcConfig:
-    params = device_params(deck, i_cc_uA, i_off_uA=i_off_uA, retention=retention)
-    return TwoAfcConfig(
-        n_devices=n_devices,
-        params=params,
-        v_pulse=deck.switching.quantile(p_on),
-        spec_a=StreamSpec(n_pulses=ratio[0], duration_s=duration_s),
-        spec_b=StreamSpec(n_pulses=ratio[1], duration_s=duration_s),
-    )
+def sweep_cells(
+    grid: SweepGrid,
+    deck: ParamDeck | None = None,
+    retention: RetentionDistribution | None = None,
+    i_off_uA: float = 0.0,
+) -> list[tuple[TwoAfcConfig, int]]:
+    """Every cell's ``(config, seed)`` in the product order of the grid's axes.
+
+    All cells are built before any is run, so an invalid value anywhere in
+    the grid raises ``ValueError`` up front.
+    """
+    if deck is None:
+        deck = default_deck()
+    cells = []
+    for duration_s, ratio, n_devices, i_cc_uA, p_on in itertools.product(
+        grid.durations_s, grid.ratios, grid.device_counts,
+        grid.i_cc_values_uA, grid.p_on_values,
+    ):
+        duration_s, n_devices, i_cc_uA, p_on = (
+            float(duration_s), int(n_devices), float(i_cc_uA), float(p_on)
+        )
+        n_a, n_b = int(ratio[0]), int(ratio[1])
+        cfg = TwoAfcConfig(
+            n_devices=n_devices,
+            params=device_params(deck, i_cc_uA, i_off_uA=i_off_uA, retention=retention),
+            v_pulse=deck.switching.quantile(p_on),
+            spec_a=StreamSpec(n_pulses=n_a, duration_s=duration_s),
+            spec_b=StreamSpec(n_pulses=n_b, duration_s=duration_s),
+        )
+        seed = derive_seed(grid.master_seed, duration_s, n_a, n_b, n_devices, i_cc_uA, p_on)
+        cells.append((cfg, seed))
+    return cells
 
 
 def sweep(
@@ -204,33 +226,12 @@ def sweep(
     regardless of ``max_workers``; every cell derives its own seed from the
     master seed and its coordinates, so results are reproducible bit for bit.
     """
-    if deck is None:
-        deck = default_deck()
-
-    cells = list(
-        itertools.product(
-            grid.durations_s, grid.ratios, grid.device_counts,
-            grid.i_cc_values_uA, grid.p_on_values,
-        )
-    )
-
-    def run_cell(cell):
-        duration_s, ratio, n_devices, i_cc_uA, p_on = cell
-        n_a, n_b = int(ratio[0]), int(ratio[1])
-        cfg = _cell_config(
-            deck, float(duration_s), (n_a, n_b), int(n_devices),
-            float(i_cc_uA), float(p_on), retention, i_off_uA,
-        )
-        cell_seed = derive_seed(
-            grid.master_seed, float(duration_s), n_a, n_b,
-            int(n_devices), float(i_cc_uA), float(p_on),
-        )
-        return estimate_accuracy(cfg, grid.trials_per_point, cell_seed)
-
+    configs, seeds = zip(*sweep_cells(grid, deck, retention, i_off_uA))
+    args = (configs, itertools.repeat(grid.trials_per_point), seeds)
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_cell, cells))
-    return [run_cell(cell) for cell in cells]
+            return list(pool.map(estimate_accuracy, *args))
+    return list(map(estimate_accuracy, *args))
 
 
 def run_trace_experiment(
@@ -246,27 +247,36 @@ def run_trace_experiment(
     """Average ``repeats`` independent synapse traces pointwise.
 
     Samples run at ``sample_rate_hz`` from 0 through the stream window plus
-    ``tail_s`` (the tail shows the relaxation after the last pulse). With
-    ``repeats=1`` this is exactly one synapse trace under the derived seed.
+    ``tail_s`` (the tail shows the relaxation after the last pulse). The
+    repeats are cut into chunks of ``TRIAL_CHUNK``; chunk ``c`` is one
+    ``(m, n)`` expiry array driven by :func:`memdecide.synapse.trace_counts`
+    from ``spawn_rng(master_seed, "chunk", c)``, so with ``repeats=1`` this is
+    exactly one :meth:`Synapse.trace` under that generator.
     """
+    if n < 1:
+        raise ValueError(f"a synapse needs at least one device, got n={n}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if not (sample_rate_hz > 0.0):
         raise ValueError("sample_rate_hz must be > 0")
+    if not (0.0 <= tail_s < math.inf):
+        raise ValueError(f"tail_s must be finite and >= 0, got {tail_s}")
     t_end = stream.duration_s + tail_s
     n_samples = int(np.floor(t_end * sample_rate_hz)) + 1
     sample_times = np.arange(n_samples, dtype=float) / sample_rate_hz
-    v_pulse = params.switching.quantile(p_on)
+    # The switching probability of a Synapse driven at this pulse amplitude.
+    p_pulse = params.switching.probability(params.switching.quantile(p_on))
 
-    count_sum = np.zeros(n_samples)
-    current_sum = np.zeros(n_samples)
-    for r in range(repeats):
-        rng = spawn_rng(master_seed, "trace", r)
-        trace = Synapse(n, params).trace(stream, v_pulse, sample_times, rng)
-        count_sum += trace.count_on
-        current_sum += trace.current_uA
+    count_sum = np.zeros(n_samples, dtype=np.int64)
+    for start in range(0, repeats, TRIAL_CHUNK):
+        expiry = np.full((min(TRIAL_CHUNK, repeats - start), n), -np.inf)
+        rng = spawn_rng(master_seed, "chunk", start // TRIAL_CHUNK)
+        count_sum += trace_counts(
+            expiry, stream.times, p_pulse, params.retention, sample_times, rng
+        )
+    mean = count_sum / repeats
     return Trace(
         times=sample_times,
-        count_on=count_sum / repeats,
-        current_uA=current_sum / repeats,
+        count_on=mean,
+        current_uA=mean * params.i_on_uA + (n - mean) * params.i_off_uA,
     )

@@ -2,7 +2,7 @@
 
 Every stochastic run in this package draws from an explicitly passed
 ``numpy.random.Generator``; there is no hidden global randomness. Independent
-streams (one per trial, per sweep cell, per trace repeat) are derived by
+streams (per trial chunk, sweep cell and trace series) are derived by
 hashing a root seed together with a label path, so that
 
 * the same root seed always reproduces the same results, bit for bit,

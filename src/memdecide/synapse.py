@@ -11,8 +11,9 @@ The whole state is one vector of filament-expiry times: a cell is ON at time
 never switched). :func:`pulse_update` is the one state-update kernel. It works
 on an expiry array of any shape ``(..., N)``, so the same code drives one
 synapse or a ``(trials, N)`` batch of independent synapses, which is what
-makes Monte Carlo sweeps over thousands of trials cheap. The cell model and
-its parameters are described in :mod:`memdecide.device`.
+makes Monte Carlo sweeps cheap; :func:`trace_counts` is the one trace path,
+for one synapse or a batch of repeats. The cell model and its parameters are
+described in :mod:`memdecide.device`.
 
 A ``Synapse`` is a self-contained mutable value. It is not safe for
 concurrent mutation, but distinct instances may be driven in parallel.
@@ -28,7 +29,7 @@ from .device import DeviceParams, RetentionDistribution
 from .errors import TimeOrderError
 from .stream import PulseStream
 
-__all__ = ["Synapse", "Trace", "pulse_update"]
+__all__ = ["Synapse", "Trace", "pulse_update", "trace_counts"]
 
 
 class Trace(NamedTuple):
@@ -70,6 +71,32 @@ def pulse_update(
         np.put(expiry, idx, t.reshape(-1)[idx // expiry.shape[-1]] + retention.sample(rng, k))
     else:
         expiry[lit] = t + retention.sample(rng, k)
+
+
+def trace_counts(
+    expiry: np.ndarray,
+    pulse_times: np.ndarray,
+    p_on,
+    retention: RetentionDistribution,
+    samples: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Drive ``expiry`` (shape ``(m, N)``) with ``pulse_times``; read it at ``samples``.
+
+    Returns the ON count summed over the ``m`` rows at each sorted sample
+    time. Pulse ``j`` is one :func:`pulse_update` at the scalar time ``t_j``;
+    then the samples in ``[t_j, t_{j+1})`` are read at once (a pulse comes
+    before a sample at the same time) by counting the expiries after each
+    sample in the sorted flattened array, in O(m*N) memory.
+    """
+    counts = np.empty(samples.size, dtype=np.int64)
+    bounds = [0, *np.searchsorted(samples, pulse_times, side="left"), samples.size]
+    for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if j:
+            pulse_update(expiry, pulse_times[j - 1], p_on, retention, rng)
+        off = np.searchsorted(np.sort(expiry, axis=None), samples[start:stop], side="right")
+        counts[start:stop] = expiry.size - off
+    return counts
 
 
 class Synapse:
@@ -127,23 +154,20 @@ class Synapse:
     ) -> Trace:
         """Drive the synapse with ``stream`` and sample it at ``sample_times``.
 
-        Pulses and samples are processed in merged chronological order, with a
-        pulse applied before a sample at equal times (a read at the moment of
-        a spike sees its effect). Returns one record per sample time.
+        The one-row view of :func:`trace_counts`: a pulse is applied before a
+        sample at an equal time (a read at the moment of a spike sees its
+        effect). Returns one record per sample time.
         """
         samples = np.asarray(sample_times, dtype=float)
         if samples.size and np.any(np.diff(samples) < 0.0):
             raise ValueError("sample_times must be sorted ascending")
-        pulses = stream.times
-        counts = np.empty(samples.size, dtype=np.int64)
-        currents = np.empty(samples.size, dtype=float)
-        pi = 0
-        for si, t_sample in enumerate(samples):
-            while pi < pulses.size and pulses[pi] <= t_sample:
-                self.stimulate(pulses[pi], v_pulse, rng)
-                pi += 1
-            counts[si], currents[si] = self.read(t_sample)
-        while pi < pulses.size:
-            self.stimulate(pulses[pi], v_pulse, rng)
-            pi += 1
+        events = np.concatenate([stream.times, samples])
+        if events.size:
+            self._check_time(events.min())
+            self.last_event_time = float(events.max())
+        counts = trace_counts(
+            self._expiry[np.newaxis], stream.times, self.params.switching.probability(v_pulse),
+            self.params.retention, samples, rng,
+        )
+        currents = counts * self.params.i_on_uA + (self.n - counts) * self.params.i_off_uA
         return Trace(times=samples, count_on=counts, current_uA=currents)

@@ -16,6 +16,11 @@ P(X > Y) + P(X = Y) / 2 with X ~ Bin(N, pi_A), Y ~ Bin(N, pi_B), for
 n_a > n_b. Only the stream placement is averaged by Monte Carlo, over stream
 pairs drawn from this module's own generator (Rao-Blackwellisation; Casella &
 Robert, Biometrika 1996). Built on numpy and scipy only.
+
+The same recurrence gives the exact mean trace of a synapse driven by one
+fixed stream (``exact_trace_mean``): a cell read at time t, whose last pulse
+at or before t is pulse j, is ON with probability q_j * S(t - t_j), and ON
+with probability 0 before the first pulse.
 """
 
 import numpy as np
@@ -25,18 +30,40 @@ from scipy.stats import binom, norm
 def _survival(d, median, sigma):
     if sigma == 0.0:
         return (d < median).astype(float)
-    return norm.sf(np.log(d / median) / sigma)
+    with np.errstate(divide="ignore"):  # S(0) = 1: log(0) = -inf
+        return norm.sf(np.log(d / median) / sigma)
+
+
+def _lit_probability(times, p, median, sigma):
+    """q_j for every pulse of each row of a sorted ``(rows, K)`` pulse-time matrix."""
+    q = np.empty(times.shape)
+    if times.shape[1]:
+        q[:, 0] = p
+    for j in range(1, times.shape[1]):
+        s = _survival(times[:, j] - times[:, j - 1], median, sigma)
+        q[:, j] = q[:, j - 1] * (s + (1.0 - s) * p) + (1.0 - q[:, j - 1]) * p
+    return q
 
 
 def _on_probability(times, duration, p, median, sigma):
     """pi for each row of a sorted ``(pairs, K)`` pulse-time matrix."""
     if times.shape[1] == 0:
         return np.zeros(times.shape[0])
-    q = np.full(times.shape[0], p)
-    for j in range(1, times.shape[1]):
-        s = _survival(times[:, j] - times[:, j - 1], median, sigma)
-        q = q * (s + (1.0 - s) * p) + (1.0 - q) * p
+    q = _lit_probability(times, p, median, sigma)[:, -1]
     return q * _survival(duration - times[:, -1], median, sigma)
+
+
+def exact_trace_mean(n, pulse_times, sample_times, p, median, sigma):
+    """Exact mean ON count of ``n`` cells at each sample time, for one sorted stream."""
+    pulse_times = np.asarray(pulse_times, dtype=float)
+    sample_times = np.asarray(sample_times, dtype=float)
+    q = _lit_probability(pulse_times[np.newaxis], p, median, sigma)[0]
+    last = np.searchsorted(pulse_times, sample_times, side="right") - 1
+    mean = np.zeros(sample_times.shape)
+    hit = last >= 0
+    d = sample_times[hit] - pulse_times[last[hit]]
+    mean[hit] = n * q[last[hit]] * _survival(d, median, sigma)
+    return mean
 
 
 def exact_accuracy(n, n_a, n_b, duration, p, median, sigma, pairs, seed):

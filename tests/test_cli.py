@@ -92,7 +92,7 @@ class TestTrace:
         lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert lines[0].startswith("# command=trace")
         assert lines[1].startswith("# config=")
-        assert lines[2] == "# rng_layout=2"
+        assert lines[2] == "# rng_layout=3"
         assert lines[3] == "series,p_on,i_cc_uA,t_s,count_on,current_uA,repeat_mean"
         assert any(line.startswith("p_on=0.2,") for line in lines[3:])
 
@@ -331,6 +331,32 @@ class TestConfigErrors:
         payload["deck"] = "deck.json"
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main(["trial", "--config", cfg]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("sweep", "device_counts", [5, 0]),
+            ("sweep", "i_cc_values_uA", [270.0, -5.0]),
+            ("sweep", "ratios", [[2, 1], [4, -2]]),
+            ("trace", "n_devices", 0),
+            ("trace", "i_cc_uA", [300.0, -5.0]),
+            ("trace", "tail_s", -1.0),
+        ],
+        ids=["sweep.device_counts=[5,0]", "sweep.i_cc_values_uA=[270,-5]",
+             "sweep.ratios=[[2,1],[4,-2]]", "trace.n_devices=0",
+             "trace.i_cc_uA=[300,-5]", "trace.tail_s=-1"],
+    )
+    def test_invalid_value_exits_two_before_running(self, tmp_path, command, key, value):
+        # The bad value sits in the last grid cell or series, so an early one
+        # would be simulated first if validation were lazy.
+        out = tmp_path / "out"
+        payload = _sweep_config(out) if command == "sweep" else _trace_config(out)
+        if key == "i_cc_uA":
+            payload["trace"]["p_on"] = 0.1
+        payload[command][key] = value
+        cfg = _write_config(tmp_path / "t.cfg", payload)
+        assert main([command, "--config", cfg]) == 2
         assert not out.exists()
 
     def test_calibrate_needs_some_input(self, tmp_path):

@@ -10,8 +10,12 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 @pytest.mark.parametrize(
     "script,expected",
-    [("01_single_cell.py", "after the train:"), ("03_decision_trial.py", "no-evidence baseline")],
-    ids=["01_single_cell", "03_decision_trial"],
+    [
+        ("01_single_cell.py", "after the train:"),
+        ("02_synapse_integration.py", "mean during drive"),
+        ("03_decision_trial.py", "no-evidence baseline"),
+    ],
+    ids=["01_single_cell", "02_synapse_integration", "03_decision_trial"],
 )
 def test_demo_runs(tmp_path, monkeypatch, capsys, script, expected):
     monkeypatch.chdir(tmp_path)

@@ -15,6 +15,7 @@ from memdecide import (
     TwoAfcConfig,
     default_deck,
     derive_seed,
+    device_params,
     estimate_accuracy,
     expected_on_count_no_decay,
     generate_periodic,
@@ -25,9 +26,9 @@ from memdecide import (
     wilson_interval,
 )
 from memdecide.experiment import TRIAL_CHUNK
-from memdecide.synapse import Synapse
+from memdecide.synapse import Synapse, trace_counts
 
-from exact_accuracy import exact_accuracy
+from exact_accuracy import exact_accuracy, exact_trace_mean
 
 CURVE = SwitchingCurve(v_median=0.6, v_spread=0.05)
 
@@ -281,10 +282,53 @@ class TestTraceExperiment:
             30, stream, 0.1, params, sample_rate_hz=10.0, repeats=1, master_seed=31
         )
         manual = Synapse(30, params).trace(
-            stream, CURVE.quantile(0.1), averaged.times, spawn_rng(31, "trace", 0)
+            stream, CURVE.quantile(0.1), averaged.times, spawn_rng(31, "chunk", 0)
         )
         assert np.array_equal(averaged.count_on, manual.count_on.astype(float))
         assert np.array_equal(averaged.current_uA, manual.current_uA.astype(float))
+
+    def test_split_at_chunk_boundary_is_exact(self):
+        # Repeats [0, 256) come from chunk 0's generator, [256, 512) from chunk 1's.
+        stream = generate_periodic(10, 10.0)
+        params = DeviceParams(300.0, CURVE, RetentionDistribution(0.5, 0.5))
+        whole = run_trace_experiment(
+            5, stream, 0.2, params, sample_rate_hz=20.0, repeats=2 * TRIAL_CHUNK,
+            master_seed=37, tail_s=0.5,
+        )
+        p = params.switching.probability(CURVE.quantile(0.2))
+        parts = [
+            trace_counts(np.full((TRIAL_CHUNK, 5), -np.inf), stream.times, p,
+                         params.retention, whole.times, spawn_rng(37, "chunk", c))
+            for c in (0, 1)
+        ]
+        assert np.array_equal(whole.count_on * (2 * TRIAL_CHUNK), parts[0] + parts[1])
+
+    @pytest.mark.parametrize(
+        "p_on,i_cc",
+        [(0.05, 300.0), (0.1, 100.0)],
+        ids=["fig2b-p_on=0.05", "fig2c-i_cc=100"],
+    )
+    def test_matches_exact_trace_mean(self, p_on, i_cc):
+        # One series each of fig2b and fig2c: 50 cells, 50 pulses at 10 Hz,
+        # 100 Hz sampling, 200 repeats, 2 s tail, default deck. Sample times
+        # 0.5, 1.0 and 4.9 s coincide with pulses; 5.0-7.0 s is the tail. Each
+        # repeat's count is Binomial(50, pi) at a fixed time, so the bound is
+        # 4 * sqrt(50 * pi * (1 - pi) / 200).
+        n, repeats = 50, 200
+        params = device_params(default_deck(), i_cc)
+        trace = run_trace_experiment(
+            n, generate_periodic(50, 10.0), p_on, params, sample_rate_hz=100.0,
+            repeats=repeats, master_seed=derive_seed(53, p_on, i_cc), tail_s=2.0,
+        )
+        picks = [0, 5, 50, 55, 100, 250, 333, 490, 495, 500, 520, 700]
+        p = float(params.switching.probability(params.switching.quantile(p_on)))
+        exact = exact_trace_mean(
+            n, np.arange(50) / 10.0, trace.times[picks], p,
+            params.retention.median_s, params.retention.sigma_log,
+        )
+        pi = exact / n
+        bound = 4.0 * np.sqrt(n * pi * (1.0 - pi) / repeats)
+        assert np.all(np.abs(trace.count_on[picks] - exact) <= bound)
 
     def test_tail_extends_sampling(self):
         stream = generate_periodic(5, 10.0)

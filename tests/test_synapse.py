@@ -126,7 +126,63 @@ class TestRead:
         assert syn.read(5.0) == (0, 0.0)
 
 
+def _manual_trace(syn, stream, v, samples, rng):
+    """Reference for ``Synapse.trace``: one stimulate per pulse, one read per
+    sample, in merged time order with a pulse first at equal times."""
+    pulses = list(stream.times)
+    counts, currents = [], []
+    for t in samples:
+        while pulses and pulses[0] <= t:
+            syn.stimulate(pulses.pop(0), v, rng)
+        count, current = syn.read(t)
+        counts.append(count)
+        currents.append(current)
+    for t in pulses:
+        syn.stimulate(t, v, rng)
+    return np.array(counts, dtype=np.int64), np.array(currents, dtype=float)
+
+
 class TestTrace:
+    @pytest.mark.parametrize(
+        "pulses,samples",
+        [
+            ([0.2, 0.5, 0.7], [0.0, 0.1, 0.15, 0.6]),
+            ([0.1, 0.2, 0.3, 0.45], [0.1, 0.2, 0.3, 0.45]),
+            ([0.1, 0.2], list(np.linspace(0.0, 3.0, 31))),
+            ([], [0.0, 0.4, 2.0]),
+            ([0.1, 0.4, 0.9], []),
+            ([0.1, 0.5, 0.9], [0.0, 0.05, 0.3]),
+        ],
+        ids=["before-first-pulse", "at-pulse-times", "tail", "empty-stream",
+             "no-samples", "pulses-after-last-sample"],
+    )
+    def test_matches_manual_stimulate_read_loop(self, pulses, samples):
+        params = _params(i_off_uA=1.5, retention=RetentionDistribution(0.15, 0.5))
+        stream = PulseStream(times=np.array(pulses, dtype=float), duration_s=1.0)
+        samples = np.array(samples, dtype=float)
+        v = CURVE.quantile(0.3)
+        batched, manual = Synapse(20, params), Synapse(20, params)
+        trace = batched.trace(stream, v, samples, np.random.default_rng(5))
+        counts, currents = _manual_trace(manual, stream, v, samples, np.random.default_rng(5))
+        assert trace.count_on.dtype == counts.dtype
+        assert np.array_equal(trace.count_on, counts)
+        assert np.array_equal(trace.current_uA, currents)
+        assert batched.last_event_time == manual.last_event_time
+        # Same state afterwards: equal reads at later times.
+        later = [manual.last_event_time + d for d in (0.0, 0.05, 0.2, 1.0)]
+        assert [batched.read(t) for t in later] == [manual.read(t) for t in later]
+
+    def test_time_order_enforced(self, rng):
+        syn = Synapse(5, _params())
+        syn.stimulate(1.0, V_CERTAIN, rng)
+        stream = PulseStream(times=np.array([1.5]), duration_s=2.0)
+        with pytest.raises(TimeOrderError):
+            syn.trace(stream, V_CERTAIN, np.array([0.5, 1.6]), rng)
+        early = PulseStream(times=np.array([0.5]), duration_s=2.0)
+        with pytest.raises(TimeOrderError):
+            syn.trace(early, V_CERTAIN, np.array([1.6]), rng)
+        assert syn.last_event_time == 1.0
+
     def test_empty_stream_flat_zero(self, rng):
         syn = Synapse(10, _params())
         empty = PulseStream(times=np.array([]), duration_s=1.0)
