@@ -10,11 +10,23 @@
 Configuration files are JSON. The top level holds the seed, output options,
 an optional device/deck section, and exactly the section named after the
 subcommand being run; ``comment`` keys are allowed anywhere and ignored.
-Unknown keys and non-finite numbers (``NaN``, ``Infinity``) are errors; the
-whole file is validated before any simulation starts. Command-line flags
-override their config counterparts, and the effective configuration and the
-random-number layout version are echoed into every CSV as leading comment
-lines. ``python -m memdecide.cli`` runs the same commands as ``memdecide``.
+:data:`_SCHEMA` lists every key with its type, and the typing is strict:
+
+* integers must be JSON integers (``2.5``, ``2.0`` and ``true`` are not);
+* numbers must be finite JSON numbers (not strings, booleans, ``NaN`` or
+  ``Infinity``);
+* lists must be non-empty, and unknown keys are errors;
+* a trace has exactly one pulse source: ``n_pulses`` with ``rate_hz``
+  (optionally ``start_s``), ``random``, or ``replay_csv``;
+* ``sigma_log`` needs ``retention_median_s`` beside it.
+
+:class:`RunConfig` is the one validation pass: it checks every key, then
+builds everything the command will run (streams, device parameters, trial
+configurations, sweep cells, input paths) before any simulation starts.
+Command-line flags override their config counterparts, and the effective
+configuration and the random-number layout version are echoed into every
+CSV as leading comment lines. ``python -m memdecide.cli`` runs the same
+commands as ``memdecide``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -56,34 +68,9 @@ from .seeding import derive_seed, spawn_rng
 from .stream import StreamSpec, generate_periodic, generate_random, read_stream_csv
 from .svgplot import line_chart
 
-_NUMBER = (int, float)
-
-
-def _check_keys(section: dict, name: str, allowed: dict, required: tuple = ()):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be an object")
-    unknown = set(section) - set(allowed) - {"comment"}
-    if unknown:
-        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
-    for key in required:
-        if key not in section:
-            raise ConfigError(f"{name}: missing required key {key!r}")
-    for key, types in allowed.items():
-        if key in section and types is not None:
-            value = section[key]
-            if isinstance(value, bool) and bool not in (
-                types if isinstance(types, tuple) else (types,)
-            ):
-                raise ConfigError(f"{name}.{key}: unexpected boolean")
-            if not isinstance(value, types):
-                raise ConfigError(f"{name}.{key}: expected {types}, got {type(value).__name__}")
-
-
-def _positive_number(section: dict, name: str, key: str) -> float:
-    value = section[key]
-    if not isinstance(value, _NUMBER) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"{name}.{key} must be a positive number")
-    return float(value)
+# --- schema ------------------------------------------------------------------
+# A converter takes a JSON value and its dotted key path, and returns the
+# value in the type the plan uses or raises ConfigError naming the path.
 
 
 def _finite_number(token: str) -> float:
@@ -94,263 +81,314 @@ def _finite_number(token: str) -> float:
     return value
 
 
-def _check_p_on(value, where: str) -> float:
-    if not isinstance(value, _NUMBER) or isinstance(value, bool) or not 0.0 < value < 1.0:
-        raise ConfigError(f"{where} must lie strictly between 0 and 1, got {value!r}")
-    return float(value)
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return value
 
 
-_TOP_KEYS = {
-    "seed": int,
-    "out_dir": str,
-    "svg": bool,
-    "threads": int,
-    "deck": str,
-    "device": dict,
-    "trace": dict,
-    "trial": dict,
-    "sweep": dict,
-    "calibrate": dict,
-}
+def _number(value, path: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ConfigError(f"{path} must be a finite number, got {value!r}")
 
-_DEVICE_KEYS = {
-    "v_median_V": _NUMBER,
-    "v_spread_V": _NUMBER,
-    "retention_table": list,
-    "i_off_uA": _NUMBER,
-}
 
-_TRACE_KEYS = {
-    "n_devices": int,
-    "p_on": (int, float, list),
-    "i_cc_uA": (int, float, list),
-    "retention_median_s": (int, float, list),
-    "sigma_log": _NUMBER,
-    "pulses": dict,
-    "sample_rate_hz": _NUMBER,
-    "repeats": int,
-    "tail_s": _NUMBER,
-}
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    return value
 
-_TRIAL_KEYS = {
-    "n_devices": int,
-    "i_cc_uA": _NUMBER,
-    "p_on": _NUMBER,
-    "duration_s": _NUMBER,
-    "n_a": int,
-    "n_b": int,
-    "retention_median_s": _NUMBER,
-    "sigma_log": _NUMBER,
-}
 
-_SWEEP_KEYS = {
-    "durations_s": list,
-    "ratios": list,
-    "device_counts": list,
-    "i_cc_values_uA": list,
-    "p_on_values": list,
-    "trials": int,
-    "retention_median_s": _NUMBER,
-    "sigma_log": _NUMBER,
-}
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path} must be true or false, got {value!r}")
+    return value
 
-_CALIBRATE_KEYS = {
-    "switching_csv": str,
-    "retention_csv": str,
-    "provenance": str,
-}
 
-_PULSES_KEYS = {
-    "n_pulses": int,
-    "rate_hz": _NUMBER,
-    "start_s": _NUMBER,
-    "replay_csv": str,
-    "random": dict,
-}
+def _checked(convert, ok, rule: str):
+    """``convert``, then a range rule for keys that no constructor checks."""
+    def convert_checked(value, path):
+        value = convert(value, path)
+        if not ok(value):
+            raise ConfigError(f"{path} must be {rule}, got {value!r}")
+        return value
+    return convert_checked
+
+
+_count = _checked(_int, lambda v: v >= 1, ">= 1")
+_positive = _checked(_number, lambda v: v > 0.0, "> 0")
+_non_negative = _checked(_number, lambda v: v >= 0.0, ">= 0")
+_probability = _checked(_number, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+
+
+def _list_of(convert):
+    def convert_list(value, path):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
+        return [convert(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    return convert_list
+
+
+def _row(*converts):
+    """A fixed-length list, one converter per position, as a tuple."""
+    def convert_row(value, path):
+        if not isinstance(value, list) or len(value) != len(converts):
+            raise ConfigError(f"{path} must be a list of {len(converts)} values, got {value!r}")
+        return tuple(c(item, f"{path}[{i}]") for i, (c, item) in enumerate(zip(converts, value)))
+    return convert_row
+
+
+def _one_or_list(convert):
+    as_list = _list_of(convert)
+    return lambda value, path: (as_list if isinstance(value, list) else convert)(value, path)
+
+
+def _section(fields: dict, required: tuple = ()):
+    def convert_section(value, path):
+        name = path or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object, got {value!r}")
+        unknown = sorted(set(value) - set(fields) - {"comment"})
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {unknown}")
+        for key in required:
+            if key not in value:
+                raise ConfigError(f"{name}: missing required key {key!r}")
+        prefix = f"{path}." if path else ""
+        return {k: fields[k](v, prefix + k) for k, v in value.items() if k != "comment"}
+    return convert_section
+
+
+_RETENTION = {"retention_median_s": _number, "sigma_log": _number}
+
+_SCHEMA = _section({
+    "seed": _int,
+    "out_dir": _string,
+    "svg": _bool,
+    "threads": _count,
+    "deck": _string,
+    "device": _section({
+        "v_median_V": _number,
+        "v_spread_V": _number,
+        "retention_table": _list_of(_row(_number, _number, _number)),
+        "i_off_uA": _number,
+    }, required=("v_median_V", "v_spread_V")),
+    "trace": _section({
+        "n_devices": _count,
+        "p_on": _one_or_list(_probability),
+        "i_cc_uA": _one_or_list(_number),
+        "retention_median_s": _one_or_list(_number),
+        "sigma_log": _number,
+        "pulses": _section({
+            "n_pulses": _int,
+            "rate_hz": _number,
+            "start_s": _number,
+            "replay_csv": _string,
+            "random": _section({"n_pulses": _int, "duration_s": _number},
+                               required=("n_pulses", "duration_s")),
+        }),
+        "sample_rate_hz": _positive,
+        "repeats": _count,
+        "tail_s": _non_negative,
+    }, required=("n_devices", "p_on", "i_cc_uA", "pulses", "sample_rate_hz", "repeats")),
+    "trial": _section({
+        "n_devices": _int,
+        "i_cc_uA": _number,
+        "p_on": _probability,
+        "duration_s": _number,
+        "n_a": _int,
+        "n_b": _int,
+        **_RETENTION,
+    }, required=("n_devices", "i_cc_uA", "p_on", "duration_s", "n_a", "n_b")),
+    "sweep": _section({
+        "durations_s": _list_of(_number),
+        "ratios": _list_of(_row(_int, _int)),
+        "device_counts": _list_of(_int),
+        "i_cc_values_uA": _list_of(_number),
+        "p_on_values": _list_of(_probability),
+        "trials": _int,
+        **_RETENTION,
+    }, required=("durations_s", "ratios", "device_counts", "i_cc_values_uA", "p_on_values")),
+    "calibrate": _section({"switching_csv": _string, "retention_csv": _string, "provenance": _string}),
+})
+
+_TRACE_AXES = ("p_on", "i_cc_uA", "retention_median_s")
 
 
 class RunConfig:
-    """Validated effective configuration for one subcommand invocation."""
+    """Validated plan for one subcommand invocation.
+
+    Construction is the whole validation: every key goes through
+    :data:`_SCHEMA`, then everything the command runs is built, so range
+    checks come from the library constructors and any ``ValueError`` they
+    raise becomes a :class:`ConfigError`. Nothing is simulated or written.
+    """
 
     def __init__(self, command: str, raw: dict, config_dir: Path, args):
-        _check_keys(raw, "config", _TOP_KEYS)
-        for cmd in ("trace", "trial", "sweep", "calibrate"):
-            if cmd != command and cmd in raw:
-                raise ConfigError(f"config: section {cmd!r} does not match command {command!r}")
-        if command not in raw:
+        conf = _SCHEMA(raw, "")
+        flags = {"seed": args.seed, "out_dir": args.out, "threads": args.threads,
+                 "svg": args.svg or None}
+        conf.update(_SCHEMA({k: v for k, v in flags.items() if v is not None}, ""))
+        for other in _COMMANDS:
+            if other != command and other in conf:
+                raise ConfigError(f"config: section {other!r} does not match command {command!r}")
+        if command not in conf:
             raise ConfigError(f"config: missing section {command!r}")
+        if "seed" not in conf:
+            raise ConfigError("config: no seed given (set 'seed' or pass --seed)")
+        if "deck" in conf and "device" in conf:
+            raise ConfigError("config: give either 'deck' or 'device', not both")
+        section = conf[command]
+        if "sigma_log" in section and "retention_median_s" not in section:
+            raise ConfigError(f"{command}.sigma_log requires retention_median_s")
 
         self.command = command
         self.config_dir = config_dir
-        self.section = raw[command]
+        self.section = section
+        self.seed = conf["seed"]
+        self.out_dir = Path(conf.get("out_dir", "out"))
+        self.svg = conf.get("svg", False)
+        self.threads = conf.get("threads", 1)
 
-        seed = args.seed if args.seed is not None else raw.get("seed")
-        if seed is None:
-            raise ConfigError("config: no seed given (set 'seed' or pass --seed)")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("config: seed must be an integer")
-        self.seed = int(seed)
+        # Echoed into output headers as written, with the flags folded in.
+        self.effective = {k: v for k, v in raw.items() if k != "comment"}
+        self.effective.update(seed=self.seed, out_dir=str(self.out_dir), svg=self.svg,
+                              threads=self.threads)
 
-        self.out_dir = Path(args.out if args.out is not None else raw.get("out_dir", "out"))
-        self.svg = bool(args.svg or raw.get("svg", False))
-        threads = args.threads if args.threads is not None else raw.get("threads", 1)
-        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-            raise ConfigError("config: threads must be a positive integer")
-        self.threads = threads
-
-        if "deck" in raw and "device" in raw:
-            raise ConfigError("config: give either 'deck' or 'device', not both")
+        self.deck = default_deck()
         self.i_off_uA = 0.0
-        if "deck" in raw:
-            deck_path = self._resolve(raw["deck"])
-            if not deck_path.is_file():
-                raise ConfigError(f"config: deck file not found: {deck_path}")
+        if "deck" in conf:
+            deck_path = self._input("deck", conf["deck"])
             try:
                 self.deck = read_deck(deck_path)
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"config: invalid deck {deck_path}: {exc!r}") from exc
-        elif "device" in raw:
-            self.deck = self._parse_device(raw["device"])
-        else:
-            self.deck = default_deck()
-
-        # Echoed into output headers; flags already folded in.
-        effective = dict(raw)
-        effective.pop("comment", None)
-        effective.update(seed=self.seed, out_dir=str(self.out_dir), svg=self.svg, threads=self.threads)
-        self.effective = effective
-
-    def _resolve(self, path_str: str) -> Path:
-        path = Path(path_str)
-        return path if path.is_absolute() else self.config_dir / path
-
-    def _parse_device(self, section: dict) -> ParamDeck:
-        _check_keys(section, "device", _DEVICE_KEYS, required=("v_median_V", "v_spread_V"))
-        self.i_off_uA = float(section.get("i_off_uA", 0.0))
-        table = []
-        rows = section.get("retention_table")
-        if rows is not None:
-            for row in rows:
-                if not (isinstance(row, list) and len(row) == 3):
-                    raise ConfigError("device.retention_table rows must be [i_cc_uA, median_s, sigma_log]")
-                table.append((float(row[0]), RetentionDistribution(float(row[1]), float(row[2]))))
-        else:
-            table = default_deck().retention_table
         try:
-            return ParamDeck(
-                switching=SwitchingCurve(
-                    v_median=float(section["v_median_V"]),
-                    v_spread=float(section["v_spread_V"]),
-                ),
-                retention_table=table,
-                provenance="inline device section",
-            )
+            if "device" in conf:
+                self._build_device(conf["device"])
+            getattr(self, f"_build_{command}")(section)
+        except ConfigError:
+            raise
         except ValueError as exc:
-            raise ConfigError(f"device: {exc}") from exc
+            raise ConfigError(f"{command}: {exc}") from exc
+
+    def _input(self, key: str, name: str) -> Path:
+        """An input file, relative to the config's directory; it must exist."""
+        path = Path(name)
+        path = path if path.is_absolute() else self.config_dir / path
+        if not path.is_file():
+            raise ConfigError(f"{key}: file not found: {path}")
+        return path
+
+    def _retention(self, median_s: float | None) -> RetentionDistribution | None:
+        if median_s is None:
+            return None
+        return RetentionDistribution(median_s, self.section.get("sigma_log", 0.5))
+
+    def params_at(self, i_cc_uA: float, retention: RetentionDistribution | None = None) -> DeviceParams:
+        return device_params(self.deck, i_cc_uA, i_off_uA=self.i_off_uA, retention=retention)
 
     def header_comments(self) -> list[str]:
         canonical = json.dumps(self.effective, sort_keys=True, separators=(",", ":"))
         return [f"command={self.command}", f"config={canonical}", f"rng_layout={RNG_LAYOUT}"]
 
-    def params_at(self, i_cc_uA: float, retention: RetentionDistribution | None = None) -> DeviceParams:
-        return device_params(self.deck, i_cc_uA, i_off_uA=self.i_off_uA, retention=retention)
+    def _build_device(self, device: dict) -> None:
+        self.i_off_uA = device.get("i_off_uA", 0.0)
+        table = self.deck.retention_table
+        if "retention_table" in device:
+            table = [(i_cc, RetentionDistribution(median, sigma))
+                     for i_cc, median, sigma in device["retention_table"]]
+        self.deck = ParamDeck(
+            switching=SwitchingCurve(device["v_median_V"], device["v_spread_V"]),
+            retention_table=table,
+            provenance="inline device section",
+        )
 
+    def _build_trace(self, section: dict) -> None:
+        """The pulse stream, and ``(label, p_on, i_cc_uA, params)`` per series.
 
-def _retention_override(section: dict, name: str) -> RetentionDistribution | None:
-    if "retention_median_s" not in section:
-        if "sigma_log" in section:
-            raise ConfigError(f"{name}: sigma_log requires retention_median_s")
-        return None
-    median = _positive_number(section, name, "retention_median_s")
-    sigma = float(section.get("sigma_log", 0.5))
-    try:
-        return RetentionDistribution(median_s=median, sigma_log=sigma)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        At most one of ``_TRACE_AXES`` is a list; each of its values is one
+        series, labelled with the value as written in the JSON (the label
+        seeds the series).
+        """
+        pulses = section["pulses"]
+        periodic = pulses.keys() & {"n_pulses", "rate_hz", "start_s"}
+        if len(pulses.keys() & {"replay_csv", "random"}) + bool(periodic) != 1:
+            raise ConfigError("trace.pulses: give exactly one pulse source: "
+                              "n_pulses with rate_hz, 'random' or 'replay_csv'")
+        if "replay_csv" in pulses:
+            self.stream = read_stream_csv(self._input("trace.pulses.replay_csv", pulses["replay_csv"]))
+        elif "random" in pulses:
+            spec = StreamSpec(pulses["random"]["n_pulses"], pulses["random"]["duration_s"])
+            self.stream = generate_random(spec, spawn_rng(self.seed, "trace-stream"))
+        elif not {"n_pulses", "rate_hz"} <= periodic:
+            raise ConfigError("trace.pulses: a periodic train needs n_pulses and rate_hz")
+        else:
+            self.stream = generate_periodic(pulses["n_pulses"], pulses["rate_hz"], pulses.get("start_s", 0.0))
+
+        axes = [k for k in _TRACE_AXES if isinstance(section.get(k), list)]
+        if len(axes) > 1:
+            raise ConfigError(f"trace: only one of {'/'.join(_TRACE_AXES)} may be a list, got {axes}")
+        key = axes[0] if axes else "p_on"
+        written = self.effective["trace"][key]
+        values, labels = (section[key], written) if axes else ([section[key]], [written])
+        self.series = []
+        for value, label in zip(values, labels):
+            knobs = {**section, key: value}
+            retention = self._retention(knobs.get("retention_median_s"))
+            params = self.params_at(knobs["i_cc_uA"], retention)
+            self.series.append((f"{key}={label}", knobs["p_on"], knobs["i_cc_uA"], params))
+
+    def _build_trial(self, section: dict) -> None:
+        params = self.params_at(section["i_cc_uA"], self._retention(section.get("retention_median_s")))
+        self.trial = TwoAfcConfig(
+            n_devices=section["n_devices"],
+            params=params,
+            v_pulse=params.switching.quantile(section["p_on"]),
+            spec_a=StreamSpec(section["n_a"], section["duration_s"]),
+            spec_b=StreamSpec(section["n_b"], section["duration_s"]),
+        )
+
+    def _build_sweep(self, section: dict) -> None:
+        self.grid = SweepGrid(
+            durations_s=section["durations_s"],
+            ratios=section["ratios"],
+            device_counts=section["device_counts"],
+            i_cc_values_uA=section["i_cc_values_uA"],
+            p_on_values=section["p_on_values"],
+            trials_per_point=section.get("trials", 1000),
+            master_seed=self.seed,
+        )
+        self.retention = self._retention(section.get("retention_median_s"))
+        # Every cell is built here, so a bad value in the last one exits 2 up front.
+        sweep_cells(self.grid, deck=self.deck, retention=self.retention, i_off_uA=self.i_off_uA)
+
+    def _build_calibrate(self, section: dict) -> None:
+        self.inputs = {key: self._input(f"calibrate.{key}", section[key])
+                       for key in ("switching_csv", "retention_csv") if key in section}
+        if not self.inputs:
+            raise ConfigError("calibrate: need switching_csv and/or retention_csv")
 
 
 # --- trace -------------------------------------------------------------------
 
 
-def _trace_stream(cfg: RunConfig, section: dict):
-    pulses = section.get("pulses")
-    if pulses is None:
-        raise ConfigError("trace: missing 'pulses'")
-    _check_keys(pulses, "trace.pulses", _PULSES_KEYS)
-    if "replay_csv" in pulses:
-        path = cfg._resolve(pulses["replay_csv"])
-        if not path.is_file():
-            raise ConfigError(f"trace.pulses.replay_csv not found: {path}")
-        return read_stream_csv(path)
-    if "random" in pulses:
-        spec = pulses["random"]
-        _check_keys(spec, "trace.pulses.random", {"n_pulses": int, "duration_s": _NUMBER},
-                    required=("n_pulses", "duration_s"))
-        stream_spec = StreamSpec(int(spec["n_pulses"]), float(spec["duration_s"]))
-        return generate_random(stream_spec, spawn_rng(cfg.seed, "trace-stream"))
-    for key in ("n_pulses", "rate_hz"):
-        if key not in pulses:
-            raise ConfigError(f"trace.pulses: missing {key!r} (or use 'replay_csv'/'random')")
-    return generate_periodic(
-        int(pulses["n_pulses"]), float(pulses["rate_hz"]), float(pulses.get("start_s", 0.0))
-    )
-
-
-def _trace_series(cfg: RunConfig, section: dict) -> list[tuple]:
-    """Expand the one list-valued knob (if any) into validated, labeled series.
-
-    Returns ``(label, p_on, i_cc_uA, params)`` per series, all built before
-    any is simulated.
-    """
-    listy = [k for k in ("p_on", "i_cc_uA", "retention_median_s") if isinstance(section.get(k), list)]
-    if len(listy) > 1:
-        raise ConfigError(f"trace: only one of p_on/i_cc_uA/retention_median_s may be a list, got {listy}")
-    if section.get("p_on") is None or section.get("i_cc_uA") is None:
-        raise ConfigError("trace: p_on and i_cc_uA are required")
-    key = listy[0] if listy else "p_on"
-    series = []
-    for value in section[key] if listy else [section[key]]:
-        knobs = {**section, key: value}
-        label = f"{key}={value}"
-        p_on = _check_p_on(knobs["p_on"], "trace.p_on")
-        try:
-            i_cc = float(knobs["i_cc_uA"])
-            retention = None
-            if knobs.get("retention_median_s") is not None:
-                retention = RetentionDistribution(
-                    float(knobs["retention_median_s"]), float(section.get("sigma_log", 0.5))
-                )
-            series.append((label, p_on, i_cc, cfg.params_at(i_cc, retention)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"trace series {label}: {exc}") from exc
-    return series
-
-
 def cmd_trace(cfg: RunConfig) -> int:
     section = cfg.section
-    _check_keys(section, "trace", _TRACE_KEYS, required=("n_devices", "sample_rate_hz", "repeats"))
-    n_devices = int(section["n_devices"])
-    sample_rate = _positive_number(section, "trace", "sample_rate_hz")
-    repeats = int(section["repeats"])
-    tail_s = float(section.get("tail_s", 0.0))
-    if n_devices < 1:
-        raise ConfigError("trace.n_devices must be >= 1")
-    if repeats < 1:
-        raise ConfigError("trace.repeats must be >= 1")
-    if tail_s < 0.0:
-        raise ConfigError("trace.tail_s must be >= 0")
-    stream = _trace_stream(cfg, section)
-    series = _trace_series(cfg, section)
-
     rows = []
     chart_series = []
-    for label, p_on, i_cc, params in series:
+    for label, p_on, i_cc, params in cfg.series:
         trace = run_trace_experiment(
-            n_devices, stream, p_on, params, sample_rate, repeats,
+            section["n_devices"], cfg.stream, p_on, params, section["sample_rate_hz"],
+            section["repeats"],
             master_seed=derive_seed(cfg.seed, "trace", label),
-            tail_s=tail_s,
+            tail_s=section.get("tail_s", 0.0),
         )
-        rows.extend(trace_rows(label, p_on, i_cc, trace, repeats))
+        rows.extend(trace_rows(label, p_on, i_cc, trace, section["repeats"]))
         chart_series.append((label, trace.times, trace.count_on))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -367,27 +405,8 @@ def cmd_trace(cfg: RunConfig) -> int:
 # --- trial -------------------------------------------------------------------
 
 
-def _trial_config(cfg: RunConfig, section: dict) -> TwoAfcConfig:
-    _check_keys(section, "trial", _TRIAL_KEYS,
-                required=("n_devices", "i_cc_uA", "p_on", "duration_s", "n_a", "n_b"))
-    retention = _retention_override(section, "trial")
-    params = cfg.params_at(float(section["i_cc_uA"]), retention)
-    duration = _positive_number(section, "trial", "duration_s")
-    try:
-        return TwoAfcConfig(
-            n_devices=int(section["n_devices"]),
-            params=params,
-            v_pulse=params.switching.quantile(_check_p_on(section["p_on"], "trial.p_on")),
-            spec_a=StreamSpec(int(section["n_a"]), duration),
-            spec_b=StreamSpec(int(section["n_b"]), duration),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"trial: {exc}") from exc
-
-
 def cmd_trial(cfg: RunConfig) -> int:
-    trial_cfg = _trial_config(cfg, cfg.section)
-    result = run_trial(trial_cfg, spawn_rng(cfg.seed, "trial", 0))
+    result = run_trial(cfg.trial, spawn_rng(cfg.seed, "trial", 0))
     row = trial_row(0, result)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = cfg.out_dir / "trial.csv"
@@ -401,39 +420,9 @@ def cmd_trial(cfg: RunConfig) -> int:
 # --- sweep -------------------------------------------------------------------
 
 
-def _sweep_grid(cfg: RunConfig, section: dict) -> SweepGrid:
-    _check_keys(
-        section, "sweep", _SWEEP_KEYS,
-        required=("durations_s", "ratios", "device_counts", "i_cc_values_uA", "p_on_values"),
-    )
-    ratios = []
-    for ratio in section["ratios"]:
-        if not (isinstance(ratio, list) and len(ratio) == 2):
-            raise ConfigError("sweep.ratios rows must be [n_a, n_b]")
-        ratios.append((int(ratio[0]), int(ratio[1])))
-    try:
-        return SweepGrid(
-            durations_s=[float(d) for d in section["durations_s"]],
-            ratios=ratios,
-            device_counts=[int(n) for n in section["device_counts"]],
-            i_cc_values_uA=[float(i) for i in section["i_cc_values_uA"]],
-            p_on_values=[_check_p_on(p, "sweep.p_on_values") for p in section["p_on_values"]],
-            trials_per_point=int(section.get("trials", 1000)),
-            master_seed=cfg.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
-
-
 def cmd_sweep(cfg: RunConfig) -> int:
-    section = cfg.section
-    grid = _sweep_grid(cfg, section)
-    retention = _retention_override(section, "sweep")
-    try:
-        sweep_cells(grid, deck=cfg.deck, retention=retention, i_off_uA=cfg.i_off_uA)
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
-    points = sweep(grid, deck=cfg.deck, retention=retention,
+    grid = cfg.grid
+    points = sweep(grid, deck=cfg.deck, retention=cfg.retention,
                    i_off_uA=cfg.i_off_uA, max_workers=cfg.threads)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -483,20 +472,13 @@ def _chart_axis(grid: SweepGrid):
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
-    section = cfg.section
-    _check_keys(section, "calibrate", _CALIBRATE_KEYS)
-    if "switching_csv" not in section and "retention_csv" not in section:
-        raise ConfigError("calibrate: need switching_csv and/or retention_csv")
-
     defaults = default_deck()
     diag_rows = []
     provenance_bits = []
 
     switching = defaults.switching
-    if "switching_csv" in section:
-        path = cfg._resolve(section["switching_csv"])
-        if not path.is_file():
-            raise ConfigError(f"calibrate.switching_csv not found: {path}")
+    if "switching_csv" in cfg.inputs:
+        path = cfg.inputs["switching_csv"]
         records = read_switching_csv(path)
         switching, diag = fit_switching_curve(records)
         provenance_bits.append(f"switching fit from {path.name} ({diag.n_records} records)")
@@ -508,10 +490,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         provenance_bits.append("switching curve: built-in default")
 
     table = defaults.retention_table
-    if "retention_csv" in section:
-        path = cfg._resolve(section["retention_csv"])
-        if not path.is_file():
-            raise ConfigError(f"calibrate.retention_csv not found: {path}")
+    if "retention_csv" in cfg.inputs:
+        path = cfg.inputs["retention_csv"]
         records = read_retention_csv(path)
         table = fit_retention(records)
         provenance_bits.append(f"retention fit from {path.name} ({len(records)} records)")
@@ -521,7 +501,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     else:
         provenance_bits.append("retention table: built-in default")
 
-    provenance = section.get("provenance", "; ".join(provenance_bits))
+    provenance = cfg.section.get("provenance", "; ".join(provenance_bits))
     deck = ParamDeck(switching=switching, retention_table=table, provenance=provenance)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

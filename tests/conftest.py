@@ -9,6 +9,10 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The same with more examples, for the config property test in CI. The
+# ``--hypothesis-profile=ci`` option is applied after this file is imported,
+# so it takes precedence over the default loaded below.
+settings.register_profile("ci", settings.get_profile("deterministic"), max_examples=2000)
 settings.load_profile("deterministic")
 
 

@@ -66,6 +66,16 @@ def _sweep_config(out_dir, trials=30):
     }
 
 
+_CONFIGS = {"trace": _trace_config, "trial": _trial_config, "sweep": _sweep_config}
+
+
+def _set(payload, dotted, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        payload = payload.setdefault(key, {})
+    payload[last] = value
+
+
 def _calibration_fixtures(tmp_path, rng):
     curve = SwitchingCurve(0.6, 0.05)
     v = rng.uniform(0.4, 0.8, 800)
@@ -334,27 +344,59 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command,key,value",
+        "command,path,value",
         [
-            ("sweep", "device_counts", [5, 0]),
-            ("sweep", "i_cc_values_uA", [270.0, -5.0]),
-            ("sweep", "ratios", [[2, 1], [4, -2]]),
-            ("trace", "n_devices", 0),
-            ("trace", "i_cc_uA", [300.0, -5.0]),
-            ("trace", "tail_s", -1.0),
+            ("sweep", "sweep.device_counts", [5, 0]),
+            ("sweep", "sweep.i_cc_values_uA", [270.0, -5.0]),
+            ("sweep", "sweep.ratios", [[2, 1], [4, -2]]),
+            ("trace", "trace.n_devices", 0),
+            ("trace", "trace.i_cc_uA", [300.0, -5.0]),
+            ("trace", "trace.tail_s", -1.0),
+            ("sweep", "sweep.device_counts", [5, 2.5]),
+            ("sweep", "sweep.device_counts", [5, True]),
+            ("sweep", "sweep.ratios", [[2, 1], [True, 1]]),
+            ("sweep", "sweep.durations_s", [0.5, "1"]),
+            ("trace", "trace.i_cc_uA", [300.0, "300"]),
+            ("sweep", "sweep.ratios", [[2, 1], ["x", 1]]),
+            ("sweep", "sweep.i_cc_values_uA", [270.0, None]),
+            ("trace", "trace.pulses.rate_hz", -1.0),
+            ("trace", "trace.pulses", {"random": {"n_pulses": -3, "duration_s": 1.0}}),
+            ("trial", "trial.i_cc_uA", -5.0),
+            ("sweep", "device", {"v_median_V": 0.6, "v_spread_V": 0.05,
+                                 "retention_table": [[10, 0.01, 0.5], [10, "a", 0.5]]}),
+            ("sweep", "device", {"v_median_V": 0.6, "v_spread_V": 0.05,
+                                 "retention_table": [[10, 0.01, 0.5], [10, -0.01, 0.5]]}),
+            # One rule set for every section.
+            ("trace", "trace.sigma_log", 0.5),
+            ("sweep", "sweep.sigma_log", 0.5),
+            ("trace", "trace.p_on", []),
+            ("trace", "trace.retention_median_s", [1.0, None]),
+            ("trace", "trace.pulses", {"n_pulses": 10, "rate_hz": 10.0, "replay_csv": "pulses.csv"}),
+            ("trace", "trace.pulses", {"rate_hz": 10.0}),
         ],
         ids=["sweep.device_counts=[5,0]", "sweep.i_cc_values_uA=[270,-5]",
              "sweep.ratios=[[2,1],[4,-2]]", "trace.n_devices=0",
-             "trace.i_cc_uA=[300,-5]", "trace.tail_s=-1"],
+             "trace.i_cc_uA=[300,-5]", "trace.tail_s=-1",
+             "sweep.device_counts=[5,2.5]", "sweep.device_counts=[5,true]",
+             "sweep.ratios=[[2,1],[true,1]]", "sweep.durations_s=[0.5,'1']",
+             "trace.i_cc_uA=[300,'300']", "sweep.ratios=[[2,1],['x',1]]",
+             "sweep.i_cc_values_uA=[270,null]", "trace.pulses.rate_hz=-1",
+             "trace.pulses.random.n_pulses=-3", "trial.i_cc_uA=-5",
+             "device.retention_table=[..,[10,'a',0.5]]",
+             "device.retention_table=[..,[10,-0.01,0.5]]",
+             "trace.sigma_log-without-median", "sweep.sigma_log-without-median",
+             "trace.p_on=[]", "trace.retention_median_s=[1,null]",
+             "trace.pulses=replay+periodic", "trace.pulses=rate-only"],
     )
-    def test_invalid_value_exits_two_before_running(self, tmp_path, command, key, value):
-        # The bad value sits in the last grid cell or series, so an early one
-        # would be simulated first if validation were lazy.
+    def test_invalid_value_exits_two_before_running(self, tmp_path, command, path, value):
+        # A bad list value sits in the last grid cell or series, so an early
+        # one would be simulated first if validation were lazy.
+        (tmp_path / "pulses.csv").write_text("# duration_s=1.0\nt_s\n0.1\n")
         out = tmp_path / "out"
-        payload = _sweep_config(out) if command == "sweep" else _trace_config(out)
-        if key == "i_cc_uA":
-            payload["trace"]["p_on"] = 0.1
-        payload[command][key] = value
+        payload = _CONFIGS[command](out)
+        if path in ("trace.i_cc_uA", "trace.retention_median_s"):
+            payload["trace"]["p_on"] = 0.1  # the one list axis
+        _set(payload, path, value)
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main([command, "--config", cfg]) == 2
         assert not out.exists()

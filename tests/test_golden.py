@@ -1,8 +1,9 @@
-"""Golden outputs: bundled configs reproduce the committed ``out/`` CSVs.
+"""Golden outputs: bundled configs reproduce the committed ``out/`` files.
 
-Only the ``#`` comment lines may differ (they echo the effective config,
-including the output directory). Any change to a data row has to be a
-deliberate regeneration of ``out/``.
+CSVs are compared on their data rows: only the ``#`` comment lines may
+differ (they echo the effective config, including the output directory).
+The calibrated ``deck.json`` is compared byte for byte. Any change to a data
+row has to be a deliberate regeneration of ``out/``.
 """
 
 from pathlib import Path
@@ -35,3 +36,11 @@ def test_data_rows_match_committed_output(tmp_path, command, config, csv_name):
     assert main([command, "--config", str(ROOT / "configs" / f"{config}.cfg"),
                  "--out", str(tmp_path)]) == 0
     assert _data_lines(tmp_path / csv_name) == golden
+
+
+def test_calibration_matches_committed_output(tmp_path):
+    golden = ROOT / "out" / "calibration"
+    assert main(["calibrate", "--config", str(ROOT / "configs" / "calibrate_example.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "deck.json").read_bytes() == (golden / "deck.json").read_bytes()
+    assert _data_lines(tmp_path / "calibration.csv") == _data_lines(golden / "calibration.csv")
