@@ -1,7 +1,7 @@
 """A single volatile cell: probabilistic switching and spontaneous relaxation.
 
-The cell is binary. A voltage pulse turns it ON with a probability set by the
-pulse amplitude; once ON it carries the compliance current until its filament
+The cell is binary. A voltage pulse turns it ON with a probability ``p_on``
+set by the pulse amplitude; once ON it carries the compliance current until its filament
 spontaneously dissolves at a random retention time. Run this script to watch
 one cell go through that lifecycle.
 """
@@ -23,19 +23,20 @@ for v in (0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75):
 # one second, with a half-decade of spread.
 params = DeviceParams(
     i_cc_uA=300.0,
-    switching=curve,
     retention=RetentionDistribution(median_s=1.0, sigma_log=0.5),
 )
 draws = params.retention.sample(rng, 5)
 print("\nfive retention times (s):", " ".join(f"{d:.2f}" for d in draws))
 
-# A synapse of one cell is the cell itself. Fire ten pulses at the
-# half-switching amplitude and read the cell right after each one.
+# A synapse of one cell is the cell itself. The simulation takes a pulse's
+# switching probability; the curve names the amplitude that realizes it. Fire
+# ten pulses at the half-switching amplitude and read the cell after each one.
 cell = Synapse(1, params)
-print("\npulse train at 0.6 V, one pulse per 100 ms:")
+p_on = 0.5
+print(f"\npulse train at {curve.quantile(p_on):.1f} V (p_on = {p_on}), one pulse per 100 ms:")
 for k in range(10):
     t = 0.1 * k
-    count, current = cell.stimulate(t, 0.6, rng).read(t)
+    count, current = cell.stimulate(t, p_on, rng).read(t)
     print(f"  t={t:.1f} s: {'ON' if count else 'off'}, read current {current:.0f} uA")
 
 # After the train stops the filament dissolves on its own.

@@ -12,12 +12,10 @@ import numpy as np
 from memdecide import (
     DeviceParams,
     RetentionDistribution,
-    SwitchingCurve,
     generate_periodic,
     run_trace_experiment,
 )
 
-curve = SwitchingCurve(v_median=0.6, v_spread=0.05)
 stream = generate_periodic(n_pulses=50, rate_hz=10.0)  # 5 s of drive
 
 
@@ -31,7 +29,7 @@ def sparkline(values, lo=0.0, hi=50.0):
 # Low probabilities integrate almost linearly over the 50 pulses; at 10% the
 # synapse saturates (all cells ON) well before the train ends.
 print("mean ON count during the train (long retention), one symbol per 250 ms:")
-params = DeviceParams(300.0, curve, RetentionDistribution(median_s=1e3, sigma_log=0.5))
+params = DeviceParams(300.0, RetentionDistribution(median_s=1e3, sigma_log=0.5))
 for p_on in (0.01, 0.02, 0.05, 0.10):
     trace = run_trace_experiment(
         n=50, stream=stream, p_on=p_on, params=params,
@@ -44,7 +42,7 @@ for p_on in (0.01, 0.02, 0.05, 0.10):
 # the train shows the relaxation back to zero.
 print("\nretention effect at p=10%, including a 2 s tail after the train:")
 for median in (0.02, 0.2, 2.0):
-    params = DeviceParams(300.0, curve, RetentionDistribution(median, sigma_log=0.5))
+    params = DeviceParams(300.0, RetentionDistribution(median, sigma_log=0.5))
     trace = run_trace_experiment(
         n=50, stream=stream, p_on=0.10, params=params,
         sample_rate_hz=4.0, repeats=200, master_seed=43, tail_s=2.0,

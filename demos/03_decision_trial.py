@@ -21,12 +21,12 @@ from memdecide import (
 curve = SwitchingCurve(v_median=0.6, v_spread=0.05)
 cfg = TwoAfcConfig(
     n_devices=20,
-    params=DeviceParams(270.0, curve, RetentionDistribution(2.0, 0.5)),
-    v_pulse=curve.quantile(0.05),  # amplitude realizing a 5% switch rate
+    params=DeviceParams(270.0, RetentionDistribution(2.0, 0.5)),
+    p_on=0.05,  # every pulse switches an OFF cell with probability 5%
     spec_a=StreamSpec(n_pulses=40, duration_s=2.0),
     spec_b=StreamSpec(n_pulses=20, duration_s=2.0),
 )
-print(f"pulse amplitude for 5% switching: {cfg.v_pulse:.4f} V")
+print(f"pulse amplitude for 5% switching: {curve.quantile(cfg.p_on):.4f} V")
 
 # A handful of individual trials. Channel A fires twice as often, so it is
 # the ground truth; each trial reads both currents at t = 2 s and compares.
@@ -46,10 +46,11 @@ print(
     f"(95% CI [{point.ci_low:.3f}, {point.ci_high:.3f}], {point.n_ties} ties)"
 )
 
-# Take the evidence away and the system falls back to guessing: with a pulse
-# amplitude far below threshold nothing switches and every trial is a tie.
+# Take the evidence away and the system falls back to guessing: at p_on = 0
+# (a pulse amplitude far below threshold) nothing switches and every trial is
+# a tie.
 blind = TwoAfcConfig(
-    n_devices=20, params=cfg.params, v_pulse=0.0,
+    n_devices=20, params=cfg.params, p_on=0.0,
     spec_a=cfg.spec_a, spec_b=cfg.spec_b,
 )
 chance = estimate_accuracy(blind, trials=500, master_seed=7)

@@ -2,7 +2,7 @@
 
 Two kinds of records come in from CSV:
 
-* switching records ``(v_pulse, switched)``: binary outcomes of programming
+* switching records ``(v_pulse_V, switched)``: binary outcomes of programming
   pulses at various amplitudes, fitted by maximum likelihood to the normal-CDF
   switching curve (probit regression on amplitude);
 * retention records ``(i_cc, retention_s)``: measured retention times grouped
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import DegenerateDataError, InsufficientDataError
@@ -99,6 +98,7 @@ class ParamDeck:
 
 def _probit_nll_grad(theta: np.ndarray, v: np.ndarray, y: np.ndarray):
     """Negative log-likelihood and gradient in (mu, log sigma) coordinates."""
+    from scipy.special import log_ndtr  # lazily: traces and trials never import scipy
     mu, log_sigma = theta
     sigma = math.exp(log_sigma)
     z = (v - mu) / sigma
@@ -327,12 +327,7 @@ def device_params(
     """
     if retention is None:
         retention = interpolate_retention(deck.retention_table, i_cc_uA)
-    return DeviceParams(
-        i_cc_uA=i_cc_uA,
-        switching=deck.switching,
-        retention=retention,
-        i_off_uA=i_off_uA,
-    )
+    return DeviceParams(i_cc_uA=i_cc_uA, retention=retention, i_off_uA=i_off_uA)
 
 
 # --- file formats ------------------------------------------------------------

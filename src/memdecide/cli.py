@@ -344,11 +344,10 @@ class RunConfig:
             self.series.append((f"{key}={label}", knobs["p_on"], knobs["i_cc_uA"], params))
 
     def _build_trial(self, section: dict) -> None:
-        params = self.params_at(section["i_cc_uA"], self._retention(section.get("retention_median_s")))
         self.trial = TwoAfcConfig(
             n_devices=section["n_devices"],
-            params=params,
-            v_pulse=params.switching.quantile(section["p_on"]),
+            params=self.params_at(section["i_cc_uA"], self._retention(section.get("retention_median_s"))),
+            p_on=section["p_on"],
             spec_a=StreamSpec(section["n_a"], section["duration_s"]),
             spec_b=StreamSpec(section["n_b"], section["duration_s"]),
         )

@@ -5,12 +5,11 @@ carries only leakage; ON means the filament bridges the oxide and the current
 is clamped at the compliance level set by the series transistor. Two random
 mechanisms drive the dynamics:
 
-* **Switching.** A voltage pulse turns an OFF cell ON with a probability that
-  rises with the pulse amplitude. The probability is the CDF of the cell's
-  set-voltage distribution, modeled as a normal CDF with median ``v_median``
-  and spread ``v_spread``. The switching curve is deliberately independent of
-  the compliance current: filament formation has no memory of the current
-  limit that will apply once the cell conducts.
+* **Switching.** A pulse turns an OFF cell ON with probability ``p_on``, the
+  only property of a pulse that the simulation sees. :class:`SwitchingCurve`
+  maps a pulse amplitude to ``p_on`` (the normal CDF of the set voltage) for
+  calibration and decks. It is independent of the compliance current:
+  filament formation has no memory of the limit that applies once it conducts.
 
 * **Relaxation.** An ON cell spontaneously returns to OFF after a random
   retention time, lognormal with a given median and log-domain spread. The
@@ -31,9 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-__all__ = ["SwitchingCurve", "RetentionDistribution", "DeviceParams"]
+__all__ = ["SwitchingCurve", "RetentionDistribution", "DeviceParams", "check_p_on"]
 
 
 def _require_finite(obj, *fields) -> None:
@@ -41,6 +39,12 @@ def _require_finite(obj, *fields) -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_p_on(p_on: float) -> None:
+    """Reject a per-pulse switching probability outside [0, 1], NaN included."""
+    if not 0.0 <= p_on <= 1.0:
+        raise ValueError(f"p_on must lie in [0, 1], got {p_on}")
 
 
 @dataclass(frozen=True)
@@ -62,14 +66,16 @@ class SwitchingCurve:
         if not (self.v_spread > 0.0):
             raise ValueError(f"v_spread must be > 0, got {self.v_spread}")
 
-    def probability(self, v_pulse):
-        """P(switch ON) for a pulse of amplitude ``v_pulse`` (vectorizes)."""
-        return ndtr((np.asarray(v_pulse, dtype=float) - self.v_median) / self.v_spread)
+    def probability(self, v):
+        """P(switch ON) for a pulse of amplitude ``v`` (vectorizes)."""
+        from scipy.special import ndtr  # lazily: traces and trials never import scipy
+        return ndtr((np.asarray(v, dtype=float) - self.v_median) / self.v_spread)
 
     def quantile(self, p: float) -> float:
         """Pulse amplitude at which the switching probability equals ``p``."""
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile requires 0 < p < 1, got {p}")
+        from scipy.special import ndtri
         return self.v_median + self.v_spread * float(ndtri(p))
 
 
@@ -105,12 +111,10 @@ class DeviceParams:
     ``i_on_uA`` defaults to the compliance current ``i_cc_uA`` (the ON current
     clamps at compliance); ``i_off_uA`` defaults to 0 because the OFF-state
     resistance is several orders of magnitude above ON and is negligible at
-    microampere scale. The switching curve is shared freely across parameter
-    sets with different compliance currents.
+    microampere scale.
     """
 
     i_cc_uA: float
-    switching: SwitchingCurve
     retention: RetentionDistribution
     i_on_uA: float | None = None
     i_off_uA: float = 0.0

@@ -1,8 +1,9 @@
 """Two-alternative forced-choice decision network.
 
 Two input channels drive two equally sized synapses. Each channel emits a
-random pulse stream with a fixed pulse count; the channel with strictly more
-pulses is the ground-truth answer. At the end of the trial window both
+random pulse stream with a fixed pulse count, every pulse switching with the
+same ``p_on``; the channel with strictly more pulses is the ground-truth
+answer. At the end of the trial window both
 synaptic currents are read and an ideal sign comparator picks the larger one.
 An exact tie is broken uniformly at random and flagged, which keeps the
 no-evidence baseline at chance level.
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import DeviceParams
+from .device import DeviceParams, check_p_on
 from .stream import StreamSpec, random_times
 from .synapse import pulse_update
 
@@ -29,17 +30,18 @@ __all__ = ["TwoAfcConfig", "TrialResult", "TrialBatch", "decide", "run_trials", 
 
 @dataclass(frozen=True)
 class TwoAfcConfig:
-    """One trial's configuration: two stream specs over a common window."""
+    """One trial's configuration: two stream specs over a common window, pulses at ``p_on``."""
 
     n_devices: int
     params: DeviceParams
-    v_pulse: float
+    p_on: float
     spec_a: StreamSpec
     spec_b: StreamSpec
 
     def __post_init__(self):
         if self.n_devices < 1:
             raise ValueError(f"n_devices must be >= 1, got {self.n_devices}")
+        check_p_on(self.p_on)
         if self.spec_a.duration_s != self.spec_b.duration_s:
             raise ValueError(
                 "both streams must share one trial window: "
@@ -106,13 +108,12 @@ def run_trials(cfg: TwoAfcConfig, m: int, rng: np.random.Generator) -> TrialBatc
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     params = cfg.params
-    p_on = params.switching.probability(cfg.v_pulse)
     stream_times = (random_times(cfg.spec_a, m, rng), random_times(cfg.spec_b, m, rng))
     counts = []
     for times in stream_times:
         expiry = np.full((m, cfg.n_devices), -np.inf)
         for column in times.T:
-            pulse_update(expiry, column, p_on, params.retention, rng)
+            pulse_update(expiry, column, cfg.p_on, params.retention, rng)
         counts.append(np.count_nonzero(expiry > cfg.duration_s, axis=1))
     count1, count2 = counts
     i1 = count1 * params.i_on_uA + (cfg.n_devices - count1) * params.i_off_uA

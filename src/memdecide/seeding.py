@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random import default_rng  # numpy loads it lazily: at import, not at a run's first draw
 
 __all__ = ["derive_seed", "spawn_rng"]
 
@@ -50,4 +51,4 @@ def derive_seed(root: int, *parts) -> int:
 
 def spawn_rng(root: int, *parts) -> np.random.Generator:
     """A fresh PCG64 generator seeded from ``derive_seed(root, *parts)``."""
-    return np.random.default_rng(derive_seed(root, *parts))
+    return default_rng(derive_seed(root, *parts))

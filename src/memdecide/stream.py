@@ -1,12 +1,13 @@
 """Stimulus generators: random pulse streams and periodic trains.
 
 A pulse stream is a sorted list of event times inside a trial window. Pulses
-are instantaneous events carrying only an amplitude (applied later, at the
-synapse); pulse width and shape are abstracted away.
+are instantaneous events; the synapse gives each the same switching
+probability, and pulse width and shape are abstracted away.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ class StreamSpec:
 
 @dataclass(frozen=True)
 class PulseStream:
-    """Strictly sorted pulse times, each in [0, duration_s)."""
+    """Strictly sorted finite pulse times, each in [0, duration_s), a finite window."""
 
     times: np.ndarray
     duration_s: float
@@ -46,6 +47,8 @@ class PulseStream:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
+        if not (math.isfinite(self.duration_s) and np.isfinite(times).all()):
+            raise ValueError("pulse times and duration_s must be finite")
         if times.size:
             if np.any(np.diff(times) <= 0.0):
                 raise ValueError("pulse times must be strictly increasing")
@@ -112,24 +115,34 @@ def write_stream_csv(stream: PulseStream, path) -> None:
 def read_stream_csv(path, duration_s: float | None = None) -> PulseStream:
     """Read a replay file written by :func:`write_stream_csv`.
 
-    The window comes from the ``# duration_s=`` comment unless overridden.
+    The window comes from the ``# duration_s=`` comment unless overridden. A
+    row or ``duration_s`` value that is not a finite number is a
+    ``ValueError`` naming ``path:line``.
     """
+    def number(text: str, lineno: int) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: not a finite number: {text.strip()!r}")
+        return value
+
     times = []
     file_duration = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, value = line.lstrip("# ").partition("=")
                 if key.strip() == "duration_s":
-                    file_duration = float(value)
-                continue
-            if line == "t_s":
-                continue
-            times.append(float(line))
+                    file_duration = number(value, lineno)
+            elif line not in ("", "t_s"):
+                times.append(number(line, lineno))
     duration = duration_s if duration_s is not None else file_duration
     if duration is None:
         raise ValueError(f"{path}: no duration_s comment and no override given")
-    return PulseStream(times=np.asarray(times, dtype=float), duration_s=duration)
+    try:
+        return PulseStream(times=np.asarray(times, dtype=float), duration_s=duration)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

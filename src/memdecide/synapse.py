@@ -2,9 +2,10 @@
 
 N cells share their electrodes, so every pulse reaches all of them at once
 and each OFF cell switches independently with the pulse's switching
-probability. The synaptic weight is the number of cells currently ON; the
-summed current is ``count_on * i_on + (N - count_on) * i_off``. Between
-pulses the weight only decays, as individual filaments dissolve.
+probability ``p_on``, the only property of a pulse that a synapse sees. The
+synaptic weight is the number of cells currently ON; the summed current is
+``count_on * i_on + (N - count_on) * i_off``. Between pulses the weight only
+decays, as individual filaments dissolve.
 
 The whole state is one vector of filament-expiry times: a cell is ON at time
 ``t`` if and only if its expiry is after ``t`` (``-inf`` for a cell that has
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import DeviceParams, RetentionDistribution
+from .device import DeviceParams, RetentionDistribution, check_p_on
 from .errors import TimeOrderError
 from .stream import PulseStream
 
@@ -123,17 +124,11 @@ class Synapse:
                 f"event at t={t} precedes last event time {self.last_event_time}"
             )
 
-    def stimulate(self, t: float, v_pulse: float, rng: np.random.Generator) -> "Synapse":
-        """Deliver one pulse at time ``t`` to all cells.
-
-        The update is :func:`pulse_update` at the pulse's switching
-        probability.
-        """
+    def stimulate(self, t: float, p_on: float, rng: np.random.Generator) -> "Synapse":
+        """Deliver one pulse at time ``t`` to all cells: :func:`pulse_update`."""
+        check_p_on(p_on)
         self._check_time(t)
-        pulse_update(
-            self._expiry, t, self.params.switching.probability(v_pulse),
-            self.params.retention, rng,
-        )
+        pulse_update(self._expiry, t, p_on, self.params.retention, rng)
         self.last_event_time = t
         return self
 
@@ -148,7 +143,7 @@ class Synapse:
     def trace(
         self,
         stream: PulseStream,
-        v_pulse: float,
+        p_on: float,
         sample_times,
         rng: np.random.Generator,
     ) -> Trace:
@@ -158,6 +153,7 @@ class Synapse:
         sample at an equal time (a read at the moment of a spike sees its
         effect). Returns one record per sample time.
         """
+        check_p_on(p_on)
         samples = np.asarray(sample_times, dtype=float)
         if samples.size and np.any(np.diff(samples) < 0.0):
             raise ValueError("sample_times must be sorted ascending")
@@ -166,8 +162,7 @@ class Synapse:
             self._check_time(events.min())
             self.last_event_time = float(events.max())
         counts = trace_counts(
-            self._expiry[np.newaxis], stream.times, self.params.switching.probability(v_pulse),
-            self.params.retention, samples, rng,
+            self._expiry[np.newaxis], stream.times, p_on, self.params.retention, samples, rng
         )
         currents = counts * self.params.i_on_uA + (self.n - counts) * self.params.i_off_uA
         return Trace(times=samples, count_on=counts, current_uA=currents)

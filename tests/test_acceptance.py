@@ -47,7 +47,6 @@ from memdecide.synapse import pulse_update
 from exact_accuracy import exact_accuracy
 
 MASTER_SEED = 2026
-CURVE = SwitchingCurve(v_median=0.6, v_spread=0.05)
 SIGMA_LOG = 0.5
 
 # Reference decision-task operating point: 20-cell synapses, 40-vs-20 pulse
@@ -64,14 +63,14 @@ def _report(name: str, passed: bool, detail: str) -> None:
 
 
 def _params(retention, i_cc=270.0):
-    return DeviceParams(i_cc_uA=i_cc, switching=CURVE, retention=retention)
+    return DeviceParams(i_cc_uA=i_cc, retention=retention)
 
 
 def _accuracy(n_a, n_b, n_devices, duration, retention, p_on, trials, label):
     cfg = TwoAfcConfig(
         n_devices=n_devices,
         params=_params(retention),
-        v_pulse=CURVE.quantile(p_on),
+        p_on=p_on,
         spec_a=StreamSpec(n_a, duration),
         spec_b=StreamSpec(n_b, duration),
     )
@@ -92,11 +91,10 @@ def test_binomial_oracle_equivalence():
     all_ok = True
     details = []
     for n, p, k in cases:
-        p_on = CURVE.probability(CURVE.quantile(p))
         rng = spawn_rng(MASTER_SEED, "binomial-oracle", n, p, k)
         expiry = np.full((trials, n), -np.inf)
         for j in range(k):
-            pulse_update(expiry, 0.1 * j, p_on, no_decay, rng)
+            pulse_update(expiry, 0.1 * j, p, no_decay, rng)
         mean = np.count_nonzero(expiry > 0.1 * k) / trials
         expected = expected_on_count_no_decay(n, p, k)
         q = 1.0 - (1.0 - p) ** k
@@ -116,11 +114,10 @@ def test_integration_regimes():
     repeats = 1000
 
     def mean_trace(p_on):
-        v = CURVE.quantile(p_on)
         total = np.zeros(stream.times.size)
         for r in range(repeats):
             rng = spawn_rng(MASTER_SEED, "integration", p_on, r)
-            total += Synapse(50, params).trace(stream, v, stream.times, rng).count_on
+            total += Synapse(50, params).trace(stream, p_on, stream.times, rng).count_on
         return total / repeats
 
     linear = mean_trace(0.01)
@@ -147,7 +144,6 @@ def test_integration_regimes():
 def test_retention_ordering():
     """Time-averaged ON count under sustained drive rises with retention."""
     stream = generate_periodic(50, 10.0)
-    v = CURVE.quantile(0.10)
     sample_times = np.arange(99) / 20.0  # 20 Hz over the stimulation window
     repeats = 1000
     intervals = []
@@ -156,7 +152,7 @@ def test_retention_ordering():
         averages = np.empty(repeats)
         for r in range(repeats):
             rng = spawn_rng(MASTER_SEED, "retention-ordering", median, r)
-            averages[r] = Synapse(50, params).trace(stream, v, sample_times, rng).count_on.mean()
+            averages[r] = Synapse(50, params).trace(stream, 0.10, sample_times, rng).count_on.mean()
         mean = averages.mean()
         half = 1.959963984540054 * averages.std(ddof=1) / math.sqrt(repeats)
         intervals.append((median, mean, mean - half, mean + half))
@@ -438,8 +434,8 @@ def test_scale_invariance_of_decisions():
     def decisions(i_on):
         cfg = TwoAfcConfig(
             n_devices=20,
-            params=DeviceParams(270.0, CURVE, REF_RETENTION, i_on_uA=i_on),
-            v_pulse=CURVE.quantile(REF_P_ON),
+            params=DeviceParams(270.0, REF_RETENTION, i_on_uA=i_on),
+            p_on=REF_P_ON,
             spec_a=StreamSpec(40, 2.0),
             spec_b=StreamSpec(20, 2.0),
         )

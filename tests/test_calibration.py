@@ -7,6 +7,7 @@ import pytest
 
 from memdecide import (
     DegenerateDataError,
+    DeviceParams,
     InsufficientDataError,
     ParamDeck,
     RetentionDistribution,
@@ -182,8 +183,7 @@ class TestDeck:
         deck = default_deck()
         params = device_params(deck, 270.0)
         assert params.i_on_uA == 270.0
-        assert params.switching == deck.switching
-        assert params.retention == interpolate_retention(deck.retention_table, 270.0)
+        assert params == DeviceParams(270.0, interpolate_retention(deck.retention_table, 270.0))
 
 
 class TestCsvIngestion:

@@ -76,6 +76,13 @@ def _set(payload, dotted, value):
     payload[last] = value
 
 
+def _src_env():
+    """The environment of a child process that imports this checkout's ``src/``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _calibration_fixtures(tmp_path, rng):
     curve = SwitchingCurve(0.6, 0.05)
     v = rng.uniform(0.4, 0.8, 800)
@@ -161,13 +168,9 @@ class TestTrial:
 
     def test_module_entry_point_runs_command(self, tmp_path):
         cfg = _write_config(tmp_path / "t.cfg", _trial_config(tmp_path / "out"))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "memdecide.cli", "trial", "--config", cfg],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_src_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("trial,decision,")
@@ -180,6 +183,53 @@ class TestTrial:
         assert main(["trial", "--config", cfg]) == 0
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert row[-1] == "1"  # tie flag
+
+
+def test_traces_and_trials_do_not_import_scipy(tmp_path):
+    # scipy is needed only to map pulse amplitudes and to fit; a trace or a
+    # trial gets p_on from its config and never crosses that boundary.
+    trace_cfg = _write_config(tmp_path / "trace.cfg", _trace_config(tmp_path / "trace"))
+    trial_cfg = _write_config(tmp_path / "trial.cfg", _trial_config(tmp_path / "trial"))
+    code = (
+        "import sys\n"
+        "from memdecide.cli import main\n"
+        f"assert main(['trace', '--config', {trace_cfg!r}]) == 0\n"
+        f"assert main(['trial', '--config', {trial_cfg!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_commands_load_no_module_after_set_up(tmp_path):
+    # Module loading belongs to set-up: a module first loaded while a command
+    # runs (numpy.random loads lazily, at the first draw, unless imported)
+    # adds file reads and their variable cost to the simulation's time.
+    trace_cfg = _write_config(tmp_path / "trace.cfg", _trace_config(tmp_path / "trace"))
+    trial_cfg = _write_config(tmp_path / "trial.cfg", _trial_config(tmp_path / "trial"))
+    code = (
+        "import sys\n"
+        "from memdecide import cli\n"
+        "loaded = set()\n"
+        "def watched(command):\n"
+        "    def run(cfg):\n"
+        "        before = set(sys.modules)\n"
+        "        try:\n"
+        "            return command(cfg)\n"
+        "        finally:\n"
+        "            loaded.update(set(sys.modules) - before)\n"
+        "    return run\n"
+        "cli._COMMANDS.update((name, watched(fn)) for name, fn in list(cli._COMMANDS.items()))\n"
+        f"assert cli.main(['trace', '--config', {trace_cfg!r}]) == 0\n"
+        f"assert cli.main(['trial', '--config', {trial_cfg!r}]) == 0\n"
+        "print(sorted(loaded))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestSweep:
@@ -399,6 +449,24 @@ class TestConfigErrors:
         _set(payload, path, value)
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main([command, "--config", cfg]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [("# duration_s=1.0\nt_s\n0.1\nnan\n", 4),
+         ("# duration_s=inf\nt_s\n0.1\n", 1),
+         ("# duration_s=1.0\nt_s\n0.1\nabc\n", 4)],
+        ids=["row=nan", "duration_s=inf", "row=abc"],
+    )
+    def test_bad_replay_csv_exits_two(self, tmp_path, capsys, text, line):
+        replay = tmp_path / "pulses.csv"
+        replay.write_text(text)
+        out = tmp_path / "out"
+        payload = _trace_config(out)
+        payload["trace"]["pulses"] = {"replay_csv": str(replay)}
+        cfg = _write_config(tmp_path / "t.cfg", payload)
+        assert main(["trace", "--config", cfg]) == 2
+        assert f"{replay}:{line}:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_calibrate_needs_some_input(self, tmp_path):

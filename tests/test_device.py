@@ -14,8 +14,8 @@ from scipy.integrate import quad
 from memdecide import DeviceParams, RetentionDistribution, SwitchingCurve, Synapse
 
 CURVE = SwitchingCurve(v_median=0.6, v_spread=0.05)
-V_CERTAIN = np.inf
-V_NEVER = -np.inf
+P_CERTAIN = 1.0
+P_NEVER = 0.0
 
 # Normal CDF one spread above the median, frozen from the analytic value and
 # re-derived below by integrating the density.
@@ -25,7 +25,6 @@ PHI_AT_PLUS_ONE_SPREAD = 0.8413447460685429
 def _params(median_s=1.0, sigma_log=0.0, i_cc=300.0, **kw):
     return DeviceParams(
         i_cc_uA=i_cc,
-        switching=CURVE,
         retention=RetentionDistribution(median_s=median_s, sigma_log=sigma_log),
         **kw,
     )
@@ -34,7 +33,7 @@ def _params(median_s=1.0, sigma_log=0.0, i_cc=300.0, **kw):
 def _cell_on_until(expiry, rng, **kw):
     """One cell switched ON at t=0 with a deterministic retention of ``expiry``."""
     return Synapse(1, _params(median_s=expiry, sigma_log=0.0, **kw)).stimulate(
-        0.0, V_CERTAIN, rng
+        0.0, P_CERTAIN, rng
     )
 
 
@@ -82,14 +81,6 @@ class TestSwitchingCurve:
     def test_non_finite_rejected(self, median, spread):
         with pytest.raises(ValueError):
             SwitchingCurve(v_median=median, v_spread=spread)
-
-    def test_independent_of_compliance_current(self):
-        # Same curve in parameter sets with different compliance currents must
-        # give bit-identical probabilities.
-        p_small = _params(i_cc=10.0)
-        p_large = _params(i_cc=300.0)
-        for v in (0.45, 0.6, 0.62, 0.8):
-            assert p_small.switching.probability(v) == p_large.switching.probability(v)
 
 
 class TestRetention:
@@ -149,22 +140,22 @@ class TestDeviceParams:
 
 class TestApplyPulse:
     def test_certain_switching(self, rng):
-        # +inf amplitude realizes switching probability exactly 1, and every
-        # retention draw is positive, so all cells are still ON at the pulse.
+        # Switching probability exactly 1, and every retention draw is
+        # positive, so all cells are still ON at the pulse.
         syn = Synapse(100, _params(median_s=2.0, sigma_log=0.5))
-        syn.stimulate(1.0, V_CERTAIN, rng)
+        syn.stimulate(1.0, P_CERTAIN, rng)
         assert syn.read(1.0) == (100, 100 * 300.0)
 
     def test_impossible_switching(self, rng):
         syn = Synapse(100, _params())
-        syn.stimulate(1.0, V_NEVER, rng)
+        syn.stimulate(1.0, P_NEVER, rng)
         assert syn.read(1.0) == (0, 0.0)
 
     def test_bernoulli_frequency(self, rng):
         # One pulse at p=0.1 on 1e5 independent cells; 3-standard-error band.
         n = 100_000
         syn = Synapse(n, _params())
-        syn.stimulate(0.0, CURVE.quantile(0.1), rng)
+        syn.stimulate(0.0, 0.1, rng)
         band = 3.0 * math.sqrt(0.1 * 0.9 / n)
         assert abs(syn.count_on() / n - 0.1) < band
 
@@ -173,8 +164,8 @@ class TestApplyPulse:
         # switches nothing still rebuilds the filament, so the cell outlives
         # 4.5 and dissolves at 4.0 + 1.0 = 5.0; stacking would give 5.5.
         syn = Synapse(1, _params(median_s=1.0, sigma_log=0.0))
-        syn.stimulate(3.5, V_CERTAIN, rng)
-        syn.stimulate(4.0, V_NEVER, rng)
+        syn.stimulate(3.5, P_CERTAIN, rng)
+        syn.stimulate(4.0, P_NEVER, rng)
         assert syn.read(4.75) == (1, 300.0)
         assert syn.read(np.nextafter(5.0, 0.0))[0] == 1
         assert syn.read(5.0)[0] == 0
@@ -183,20 +174,19 @@ class TestApplyPulse:
         # The expiry boundary is inclusive for pulses too: ON at 3.0 until 4.0,
         # the cell is already OFF when a never-switching pulse arrives at 4.0.
         syn = Synapse(1, _params(median_s=1.0, sigma_log=0.0))
-        syn.stimulate(3.0, V_CERTAIN, rng)
-        syn.stimulate(4.0, V_NEVER, rng)
+        syn.stimulate(3.0, P_CERTAIN, rng)
+        syn.stimulate(4.0, P_NEVER, rng)
         assert syn.read(4.0) == (0, 0.0)
 
     def test_determinism(self):
         params = _params(median_s=1.0, sigma_log=0.5)
-        v = CURVE.quantile(0.3)
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
             syn = Synapse(1, params)
             history = []
             for k in range(20):
-                syn.stimulate(0.1 * k, v, rng)
+                syn.stimulate(0.1 * k, 0.3, rng)
                 history.append(syn.read(0.1 * k + 0.05))
             runs.append(history)
         assert runs[0] == runs[1]
@@ -214,7 +204,7 @@ class TestRelax:
         syn = _cell_on_until(2.0, rng)
         assert syn.read(2.0)[0] == 0
         assert syn.read(123.0)[0] == 0
-        syn.stimulate(124.0, V_NEVER, rng)
+        syn.stimulate(124.0, P_NEVER, rng)
         assert syn.read(200.0)[0] == 0
 
     @given(expiry=st.floats(0.1, 100.0), t=st.floats(0.0, 200.0))

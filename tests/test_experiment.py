@@ -44,11 +44,10 @@ def _exact_bound(point, exact, se_exact):
 
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05, median=2.0):
-    params = DeviceParams(270.0, CURVE, RetentionDistribution(median, 0.5))
     return TwoAfcConfig(
         n_devices=n_devices,
-        params=params,
-        v_pulse=(-np.inf if p_on == 0.0 else CURVE.quantile(p_on)),
+        params=DeviceParams(270.0, RetentionDistribution(median, 0.5)),
+        p_on=p_on,
         spec_a=StreamSpec(n_a, duration),
         spec_b=StreamSpec(n_b, duration),
     )
@@ -199,11 +198,9 @@ class TestSweep:
         deck = default_deck()
         cfg = TwoAfcConfig(
             n_devices=10,
-            params=DeviceParams(
-                270.0, deck.switching,
-                retention=interpolate_retention(deck.retention_table, 270.0),
-            ),
-            v_pulse=deck.switching.quantile(0.05),
+            params=DeviceParams(270.0, interpolate_retention(deck.retention_table, 270.0)),
+            # A sweep cell's p_on is its grid value through the deck's curve and back.
+            p_on=float(deck.switching.probability(deck.switching.quantile(0.05))),
             spec_a=StreamSpec(40, 2.0),
             spec_b=StreamSpec(20, 2.0),
         )
@@ -277,12 +274,12 @@ class TestSweep:
 class TestTraceExperiment:
     def test_single_repeat_matches_raw_trace(self):
         stream = generate_periodic(20, 10.0)
-        params = DeviceParams(300.0, CURVE, RetentionDistribution(1.0, 0.5))
+        params = DeviceParams(300.0, RetentionDistribution(1.0, 0.5))
         averaged = run_trace_experiment(
             30, stream, 0.1, params, sample_rate_hz=10.0, repeats=1, master_seed=31
         )
         manual = Synapse(30, params).trace(
-            stream, CURVE.quantile(0.1), averaged.times, spawn_rng(31, "chunk", 0)
+            stream, 0.1, averaged.times, spawn_rng(31, "chunk", 0)
         )
         assert np.array_equal(averaged.count_on, manual.count_on.astype(float))
         assert np.array_equal(averaged.current_uA, manual.current_uA.astype(float))
@@ -290,14 +287,13 @@ class TestTraceExperiment:
     def test_split_at_chunk_boundary_is_exact(self):
         # Repeats [0, 256) come from chunk 0's generator, [256, 512) from chunk 1's.
         stream = generate_periodic(10, 10.0)
-        params = DeviceParams(300.0, CURVE, RetentionDistribution(0.5, 0.5))
+        params = DeviceParams(300.0, RetentionDistribution(0.5, 0.5))
         whole = run_trace_experiment(
             5, stream, 0.2, params, sample_rate_hz=20.0, repeats=2 * TRIAL_CHUNK,
             master_seed=37, tail_s=0.5,
         )
-        p = params.switching.probability(CURVE.quantile(0.2))
         parts = [
-            trace_counts(np.full((TRIAL_CHUNK, 5), -np.inf), stream.times, p,
+            trace_counts(np.full((TRIAL_CHUNK, 5), -np.inf), stream.times, 0.2,
                          params.retention, whole.times, spawn_rng(37, "chunk", c))
             for c in (0, 1)
         ]
@@ -321,9 +317,8 @@ class TestTraceExperiment:
             repeats=repeats, master_seed=derive_seed(53, p_on, i_cc), tail_s=2.0,
         )
         picks = [0, 5, 50, 55, 100, 250, 333, 490, 495, 500, 520, 700]
-        p = float(params.switching.probability(params.switching.quantile(p_on)))
         exact = exact_trace_mean(
-            n, np.arange(50) / 10.0, trace.times[picks], p,
+            n, np.arange(50) / 10.0, trace.times[picks], p_on,
             params.retention.median_s, params.retention.sigma_log,
         )
         pi = exact / n
@@ -333,7 +328,7 @@ class TestTraceExperiment:
     def test_tail_extends_sampling(self):
         stream = generate_periodic(5, 10.0)
         trace = run_trace_experiment(
-            10, stream, 0.5, DeviceParams(300.0, CURVE, RetentionDistribution(0.05, 0.5)),
+            10, stream, 0.5, DeviceParams(300.0, RetentionDistribution(0.05, 0.5)),
             sample_rate_hz=10.0, repeats=3, master_seed=31, tail_s=1.0,
         )
         assert trace.times[-1] == pytest.approx(1.5, abs=1e-12)
@@ -342,8 +337,22 @@ class TestTraceExperiment:
 
     def test_reproducible(self):
         stream = generate_periodic(10, 10.0)
-        params = DeviceParams(300.0, CURVE, RetentionDistribution(0.5, 0.5))
+        params = DeviceParams(300.0, RetentionDistribution(0.5, 0.5))
         kwargs = dict(sample_rate_hz=20.0, repeats=5, master_seed=37)
         a = run_trace_experiment(15, stream, 0.05, params, **kwargs)
         b = run_trace_experiment(15, stream, 0.05, params, **kwargs)
         assert np.array_equal(a.count_on, b.count_on)
+
+    @pytest.mark.parametrize("p_on", [-0.1, 1.1, math.nan])
+    def test_rejects_p_on_out_of_range(self, p_on):
+        params = DeviceParams(300.0, RetentionDistribution(0.5, 0.5))
+        with pytest.raises(ValueError, match="p_on"):
+            run_trace_experiment(5, generate_periodic(5, 10.0), p_on, params,
+                                 sample_rate_hz=10.0, repeats=2, master_seed=37)
+
+    @pytest.mark.parametrize("p_on", [0.0, 1.0])
+    def test_accepts_p_on_bounds(self, p_on):
+        params = DeviceParams(300.0, RetentionDistribution(1e9, 0.0))
+        trace = run_trace_experiment(5, generate_periodic(5, 10.0), p_on, params,
+                                     sample_rate_hz=10.0, repeats=2, master_seed=37)
+        assert trace.count_on[-1] == 5 * p_on

@@ -9,30 +9,25 @@ from memdecide import (
     DeviceParams,
     RetentionDistribution,
     StreamSpec,
-    SwitchingCurve,
     TwoAfcConfig,
     decide,
     run_trial,
     spawn_rng,
 )
 
-CURVE = SwitchingCurve(v_median=0.6, v_spread=0.05)
-
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05,
             median=2.0, sigma=0.5, i_on=None, i_off=0.0):
     params = DeviceParams(
         i_cc_uA=270.0,
-        switching=CURVE,
         retention=RetentionDistribution(median, sigma),
         i_on_uA=i_on,
         i_off_uA=i_off,
     )
-    v = np.inf if p_on == 1.0 else (-np.inf if p_on == 0.0 else CURVE.quantile(p_on))
     return TwoAfcConfig(
         n_devices=n_devices,
         params=params,
-        v_pulse=v,
+        p_on=p_on,
         spec_a=StreamSpec(n_a, duration),
         spec_b=StreamSpec(n_b, duration),
     )
@@ -54,14 +49,19 @@ class TestDecide:
 
 class TestConfigValidation:
     def test_window_mismatch(self):
-        params = DeviceParams(270.0, CURVE, RetentionDistribution(1.0))
+        params = DeviceParams(270.0, RetentionDistribution(1.0))
         with pytest.raises(ValueError):
             TwoAfcConfig(10, params, 0.6, StreamSpec(4, 1.0), StreamSpec(2, 2.0))
 
     def test_needs_devices(self):
-        params = DeviceParams(270.0, CURVE, RetentionDistribution(1.0))
+        params = DeviceParams(270.0, RetentionDistribution(1.0))
         with pytest.raises(ValueError):
             TwoAfcConfig(0, params, 0.6, StreamSpec(4, 1.0), StreamSpec(2, 1.0))
+
+    @pytest.mark.parametrize("p_on", [-0.1, 1.1, math.nan])
+    def test_rejects_p_on_out_of_range(self, p_on):
+        with pytest.raises(ValueError, match="p_on"):
+            _config(p_on=p_on)
 
 
 class TestRunTrial:

@@ -1,6 +1,7 @@
 """Stimulus generators: random placement, periodic trains, replay files."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ class TestPulseStream:
         with pytest.raises(ValueError):
             PulseStream(times=np.array([0.5, 1.0]), duration_s=1.0)
 
+    @pytest.mark.parametrize(
+        "times,duration",
+        [([0.1, math.nan], 1.0), ([math.nan], 1.0), ([0.1], math.inf), ([], math.nan)],
+        ids=["time=nan", "only-time=nan", "duration=inf", "duration=nan"],
+    )
+    def test_rejects_non_finite(self, times, duration):
+        with pytest.raises(ValueError, match="finite"):
+            PulseStream(times=np.array(times), duration_s=duration)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             StreamSpec(-1, 1.0)
@@ -116,3 +126,17 @@ class TestReplayCsv:
         write_stream_csv(stream, path)
         replayed = read_stream_csv(path, duration_s=4.0)
         assert replayed.duration_s == 4.0
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [("# duration_s=1.0\nt_s\n0.1\n0.x\n", ":4:"),
+         ("# duration_s=abc\nt_s\n0.1\n", ":1:"),
+         ("t_s\n0.1\n-inf\n", ":3:"),
+         ("# duration_s=1.0\nt_s\n0.5\n0.1\n", ": pulse times must be strictly increasing")],
+        ids=["row=0.x", "duration_s=abc", "row=-inf", "unsorted"],
+    )
+    def test_bad_file_names_path(self, tmp_path, text, where):
+        path = tmp_path / "stream.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
+            read_stream_csv(path)
