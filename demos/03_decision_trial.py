@@ -15,7 +15,7 @@ from memdecide import (
     SwitchingCurve,
     TwoAfcConfig,
     estimate_accuracy,
-    run_trial,
+    run_trials,
 )
 
 curve = SwitchingCurve(v_median=0.6, v_spread=0.05)
@@ -32,11 +32,11 @@ print(f"pulse amplitude for 5% switching: {curve.quantile(cfg.p_on):.4f} V")
 # the ground truth; each trial reads both currents at t = 2 s and compares.
 print("\nten single trials:")
 for i in range(10):
-    r = run_trial(cfg, np.random.default_rng(i))
+    r = run_trials(cfg, 1, np.random.default_rng(i))  # a batch of one trial
     print(
-        f"  trial {i}: counts {r.count1:2d} vs {r.count2:2d}, "
-        f"currents {r.i1_uA:6.0f} vs {r.i2_uA:6.0f} uA -> {r.decision} "
-        f"({'correct' if r.correct else 'wrong'}{', tie' if r.tie else ''})"
+        f"  trial {i}: counts {r.count1[0]:2d} vs {r.count2[0]:2d}, "
+        f"currents {r.i1_uA[0]:6.0f} vs {r.i2_uA[0]:6.0f} uA -> {'A' if r.choose_a[0] else 'B'} "
+        f"({'correct' if r.correct[0] else 'wrong'}{', tie' if r.tie[0] else ''})"
     )
 
 # Accuracy with a Wilson 95% interval over 1000 independent trials.

@@ -6,7 +6,7 @@ seeded, order-independent random stream per cell. This is a desk-scale tour;
 the bundled configs under configs/ run the full-resolution versions.
 """
 
-from memdecide import SweepGrid, sweep
+from memdecide import SweepGrid, sweep, sweep_cells
 
 # Window length x compliance current: small currents mean short retention, so
 # long windows collapse to chance while 270 uA (0.8 s retention) holds up.
@@ -20,7 +20,7 @@ grid = SweepGrid(
     master_seed=11,
 )
 print("accuracy, 40-vs-20 streams, 20 cells (rows: window; cols: I_cc):")
-points = sweep(grid)
+points = sweep(sweep_cells(grid), grid.trials_per_point)
 currents = grid.i_cc_values_uA
 print("   window " + "".join(f"  {i:6.0f}uA" for i in currents))
 for duration in grid.durations_s:
@@ -39,7 +39,7 @@ grid_n = SweepGrid(
     master_seed=12,
 )
 print("\naccuracy vs. synapse size (2 s window, 270 uA):")
-for p in sweep(grid_n):
+for p in sweep(sweep_cells(grid_n), grid_n.trials_per_point):
     bar = "#" * int(round(40 * p.accuracy))
     print(f"   N={p.n_devices:3d}  {p.accuracy:5.3f} |{bar}")
 

@@ -23,6 +23,7 @@ from memdecide import (
     interpolate_retention,
     read_deck,
     sweep,
+    sweep_cells,
     write_deck,
 )
 
@@ -90,7 +91,7 @@ grid = SweepGrid(durations_s=[2.0], ratios=[(40, 20)], device_counts=[20],
                  i_cc_values_uA=[10.0, 300.0], p_on_values=[0.05],
                  trials_per_point=300, master_seed=5)
 print("\naccuracy with the fitted deck, 40-vs-20 pulses in 2 s, 20 cells:")
-for point in sweep(grid, deck=reloaded):
+for point in sweep(sweep_cells(grid, reloaded), grid.trials_per_point):
     print(f"   {point.i_cc_uA:5.0f} uA: {point.accuracy:.3f}")
 print("\nThe same pipeline end to end through the command line:")
 print("  memdecide calibrate --config configs/calibrate_example.cfg")

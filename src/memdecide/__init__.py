@@ -38,9 +38,10 @@ from .experiment import (
     expected_on_count_no_decay,
     run_trace_experiment,
     sweep,
+    sweep_cells,
     wilson_interval,
 )
-from .network import TrialBatch, TrialResult, TwoAfcConfig, decide, run_trial, run_trials
+from .network import TrialBatch, TwoAfcConfig, decide, run_trials
 from .seeding import derive_seed, spawn_rng
 from .stream import (
     PulseStream,
@@ -73,7 +74,6 @@ __all__ = [
     "TimeOrderError",
     "Trace",
     "TrialBatch",
-    "TrialResult",
     "TwoAfcConfig",
     "decide",
     "default_deck",
@@ -91,10 +91,10 @@ __all__ = [
     "read_stream_csv",
     "read_switching_csv",
     "run_trace_experiment",
-    "run_trial",
     "run_trials",
     "spawn_rng",
     "sweep",
+    "sweep_cells",
     "wilson_interval",
     "write_deck",
     "write_stream_csv",

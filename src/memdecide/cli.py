@@ -53,7 +53,7 @@ from .calibration import (
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import ConfigError
 from .experiment import RNG_LAYOUT, SweepGrid, run_trace_experiment, sweep, sweep_cells
-from .network import TwoAfcConfig, run_trial
+from .network import TwoAfcConfig, run_trials
 from .reports import (
     REPORT_HEADER,
     TRACE_HEADER,
@@ -67,6 +67,7 @@ from .reports import (
 from .seeding import derive_seed, spawn_rng
 from .stream import StreamSpec, generate_periodic, generate_random, read_stream_csv
 from .svgplot import line_chart
+from .synapse import check_n_devices
 
 # --- schema ------------------------------------------------------------------
 # A converter takes a JSON value and its dotted key path, and returns the
@@ -315,6 +316,7 @@ class RunConfig:
         series, labelled with the value as written in the JSON (the label
         seeds the series).
         """
+        check_n_devices(section["n_devices"])
         pulses = section["pulses"]
         periodic = pulses.keys() & {"n_pulses", "rate_hz", "start_s"}
         if len(pulses.keys() & {"replay_csv", "random"}) + bool(periodic) != 1:
@@ -362,9 +364,9 @@ class RunConfig:
             trials_per_point=section.get("trials", 1000),
             master_seed=self.seed,
         )
-        self.retention = self._retention(section.get("retention_median_s"))
         # Every cell is built here, so a bad value in the last one exits 2 up front.
-        sweep_cells(self.grid, deck=self.deck, retention=self.retention, i_off_uA=self.i_off_uA)
+        self.cells = sweep_cells(self.grid, deck=self.deck, i_off_uA=self.i_off_uA,
+                                 retention=self._retention(section.get("retention_median_s")))
 
     def _build_calibrate(self, section: dict) -> None:
         self.inputs = {key: self._input(f"calibrate.{key}", section[key])
@@ -405,8 +407,7 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def cmd_trial(cfg: RunConfig) -> int:
-    result = run_trial(cfg.trial, spawn_rng(cfg.seed, "trial", 0))
-    row = trial_row(0, result)
+    row = trial_row(0, run_trials(cfg.trial, 1, spawn_rng(cfg.seed, "trial", 0)))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = cfg.out_dir / "trial.csv"
     write_csv(out_csv, TRIAL_HEADER, [row], cfg.header_comments())
@@ -421,8 +422,7 @@ def cmd_trial(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     grid = cfg.grid
-    points = sweep(grid, deck=cfg.deck, retention=cfg.retention,
-                   i_off_uA=cfg.i_off_uA, max_workers=cfg.threads)
+    points = sweep(cfg.cells, grid.trials_per_point, max_workers=cfg.threads)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = cfg.out_dir / "report.csv"

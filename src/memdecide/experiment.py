@@ -6,15 +6,18 @@ and near saturation, the two regimes of interest). Sweep cells and trial
 chunks get their random streams from :func:`memdecide.seeding.derive_seed`,
 so a report is a pure function of its grid (master seed included), and cells
 may be evaluated concurrently without changing a single byte of the output.
-Trials and traces take ``p_on`` as given; only :func:`sweep_cells` maps it
-through the deck's switching curve (see the comment there).
+:func:`sweep_cells` builds every cell of a grid, and :func:`sweep` runs the
+cells it is given. Trials and traces take ``p_on`` as given; only
+:func:`sweep_cells` maps it through the deck's switching curve (see the
+comment there).
 
 Random-number layout, version ``RNG_LAYOUT = 3``: the trials of one cell are
 cut into chunks of ``TRIAL_CHUNK`` trials. Chunk ``c`` covers trials
 ``[TRIAL_CHUNK*c, min(TRIAL_CHUNK*(c+1), trials))`` and is run by
 :func:`memdecide.network.run_trials` from ``spawn_rng(cell_seed, "chunk", c)``,
 in the draw order that function documents. A batch can therefore be split or
-extended at chunk boundaries without changing any trial.
+extended at chunk boundaries without changing any trial: ``run_trials(cfg,
+TRIAL_CHUNK, spawn_rng(cell_seed, "chunk", c))`` reproduces chunk ``c`` alone.
 
 Trace repeats are chunked the same way, chunk ``c`` being one ``(m, N)``
 expiry array run by :func:`memdecide.synapse.trace_counts` from
@@ -39,7 +42,7 @@ from .device import DeviceParams, RetentionDistribution, check_p_on
 from .network import TwoAfcConfig, run_trials
 from .seeding import derive_seed, spawn_rng
 from .stream import PulseStream, StreamSpec
-from .synapse import Trace, trace_counts
+from .synapse import TRIAL_CHUNK, Trace, check_n_devices, trace_counts
 
 __all__ = [
     "RNG_LAYOUT",
@@ -61,7 +64,6 @@ _Z95 = 1.959963984540054
 # Version of the random-number layout described in the module docstring;
 # echoed into every CSV header. Change it whenever the draws change.
 RNG_LAYOUT = 3
-TRIAL_CHUNK = 256
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -134,29 +136,17 @@ def expected_on_count_no_decay(n: int, p: float, k: int) -> float:
     return n * (1.0 - (1.0 - p) ** k)
 
 
-def estimate_accuracy(
-    cfg: TwoAfcConfig,
-    trials: int,
-    master_seed: int,
-    trial_offset: int = 0,
-) -> AccuracyPoint:
+def estimate_accuracy(cfg: TwoAfcConfig, trials: int, master_seed: int) -> AccuracyPoint:
     """Run independent seeded trials and report accuracy with a Wilson CI.
 
-    Trials ``trial_offset .. trial_offset + trials - 1`` are run in chunks of
-    ``TRIAL_CHUNK`` (see the module docstring), so ``trial_offset`` must be a
-    non-negative multiple of ``TRIAL_CHUNK``. Two calls at offsets 0 and
-    ``TRIAL_CHUNK`` give the same trials as one call over both.
+    The trials are run in chunks of ``TRIAL_CHUNK``, chunk ``c`` from
+    ``spawn_rng(master_seed, "chunk", c)`` (see the module docstring).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if trial_offset < 0 or trial_offset % TRIAL_CHUNK:
-        raise ValueError(
-            f"trial_offset must be a non-negative multiple of {TRIAL_CHUNK}, got {trial_offset}"
-        )
     n_correct = 0
     n_ties = 0
-    for start in range(0, trials, TRIAL_CHUNK):
-        chunk = (trial_offset + start) // TRIAL_CHUNK
+    for chunk, start in enumerate(range(0, trials, TRIAL_CHUNK)):
         batch = run_trials(
             cfg, min(TRIAL_CHUNK, trials - start), spawn_rng(master_seed, "chunk", chunk)
         )
@@ -187,6 +177,9 @@ def sweep_cells(
 ) -> list[tuple[TwoAfcConfig, int]]:
     """Every cell's ``(config, seed)`` in the product order of the grid's axes.
 
+    Device parameters at each cell come from the deck (retention interpolated
+    at the cell's compliance current) unless a fixed ``retention`` override is
+    given. The seed derives from the master seed and the cell's coordinates.
     All cells are built before any is run, so an invalid value anywhere in
     the grid raises ``ValueError`` up front.
     """
@@ -218,26 +211,23 @@ def sweep_cells(
 
 
 def sweep(
-    grid: SweepGrid,
-    deck: ParamDeck | None = None,
-    retention: RetentionDistribution | None = None,
-    i_off_uA: float = 0.0,
+    cells: Sequence[tuple[TwoAfcConfig, int]],
+    trials: int,
     max_workers: int | None = None,
 ) -> list[AccuracyPoint]:
-    """Evaluate every cell of the grid's Cartesian product.
+    """Estimate the accuracy of every ``(config, seed)`` cell over ``trials`` trials.
 
-    Device parameters at each cell come from the deck (retention interpolated
-    at the cell's compliance current) unless a fixed ``retention`` override is
-    given. Cell order is the deterministic product order of the axes
-    regardless of ``max_workers``; every cell derives its own seed from the
-    master seed and its coordinates, so results are reproducible bit for bit.
+    ``cells`` is what :func:`sweep_cells` builds. Results come in cell order
+    regardless of ``max_workers``, and every cell draws only from its own
+    seed, so results are reproducible bit for bit.
     """
-    configs, seeds = zip(*sweep_cells(grid, deck, retention, i_off_uA))
-    args = (configs, itertools.repeat(grid.trials_per_point), seeds)
+    def run(cell):
+        return estimate_accuracy(cell[0], trials, cell[1])
+
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(estimate_accuracy, *args))
-    return list(map(estimate_accuracy, *args))
+            return list(pool.map(run, cells))
+    return list(map(run, cells))
 
 
 def run_trace_experiment(
@@ -259,8 +249,7 @@ def run_trace_experiment(
     from ``spawn_rng(master_seed, "chunk", c)``, so with ``repeats=1`` this is
     exactly one :meth:`Synapse.trace` under that generator.
     """
-    if n < 1:
-        raise ValueError(f"a synapse needs at least one device, got n={n}")
+    check_n_devices(n)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if not (sample_rate_hz > 0.0):

@@ -10,8 +10,8 @@ no-evidence baseline at chance level.
 
 :func:`run_trials` runs ``m`` trials of one configuration at once: the two
 synapses of all ``m`` trials are two ``(m, N)`` expiry arrays, each updated
-one pulse column at a time by :func:`memdecide.synapse.pulse_update`.
-:func:`run_trial` is its ``m=1`` view.
+one pulse column at a time by :func:`memdecide.synapse.pulse_update`. A
+single trial is ``run_trials(cfg, 1, rng)``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import numpy as np
 
 from .device import DeviceParams, check_p_on
 from .stream import StreamSpec, random_times
-from .synapse import pulse_update
+from .synapse import check_n_devices, pulse_update
 
-__all__ = ["TwoAfcConfig", "TrialResult", "TrialBatch", "decide", "run_trials", "run_trial"]
+__all__ = ["TwoAfcConfig", "TrialBatch", "decide", "run_trials"]
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class TwoAfcConfig:
     spec_b: StreamSpec
 
     def __post_init__(self):
-        if self.n_devices < 1:
-            raise ValueError(f"n_devices must be >= 1, got {self.n_devices}")
+        check_n_devices(self.n_devices)
         check_p_on(self.p_on)
         if self.spec_a.duration_s != self.spec_b.duration_s:
             raise ValueError(
@@ -53,26 +52,13 @@ class TwoAfcConfig:
         return self.spec_a.duration_s
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Outcome of one trial.
+class TrialBatch(NamedTuple):
+    """Outcomes of ``m`` trials, one array entry per trial.
 
     ``correct`` is defined against the stream with strictly more pulses; when
     the pulse counts are equal either choice counts as correct (the task has
     no ground truth at ratio 1).
     """
-
-    decision: str  # "A" or "B"
-    correct: bool
-    i1_uA: float
-    i2_uA: float
-    count1: int
-    count2: int
-    tie: bool
-
-
-class TrialBatch(NamedTuple):
-    """Outcomes of ``m`` trials, one array entry per trial (see :class:`TrialResult`)."""
 
     choose_a: np.ndarray
     correct: np.ndarray
@@ -123,17 +109,3 @@ def run_trials(cfg: TwoAfcConfig, m: int, rng: np.random.Generator) -> TrialBatc
     n_a, n_b = cfg.spec_a.n_pulses, cfg.spec_b.n_pulses
     correct = np.full(m, True) if n_a == n_b else choose_a == (n_a > n_b)
     return TrialBatch(choose_a, correct, i1, i2, count1, count2, tie)
-
-
-def run_trial(cfg: TwoAfcConfig, rng: np.random.Generator) -> TrialResult:
-    """One trial: the ``m=1`` view of :func:`run_trials`."""
-    batch = run_trials(cfg, 1, rng)
-    return TrialResult(
-        decision="A" if batch.choose_a[0] else "B",
-        correct=bool(batch.correct[0]),
-        i1_uA=float(batch.i1_uA[0]),
-        i2_uA=float(batch.i2_uA[0]),
-        count1=int(batch.count1[0]),
-        count2=int(batch.count2[0]),
-        tie=bool(batch.tie[0]),
-    )

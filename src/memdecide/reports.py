@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .experiment import AccuracyPoint
-from .network import TrialResult
+from .network import TrialBatch
 from .synapse import Trace
 
 __all__ = [
@@ -60,11 +60,12 @@ def trace_rows(series: str, p_on: float, i_cc_uA: float, trace: Trace, repeats: 
         yield (series, float(p_on), float(i_cc_uA), float(t), float(count), float(current), repeats)
 
 
-def trial_row(index: int, result: TrialResult):
+def trial_row(index: int, batch: TrialBatch):
+    """Row 0 of ``batch``, with ``decision`` written as ``A`` or ``B``."""
     return (
-        index, result.decision, result.correct,
-        float(result.i1_uA), float(result.i2_uA),
-        result.count1, result.count2, result.tie,
+        index, "A" if batch.choose_a[0] else "B", batch.correct[0],
+        float(batch.i1_uA[0]), float(batch.i2_uA[0]),
+        batch.count1[0], batch.count2[0], batch.tie[0],
     )
 
 

@@ -22,6 +22,7 @@ concurrent mutation, but distinct instances may be driven in parallel.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,20 @@ from .device import DeviceParams, RetentionDistribution, check_p_on
 from .errors import TimeOrderError
 from .stream import PulseStream
 
-__all__ = ["Synapse", "Trace", "pulse_update", "trace_counts"]
+__all__ = ["TRIAL_CHUNK", "Synapse", "Trace", "check_n_devices", "pulse_update", "trace_counts"]
+
+# Rows of the largest expiry array run at once: the trials or trace repeats of
+# one chunk (see :mod:`memdecide.experiment`).
+TRIAL_CHUNK = 256
+
+
+def check_n_devices(n: int) -> None:
+    """Reject ``n`` below 1, or so large that no ``(TRIAL_CHUNK, n)`` float64 array can exist."""
+    if n < 1:
+        raise ValueError(f"a synapse needs at least one device, got n={n}")
+    if n > sys.maxsize // (8 * TRIAL_CHUNK):
+        raise ValueError(f"n={n} devices is too many: a ({TRIAL_CHUNK}, n) float64 array "
+                         f"would exceed {sys.maxsize} bytes")
 
 
 class Trace(NamedTuple):
@@ -58,20 +72,14 @@ def pulse_update(
     order.
     """
     t = np.asarray(t, dtype=float)
-    lit = (expiry > (t[..., np.newaxis] if t.ndim else t)) | (rng.random(expiry.shape) < p_on)
+    lit = (expiry > t[..., np.newaxis]) | (rng.random(expiry.shape) < p_on)
     k = int(np.count_nonzero(lit))
     if not k:
         return
-    # Two write paths, chosen by the shape of t, because neither is the faster
-    # one for both callers (measured on the trace and sweep benchmarks). One
-    # time per row (batched trials): gather each lit cell's row time by flat
-    # index, which beats broadcasting the times over the mask. A scalar time
-    # (one synapse, traces): a plain mask assignment, a few µs cheaper a call.
-    if t.ndim:
-        idx = np.flatnonzero(lit)
-        np.put(expiry, idx, t.reshape(-1)[idx // expiry.shape[-1]] + retention.sample(rng, k))
-    else:
-        expiry[lit] = t + retention.sample(rng, k)
+    idx = np.flatnonzero(lit)
+    # One time per row (batched trials): gather each lit cell's row time.
+    row_t = t.reshape(-1)[idx // expiry.shape[-1]] if t.ndim else t
+    np.put(expiry, idx, row_t + retention.sample(rng, k))
 
 
 def trace_counts(
@@ -104,8 +112,7 @@ class Synapse:
     """N identically parameterized cells driven and read as one unit."""
 
     def __init__(self, n: int, params: DeviceParams):
-        if n < 1:
-            raise ValueError(f"a synapse needs at least one device, got n={n}")
+        check_n_devices(n)
         self.params = params
         self._expiry = np.full(n, -np.inf)
         self.last_event_time = 0.0

@@ -38,7 +38,7 @@ from memdecide import (
     fit_switching_curve,
     generate_periodic,
     interpolate_retention,
-    run_trial,
+    run_trials,
     spawn_rng,
 )
 from memdecide.cli import main as cli_main
@@ -440,7 +440,7 @@ def test_scale_invariance_of_decisions():
             spec_b=StreamSpec(20, 2.0),
         )
         return [
-            run_trial(cfg, spawn_rng(MASTER_SEED, "scale", i)).decision
+            bool(run_trials(cfg, 1, spawn_rng(MASTER_SEED, "scale", i)).choose_a[0])
             for i in range(100)
         ]
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memdecide import RetentionDistribution, SwitchingCurve, SwitchingRecord, read_deck
+from memdecide import RetentionDistribution, SwitchingCurve, SwitchingRecord, experiment, read_deck
 from memdecide.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -209,6 +209,7 @@ def test_commands_load_no_module_after_set_up(tmp_path):
     # adds file reads and their variable cost to the simulation's time.
     trace_cfg = _write_config(tmp_path / "trace.cfg", _trace_config(tmp_path / "trace"))
     trial_cfg = _write_config(tmp_path / "trial.cfg", _trial_config(tmp_path / "trial"))
+    sweep_cfg = _write_config(tmp_path / "sweep.cfg", _sweep_config(tmp_path / "sweep"))
     code = (
         "import sys\n"
         "from memdecide import cli\n"
@@ -224,6 +225,8 @@ def test_commands_load_no_module_after_set_up(tmp_path):
         "cli._COMMANDS.update((name, watched(fn)) for name, fn in list(cli._COMMANDS.items()))\n"
         f"assert cli.main(['trace', '--config', {trace_cfg!r}]) == 0\n"
         f"assert cli.main(['trial', '--config', {trial_cfg!r}]) == 0\n"
+        f"assert cli.main(['sweep', '--config', {sweep_cfg!r}, '--threads', '1']) == 0\n"
+        f"assert cli.main(['sweep', '--config', {sweep_cfg!r}, '--threads', '2']) == 0\n"
         "print(sorted(loaded))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
@@ -233,6 +236,18 @@ def test_commands_load_no_module_after_set_up(tmp_path):
 
 
 class TestSweep:
+    def test_builds_each_cell_once(self, tmp_path, monkeypatch):
+        # RunConfig builds the cells and the sweep runs those same cells.
+        calls = []
+        build = experiment.device_params
+        monkeypatch.setattr(experiment, "device_params",
+                            lambda *args, **kwargs: calls.append(args) or build(*args, **kwargs))
+        payload = _sweep_config(tmp_path / "out")
+        payload["sweep"]["device_counts"] = [5, 8]
+        cfg = _write_config(tmp_path / "s.cfg", payload)
+        assert main(["sweep", "--config", cfg]) == 0
+        assert len(calls) == 4  # two durations by two device counts
+
     def test_report_schema_and_rows(self, tmp_path):
         cfg = _write_config(tmp_path / "s.cfg", _sweep_config(tmp_path / "out"))
         assert main(["sweep", "--config", cfg]) == 0
@@ -423,6 +438,10 @@ class TestConfigErrors:
             ("trace", "trace.retention_median_s", [1.0, None]),
             ("trace", "trace.pulses", {"n_pulses": 10, "rate_hz": 10.0, "replay_csv": "pulses.csv"}),
             ("trace", "trace.pulses", {"rate_hz": 10.0}),
+            # Counts no (TRIAL_CHUNK, N) float64 array can hold.
+            ("sweep", "sweep.device_counts", [5, 10**30]),
+            ("trace", "trace.n_devices", 10**30),
+            ("trial", "trial.n_devices", 10**30),
         ],
         ids=["sweep.device_counts=[5,0]", "sweep.i_cc_values_uA=[270,-5]",
              "sweep.ratios=[[2,1],[4,-2]]", "trace.n_devices=0",
@@ -436,7 +455,9 @@ class TestConfigErrors:
              "device.retention_table=[..,[10,-0.01,0.5]]",
              "trace.sigma_log-without-median", "sweep.sigma_log-without-median",
              "trace.p_on=[]", "trace.retention_median_s=[1,null]",
-             "trace.pulses=replay+periodic", "trace.pulses=rate-only"],
+             "trace.pulses=replay+periodic", "trace.pulses=rate-only",
+             "sweep.device_counts=[5,10**30]", "trace.n_devices=10**30",
+             "trial.n_devices=10**30"],
     )
     def test_invalid_value_exits_two_before_running(self, tmp_path, command, path, value):
         # A bad list value sits in the last grid cell or series, so an early

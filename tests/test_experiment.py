@@ -21,8 +21,10 @@ from memdecide import (
     generate_periodic,
     interpolate_retention,
     run_trace_experiment,
+    run_trials,
     spawn_rng,
     sweep,
+    sweep_cells,
     wilson_interval,
 )
 from memdecide.experiment import TRIAL_CHUNK
@@ -41,6 +43,11 @@ def _exact_bound(point, exact, se_exact):
     """3 * sqrt(SE_mc^2 + SE_oracle^2), the bound fixed for every oracle check."""
     se_mc = math.sqrt(exact * (1.0 - exact) / point.n_trials)
     return 3.0 * math.sqrt(se_mc ** 2 + se_exact ** 2)
+
+
+def _fixed_retention_sweep(grid, median):
+    cells = sweep_cells(grid, retention=RetentionDistribution(median, 0.5))
+    return sweep(cells, grid.trials_per_point)
 
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05, median=2.0):
@@ -149,26 +156,18 @@ class TestEstimateAccuracy:
         assert point.ci_low <= point.accuracy <= point.ci_high
         assert point.n_trials == 50
 
-    def test_trial_offset_shifts_streams(self):
-        a = estimate_accuracy(_config(), trials=30, master_seed=3, trial_offset=0)
-        b = estimate_accuracy(_config(), trials=30, master_seed=3, trial_offset=TRIAL_CHUNK)
-        assert a.accuracy != b.accuracy or a.n_ties != b.n_ties
-
     def test_split_at_chunk_boundary_is_exact(self):
+        # Chunk c of a run is run_trials over TRIAL_CHUNK trials from
+        # spawn_rng(seed, "chunk", c), so the chunks can be run on their own.
         cfg = _config(p_on=0.2)
         whole = estimate_accuracy(cfg, trials=2 * TRIAL_CHUNK, master_seed=3)
-        parts = [
-            estimate_accuracy(cfg, trials=TRIAL_CHUNK, master_seed=3, trial_offset=offset)
-            for offset in (0, TRIAL_CHUNK)
-        ]
-        n_correct = lambda point: round(point.accuracy * point.n_trials)
-        assert n_correct(whole) == sum(n_correct(p) for p in parts)
-        assert whole.n_ties == sum(p.n_ties for p in parts)
-
-    @pytest.mark.parametrize("offset", [1, 30, TRIAL_CHUNK - 1, TRIAL_CHUNK + 1, -TRIAL_CHUNK])
-    def test_offset_off_chunk_grid_rejected(self, offset):
-        with pytest.raises(ValueError):
-            estimate_accuracy(_config(), trials=10, master_seed=3, trial_offset=offset)
+        parts = [run_trials(cfg, TRIAL_CHUNK, spawn_rng(3, "chunk", c)) for c in (0, 1)]
+        assert round(whole.accuracy * whole.n_trials) == sum(
+            int(np.count_nonzero(p.correct)) for p in parts
+        )
+        assert whole.n_ties == sum(int(np.count_nonzero(p.tie)) for p in parts)
+        # Each chunk draws its own streams.
+        assert not np.array_equal(parts[0].i1_uA, parts[1].i1_uA)
 
     @pytest.mark.parametrize(
         "median,label",
@@ -192,7 +191,7 @@ class TestSweep:
             i_cc_values_uA=[270.0], p_on_values=[0.05],
             trials_per_point=40, master_seed=17,
         )
-        points = sweep(grid)
+        points = sweep(sweep_cells(grid), grid.trials_per_point)
         assert len(points) == 1
         cell_seed = derive_seed(17, 2.0, 40, 20, 10, 270.0, 0.05)
         deck = default_deck()
@@ -212,9 +211,9 @@ class TestSweep:
             i_cc_values_uA=[270.0], p_on_values=[0.2],
             trials_per_point=25, master_seed=21,
         )
-        serial = sweep(grid)
-        again = sweep(grid)
-        threaded = sweep(grid, max_workers=4)
+        serial = sweep(sweep_cells(grid), grid.trials_per_point)
+        again = sweep(sweep_cells(grid), grid.trials_per_point)
+        threaded = sweep(sweep_cells(grid), grid.trials_per_point, max_workers=4)
         assert serial == again == threaded
         assert len(serial) == 4
 
@@ -226,7 +225,7 @@ class TestSweep:
             device_counts=[20], i_cc_values_uA=[270.0], p_on_values=[0.05],
             trials_per_point=300, master_seed=23,
         )
-        big, mid, small = sweep(grid, retention=RetentionDistribution(2.0, 0.5))
+        big, mid, small = _fixed_retention_sweep(grid, 2.0)
         assert big.accuracy >= mid.accuracy - 0.05
         assert mid.accuracy > small.accuracy
 
@@ -238,7 +237,7 @@ class TestSweep:
             i_cc_values_uA=[270.0], p_on_values=[0.01, 0.20],
             trials_per_point=300, master_seed=29,
         )
-        moderate, saturated = sweep(grid, retention=RetentionDistribution(2.0, 0.5))
+        moderate, saturated = _fixed_retention_sweep(grid, 2.0)
         assert moderate.accuracy > saturated.accuracy
         assert saturated.n_ties > moderate.n_ties
 
@@ -255,7 +254,7 @@ class TestSweep:
             i_cc_values_uA=[270.0], p_on_values=[0.05],
             trials_per_point=400, master_seed=31,
         )
-        points = sweep(grid, retention=RetentionDistribution(1.0, 0.5))
+        points = _fixed_retention_sweep(grid, 1.0)
         for point in points:
             exact, se_exact = exact_accuracy(
                 20, 40, 20, point.duration_s, point.p_on, 1.0, 0.5, pairs=4000, seed=47

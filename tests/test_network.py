@@ -11,7 +11,7 @@ from memdecide import (
     StreamSpec,
     TwoAfcConfig,
     decide,
-    run_trial,
+    run_trials,
     spawn_rng,
 )
 
@@ -65,36 +65,37 @@ class TestConfigValidation:
 
 
 class TestRunTrial:
+    # One trial is a batch of one: ``run_trials(cfg, 1, rng)``.
     def test_one_sided_certain_evidence(self, rng):
         cfg = _config(n_a=40, n_b=0, p_on=1.0, median=1e9, sigma=0.0)
-        result = run_trial(cfg, rng)
-        assert result.decision == "A" and result.correct and not result.tie
-        assert result.count1 == 20 and result.count2 == 0
-        assert result.i1_uA == 20 * 270.0 and result.i2_uA == 0.0
+        r = run_trials(cfg, 1, rng)
+        assert r.choose_a[0] and r.correct[0] and not r.tie[0]
+        assert r.count1[0] == 20 and r.count2[0] == 0
+        assert r.i1_uA[0] == 20 * 270.0 and r.i2_uA[0] == 0.0
 
     def test_no_evidence_is_a_coin_flip(self):
         cfg = _config(p_on=0.0)
         n = 400
-        results = [run_trial(cfg, spawn_rng(5, i)) for i in range(n)]
-        assert all(r.tie and r.i1_uA == 0.0 and r.i2_uA == 0.0 for r in results)
-        accuracy = sum(r.correct for r in results) / n
+        results = [run_trials(cfg, 1, spawn_rng(5, i)) for i in range(n)]
+        assert all(r.tie[0] and r.i1_uA[0] == 0.0 and r.i2_uA[0] == 0.0 for r in results)
+        accuracy = sum(bool(r.correct[0]) for r in results) / n
         assert abs(accuracy - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
     def test_counts_bounded_by_devices(self):
         cfg = _config()
         for i in range(20):
-            r = run_trial(cfg, spawn_rng(6, i))
-            assert 0 <= r.count1 <= 20 and 0 <= r.count2 <= 20
+            r = run_trials(cfg, 1, spawn_rng(6, i))
+            assert 0 <= r.count1[0] <= 20 and 0 <= r.count2[0] <= 20
 
     def test_equal_streams_count_as_correct(self):
         cfg = _config(n_a=10, n_b=10)
-        assert all(run_trial(cfg, spawn_rng(7, i)).correct for i in range(20))
+        assert all(run_trials(cfg, 1, spawn_rng(7, i)).correct[0] for i in range(20))
 
     def test_determinism(self):
         cfg = _config()
-        assert run_trial(cfg, np.random.default_rng(99)) == run_trial(
-            cfg, np.random.default_rng(99)
-        )
+        first = run_trials(cfg, 1, np.random.default_rng(99))
+        second = run_trials(cfg, 1, np.random.default_rng(99))
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_decision_scale_invariance(self):
         # With zero leakage the comparator sees only the ON-count difference,
@@ -102,10 +103,10 @@ class TestRunTrial:
         base = _config(i_on=270.0)
         scaled = _config(i_on=2700.0)
         for i in range(50):
-            r1 = run_trial(base, spawn_rng(8, i))
-            r2 = run_trial(scaled, spawn_rng(8, i))
-            assert r1.decision == r2.decision
-            assert r2.i1_uA == pytest.approx(10.0 * r1.i1_uA)
+            r1 = run_trials(base, 1, spawn_rng(8, i))
+            r2 = run_trials(scaled, 1, spawn_rng(8, i))
+            assert r1.choose_a[0] == r2.choose_a[0]
+            assert r2.i1_uA[0] == pytest.approx(10.0 * r1.i1_uA[0])
 
     def test_symmetry_under_stream_swap(self):
         # accuracy(40 vs 20) and accuracy(20 vs 40) agree within Monte Carlo
@@ -114,6 +115,7 @@ class TestRunTrial:
         acc = []
         for n_a, n_b in ((40, 20), (20, 40)):
             cfg = _config(n_a=n_a, n_b=n_b)
-            acc.append(sum(run_trial(cfg, spawn_rng(9, i)).correct for i in range(n)) / n)
+            acc.append(sum(bool(run_trials(cfg, 1, spawn_rng(9, i)).correct[0])
+                           for i in range(n)) / n)
         se_diff = math.sqrt(2.0 * 0.25 / n)
         assert abs(acc[0] - acc[1]) < 3.0 * se_diff

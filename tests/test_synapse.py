@@ -1,6 +1,7 @@
 """Parallel synapse: vectorized switching, relaxation, traces, oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from memdecide import (
     generate_periodic,
     spawn_rng,
 )
+from memdecide.synapse import TRIAL_CHUNK, check_n_devices
 
 P_CERTAIN = 1.0
 P_NEVER = 0.0
@@ -52,6 +54,16 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Synapse(0, _params())
+
+    def test_cell_count_bounded_by_one_chunk_array(self):
+        # The largest count whose (TRIAL_CHUNK, n) float64 array numpy can
+        # describe passes; one more is rejected before anything is allocated.
+        largest = sys.maxsize // (8 * TRIAL_CHUNK)
+        check_n_devices(largest)
+        with pytest.raises(ValueError, match="too many"):
+            check_n_devices(largest + 1)
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty((TRIAL_CHUNK, largest + 1))
 
 
 class TestStimulate:
