@@ -52,13 +52,13 @@ from .calibration import (
 )
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import ConfigError
-from .experiment import RNG_LAYOUT, SweepGrid, run_trace_experiment, sweep, sweep_cells
+from .experiment import RNG_LAYOUT, SweepGrid, run_trace_experiment, sample_count, sweep, sweep_cells
 from .network import TwoAfcConfig, run_trials
 from .reports import (
     REPORT_HEADER,
     TRACE_HEADER,
     TRIAL_HEADER,
-    format_value,
+    format_rows,
     report_rows,
     trace_rows,
     trial_row,
@@ -121,8 +121,6 @@ def _checked(convert, ok, rule: str):
 
 
 _count = _checked(_int, lambda v: v >= 1, ">= 1")
-_positive = _checked(_number, lambda v: v > 0.0, "> 0")
-_non_negative = _checked(_number, lambda v: v >= 0.0, ">= 0")
 _probability = _checked(_number, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
@@ -192,9 +190,9 @@ _SCHEMA = _section({
             "random": _section({"n_pulses": _int, "duration_s": _number},
                                required=("n_pulses", "duration_s")),
         }),
-        "sample_rate_hz": _positive,
+        "sample_rate_hz": _number,
         "repeats": _count,
-        "tail_s": _non_negative,
+        "tail_s": _number,
     }, required=("n_devices", "p_on", "i_cc_uA", "pulses", "sample_rate_hz", "repeats")),
     "trial": _section({
         "n_devices": _int,
@@ -314,7 +312,9 @@ class RunConfig:
 
         At most one of ``_TRACE_AXES`` is a list; each of its values is one
         series, labelled with the value as written in the JSON (the label
-        seeds the series).
+        seeds the series). The sample grid is sized here but not made, so a
+        grid too large to exist is a config error (see
+        :func:`memdecide.experiment.sample_count`).
         """
         check_n_devices(section["n_devices"])
         pulses = section["pulses"]
@@ -331,6 +331,7 @@ class RunConfig:
             raise ConfigError("trace.pulses: a periodic train needs n_pulses and rate_hz")
         else:
             self.stream = generate_periodic(pulses["n_pulses"], pulses["rate_hz"], pulses.get("start_s", 0.0))
+        sample_count(self.stream.duration_s, section["sample_rate_hz"], section.get("tail_s", 0.0))
 
         axes = [k for k in _TRACE_AXES if isinstance(section.get(k), list)]
         if len(axes) > 1:
@@ -412,7 +413,7 @@ def cmd_trial(cfg: RunConfig) -> int:
     out_csv = cfg.out_dir / "trial.csv"
     write_csv(out_csv, TRIAL_HEADER, [row], cfg.header_comments())
     print(",".join(TRIAL_HEADER))
-    print(",".join(format_value(v) for v in row))
+    print(row)
     print(f"wrote {out_csv}", file=sys.stderr)
     return 0
 
@@ -507,7 +508,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     deck_path = cfg.out_dir / "deck.json"
     write_deck(deck, deck_path)
     diag_path = cfg.out_dir / "calibration.csv"
-    write_csv(diag_path, ["quantity", "value", "stderr"], diag_rows, cfg.header_comments())
+    write_csv(diag_path, ["quantity", "value", "stderr"], format_rows(*zip(*diag_rows)),
+              cfg.header_comments())
     print(f"wrote {deck_path}", file=sys.stderr)
     print(f"wrote {diag_path}", file=sys.stderr)
     return 0

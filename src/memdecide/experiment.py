@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,6 +55,7 @@ __all__ = [
     "sweep_cells",
     "sweep",
     "expected_on_count_no_decay",
+    "sample_count",
     "run_trace_experiment",
 ]
 
@@ -230,6 +232,24 @@ def sweep(
     return list(map(run, cells))
 
 
+def sample_count(duration_s: float, sample_rate_hz: float, tail_s: float = 0.0) -> int:
+    """Number of trace samples ``k / sample_rate_hz`` from 0 through ``duration_s + tail_s``.
+
+    Rejects a rate that is not positive, a tail that is negative or infinite,
+    and a grid so large that no float64 array of its samples can exist. A grid
+    that could exist but does not fit in memory fails later, when it is made.
+    """
+    if not (sample_rate_hz > 0.0):
+        raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
+    if not (0.0 <= tail_s < math.inf):
+        raise ValueError(f"tail_s must be finite and >= 0, got {tail_s}")
+    span = (duration_s + tail_s) * sample_rate_hz
+    if not span < sys.maxsize // 8:
+        raise ValueError(f"{span:g} trace samples are too many: a float64 array of them "
+                         f"would exceed {sys.maxsize} bytes")
+    return int(np.floor(span)) + 1
+
+
 def run_trace_experiment(
     n: int,
     stream: PulseStream,
@@ -243,22 +263,17 @@ def run_trace_experiment(
     """Average ``repeats`` independent synapse traces pointwise.
 
     Samples run at ``sample_rate_hz`` from 0 through the stream window plus
-    ``tail_s`` (the tail shows the relaxation after the last pulse). The
-    repeats are cut into chunks of ``TRIAL_CHUNK``; chunk ``c`` is one
-    ``(m, n)`` expiry array driven by :func:`memdecide.synapse.trace_counts`
+    ``tail_s`` (the tail shows the relaxation after the last pulse), on the
+    grid :func:`sample_count` sizes. The repeats are cut into chunks of
+    ``TRIAL_CHUNK``; chunk ``c`` is one ``(m, n)`` expiry array driven by :func:`memdecide.synapse.trace_counts`
     from ``spawn_rng(master_seed, "chunk", c)``, so with ``repeats=1`` this is
     exactly one :meth:`Synapse.trace` under that generator.
     """
     check_n_devices(n)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if not (sample_rate_hz > 0.0):
-        raise ValueError("sample_rate_hz must be > 0")
-    if not (0.0 <= tail_s < math.inf):
-        raise ValueError(f"tail_s must be finite and >= 0, got {tail_s}")
     check_p_on(p_on)
-    t_end = stream.duration_s + tail_s
-    n_samples = int(np.floor(t_end * sample_rate_hz)) + 1
+    n_samples = sample_count(stream.duration_s, sample_rate_hz, tail_s)
     sample_times = np.arange(n_samples, dtype=float) / sample_rate_hz
 
     count_sum = np.zeros(n_samples, dtype=np.int64)

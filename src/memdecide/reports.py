@@ -1,9 +1,11 @@
-"""Deterministic CSV emission for traces, trials, and sweep reports.
+"""Deterministic CSV emission for traces, trials, sweep reports and calibrations.
 
 All files use '.' as the decimal separator, '\\n' newlines, a mandatory header
 row, and optional leading '#' comment lines carrying provenance (the effective
-run configuration). Floats are rendered with ``repr``, the shortest exact
-round-trip form, so identical runs produce byte-identical files.
+run configuration). Every data row is made by :func:`format_rows`, which
+converts a table one column at a time: floats are rendered with ``repr``, the
+shortest exact round-trip form, bools as ``0``/``1`` and everything else with
+``str``, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .network import TrialBatch
 from .synapse import Trace
 
 __all__ = [
-    "format_value",
+    "format_rows",
     "write_csv",
     "trace_rows",
     "trial_row",
@@ -35,45 +37,64 @@ REPORT_HEADER = [
 ]
 
 
-def format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # builtin-float repr: shortest exact form
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _format(values: np.ndarray) -> list[str]:
+    """Format every value of ``values``, converted to builtin scalars at once."""
+    if values.dtype.kind == "b":
+        values = values.astype(np.int8)
+    return list(map(repr if values.dtype.kind == "f" else str, values.reshape(-1).tolist()))
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], comments: Sequence[str] = ()) -> None:
+def format_rows(*columns) -> list[str]:
+    """CSV data lines from ``columns``, each a 1-D sequence with one value per row.
+
+    Each column is converted to one numpy array and formatted by its dtype:
+    floats with builtin-float ``repr``, bools as ``0``/``1``, anything else
+    with ``str``. A scalar column fills every row and is formatted once; with
+    only scalar columns there is one row.
+    """
+    arrays = [np.asarray(column) for column in columns]
+    n_rows = max((a.size for a in arrays if a.ndim), default=1)
+    cells = (_format(a) if a.ndim else _format(a) * n_rows for a in arrays)
+    return [",".join(row) for row in zip(*cells, strict=True)]
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[str], comments: Sequence[str] = ()) -> None:
+    """Write ``comments`` as ``#`` lines, then ``header``, then the formatted ``rows``."""
     lines = [f"# {comment}" for comment in comments]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    lines.extend(rows)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def trace_rows(series: str, p_on: float, i_cc_uA: float, trace: Trace, repeats: int):
-    """Rows for one trace series; ``repeat_mean`` records the averaging depth."""
-    for t, count, current in zip(trace.times, trace.count_on, trace.current_uA):
-        yield (series, float(p_on), float(i_cc_uA), float(t), float(count), float(current), repeats)
+def trace_rows(series: str, p_on: float, i_cc_uA: float, trace: Trace, repeats: int) -> list[str]:
+    """Rows for one trace series; ``repeat_mean`` records the averaging depth.
+
+    Every ``Trace`` column is written as floats, so an integer count prints
+    as ``5.0``.
+    """
+    columns = (np.asarray(column, dtype=float) for column in trace)
+    return format_rows(series, float(p_on), float(i_cc_uA), *columns, repeats)
 
 
-def trial_row(index: int, batch: TrialBatch):
+def trial_row(index: int, batch: TrialBatch) -> str:
     """Row 0 of ``batch``, with ``decision`` written as ``A`` or ``B``."""
-    return (
+    (row,) = format_rows(
         index, "A" if batch.choose_a[0] else "B", batch.correct[0],
         float(batch.i1_uA[0]), float(batch.i2_uA[0]),
         batch.count1[0], batch.count2[0], batch.tie[0],
     )
+    return row
 
 
-def report_rows(points: Iterable[AccuracyPoint]):
-    for p in points:
-        yield (
+def report_rows(points: Iterable[AccuracyPoint]) -> list[str]:
+    rows = [
+        (
             float(p.duration_s), p.n_a, p.n_b, p.n_devices,
             float(p.i_cc_uA), float(p.p_on),
             float(p.accuracy), float(p.ci_low), float(p.ci_high),
             p.n_trials, p.n_ties,
         )
+        for p in points
+    ]
+    return format_rows(*zip(*rows))

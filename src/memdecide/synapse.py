@@ -61,7 +61,7 @@ def pulse_update(
     p_on,
     retention: RetentionDistribution,
     rng: np.random.Generator,
-) -> None:
+) -> np.ndarray:
     """Deliver one pulse to every cell of ``expiry`` (shape ``(..., N)``), in place.
 
     ``t`` is a scalar, or one pulse time per row (shape ``expiry.shape[:-1]``).
@@ -69,17 +69,20 @@ def pulse_update(
     switches with probability ``p_on``, and every lit cell (ON, or just
     switched) gets the expiry ``t + retention`` (refresh, not stack). Draws:
     one uniform per cell, then one retention time per lit cell, both in C
-    order.
+    order. Returns the expiries written, one per lit cell in C order; every
+    other cell is OFF from its row's ``t`` on.
     """
     t = np.asarray(t, dtype=float)
     lit = (expiry > t[..., np.newaxis]) | (rng.random(expiry.shape) < p_on)
     k = int(np.count_nonzero(lit))
     if not k:
-        return
+        return np.empty(0)
     idx = np.flatnonzero(lit)
     # One time per row (batched trials): gather each lit cell's row time.
     row_t = t.reshape(-1)[idx // expiry.shape[-1]] if t.ndim else t
-    np.put(expiry, idx, row_t + retention.sample(rng, k))
+    written = row_t + retention.sample(rng, k)
+    np.put(expiry, idx, written)
+    return written
 
 
 def trace_counts(
@@ -95,16 +98,20 @@ def trace_counts(
     Returns the ON count summed over the ``m`` rows at each sorted sample
     time. Pulse ``j`` is one :func:`pulse_update` at the scalar time ``t_j``;
     then the samples in ``[t_j, t_{j+1})`` are read at once (a pulse comes
-    before a sample at the same time) by counting the expiries after each
-    sample in the sorted flattened array, in O(m*N) memory.
+    before a sample at the same time). Only the cells that pulse lit can be
+    ON there, since every other expiry is at or before ``t_j``, so the reads
+    count the sorted expiries it returned that lie after each sample. The
+    samples before the first pulse read the whole array, which may come in
+    with cells already ON.
     """
     counts = np.empty(samples.size, dtype=np.int64)
     bounds = [0, *np.searchsorted(samples, pulse_times, side="left"), samples.size]
+    live = expiry
     for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         if j:
-            pulse_update(expiry, pulse_times[j - 1], p_on, retention, rng)
-        off = np.searchsorted(np.sort(expiry, axis=None), samples[start:stop], side="right")
-        counts[start:stop] = expiry.size - off
+            live = pulse_update(expiry, pulse_times[j - 1], p_on, retention, rng)
+        off = np.searchsorted(np.sort(live, axis=None), samples[start:stop], side="right")
+        counts[start:stop] = live.size - off
     return counts
 
 

@@ -442,6 +442,12 @@ class TestConfigErrors:
             ("sweep", "sweep.device_counts", [5, 10**30]),
             ("trace", "trace.n_devices", 10**30),
             ("trial", "trial.n_devices", 10**30),
+            # Sample grids that are empty or that no float64 array can hold.
+            ("trace", "trace.sample_rate_hz", 0.0),
+            ("trace", "trace.sample_rate_hz", 1e300),
+            ("trace", "trace.tail_s", 1e300),
+            ("trace", "trace.tail_s", 1e308),
+            ("trace", "trace.pulses.rate_hz", 1e-300),
         ],
         ids=["sweep.device_counts=[5,0]", "sweep.i_cc_values_uA=[270,-5]",
              "sweep.ratios=[[2,1],[4,-2]]", "trace.n_devices=0",
@@ -457,7 +463,8 @@ class TestConfigErrors:
              "trace.p_on=[]", "trace.retention_median_s=[1,null]",
              "trace.pulses=replay+periodic", "trace.pulses=rate-only",
              "sweep.device_counts=[5,10**30]", "trace.n_devices=10**30",
-             "trial.n_devices=10**30"],
+             "trial.n_devices=10**30", "trace.sample_rate_hz=0", "trace.sample_rate_hz=1e300",
+             "trace.tail_s=1e300", "trace.tail_s=1e308", "trace.pulses.rate_hz=1e-300"],
     )
     def test_invalid_value_exits_two_before_running(self, tmp_path, command, path, value):
         # A bad list value sits in the last grid cell or series, so an early

@@ -27,7 +27,7 @@ from memdecide import (
     sweep_cells,
     wilson_interval,
 )
-from memdecide.experiment import TRIAL_CHUNK
+from memdecide.experiment import TRIAL_CHUNK, sample_count
 from memdecide.synapse import Synapse, trace_counts
 
 from exact_accuracy import exact_accuracy, exact_trace_mean
@@ -268,6 +268,32 @@ class TestSweep:
                 durations_s=[], ratios=[(2, 1)], device_counts=[5],
                 i_cc_values_uA=[270.0], p_on_values=[0.1],
             )
+
+
+class TestSampleCount:
+    def test_grid_runs_through_window_and_tail(self):
+        assert sample_count(5.0, 100.0, 2.0) == 701
+        assert sample_count(1.0, 20.0) == 21
+        assert sample_count(0.0, 3.0) == 1
+
+    def test_grid_that_could_exist_is_not_rejected(self):
+        # Too large to allocate here, but not a size no array can have.
+        assert sample_count(7.0, 1e12) == 7 * 10**12 + 1
+
+    @pytest.mark.parametrize(
+        "duration_s,rate_hz,tail_s",
+        [(1.0, 1e300, 0.0), (1.0, 20.0, 1e300), (1e301, 20.0, 0.0), (1.0, 20.0, 1e308)],
+        ids=["rate", "tail", "window", "inf"],
+    )
+    def test_grid_too_large_to_exist_rejected(self, duration_s, rate_hz, tail_s):
+        with pytest.raises(ValueError, match="too many"):
+            sample_count(duration_s, rate_hz, tail_s)
+
+    @pytest.mark.parametrize("rate_hz,tail_s", [(0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0),
+                                                (1.0, -1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_rate_and_tail_checked(self, rate_hz, tail_s):
+        with pytest.raises(ValueError):
+            sample_count(1.0, rate_hz, tail_s)
 
 
 class TestTraceExperiment:

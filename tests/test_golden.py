@@ -1,9 +1,11 @@
 """Golden outputs: bundled configs reproduce the committed ``out/`` files.
 
-CSVs are compared on their data rows: only the ``#`` comment lines may
-differ (they echo the effective config, including the output directory).
-The calibrated ``deck.json`` is compared byte for byte. Any change to a data
-row has to be a deliberate regeneration of ``out/``.
+Each config runs from an empty working directory with the flags its committed
+CSV header records, so its relative ``out_dir`` lands where the header says.
+Every file of the committed ``out/<name>/`` directory is then compared byte
+for byte: CSVs with their ``#`` comment lines, SVG charts and the calibrated
+``deck.json``. Any change to one of them has to be a deliberate regeneration
+of ``out/``.
 """
 
 from pathlib import Path
@@ -14,10 +16,19 @@ from memdecide.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The flags each command's committed outputs were made with, as their headers
+# record them ("svg":true, "threads":4).
+FLAGS = {"trace": ["--svg"], "sweep": ["--svg", "--threads", "4"], "calibrate": []}
 
-def _data_lines(path: Path) -> list[bytes]:
-    return [line for line in path.read_bytes().splitlines(keepends=True)
-            if not line.startswith(b"#")]
+
+def _assert_reproduces(tmp_path, monkeypatch, command: str, config: str, out_name: str) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(ROOT / "configs" / f"{config}.cfg"), *FLAGS[command]]) == 0
+    golden = ROOT / "out" / out_name
+    written = tmp_path / "out" / out_name
+    assert sorted(p.name for p in written.iterdir()) == sorted(p.name for p in golden.iterdir())
+    for path in golden.iterdir():
+        assert (written / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 @pytest.mark.parametrize(
@@ -31,16 +42,11 @@ def _data_lines(path: Path) -> list[bytes]:
         ("sweep", "fig3f", "report.csv"),
     ],
 )
-def test_data_rows_match_committed_output(tmp_path, command, config, csv_name):
-    golden = _data_lines(ROOT / "out" / config / csv_name)
-    assert main([command, "--config", str(ROOT / "configs" / f"{config}.cfg"),
-                 "--out", str(tmp_path)]) == 0
-    assert _data_lines(tmp_path / csv_name) == golden
+def test_data_rows_match_committed_output(tmp_path, monkeypatch, command, config, csv_name):
+    # The whole files, header and chart included, not only the data rows.
+    _assert_reproduces(tmp_path, monkeypatch, command, config, config)
+    assert (tmp_path / "out" / config / csv_name).is_file()
 
 
-def test_calibration_matches_committed_output(tmp_path):
-    golden = ROOT / "out" / "calibration"
-    assert main(["calibrate", "--config", str(ROOT / "configs" / "calibrate_example.cfg"),
-                 "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "deck.json").read_bytes() == (golden / "deck.json").read_bytes()
-    assert _data_lines(tmp_path / "calibration.csv") == _data_lines(golden / "calibration.csv")
+def test_calibration_matches_committed_output(tmp_path, monkeypatch):
+    _assert_reproduces(tmp_path, monkeypatch, "calibrate", "calibrate_example", "calibration")

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memdecide import (
     DeviceParams,
@@ -16,7 +18,7 @@ from memdecide import (
     generate_periodic,
     spawn_rng,
 )
-from memdecide.synapse import TRIAL_CHUNK, check_n_devices
+from memdecide.synapse import TRIAL_CHUNK, check_n_devices, pulse_update, trace_counts
 
 P_CERTAIN = 1.0
 P_NEVER = 0.0
@@ -188,6 +190,25 @@ class TestTrace:
         later = [manual.last_event_time + d for d in (0.0, 0.05, 0.2, 1.0)]
         assert [batched.read(t) for t in later] == [manual.read(t) for t in later]
 
+    def test_stimulated_synapse_matches_manual_loop(self):
+        # Cells lit before the trace decay through the samples that precede
+        # its first pulse, which read the whole state.
+        params = _params(retention=RetentionDistribution(0.15, 0.5))
+        stream = PulseStream(times=np.array([0.4, 0.5, 0.8]), duration_s=1.0)
+        samples = np.array([0.1, 0.12, 0.2, 0.3, 0.4, 0.45, 0.9, 1.5])
+        batched, manual = Synapse(30, params), Synapse(30, params)
+        rngs = np.random.default_rng(8), np.random.default_rng(8)
+        for syn, rng in zip((batched, manual), rngs):
+            syn.stimulate(0.0, 0.6, rng).stimulate(0.1, 0.6, rng)
+        trace = batched.trace(stream, 0.3, samples, rngs[0])
+        counts, currents = _manual_trace(manual, stream, 0.3, samples, rngs[1])
+        assert counts[0] > 0
+        assert np.array_equal(trace.count_on, counts)
+        assert np.array_equal(trace.current_uA, currents)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        later = [manual.last_event_time + d for d in (0.0, 0.05, 0.2, 1.0)]
+        assert [batched.read(t) for t in later] == [manual.read(t) for t in later]
+
     def test_time_order_enforced(self, rng):
         syn = Synapse(5, _params())
         syn.stimulate(1.0, P_CERTAIN, rng)
@@ -299,6 +320,68 @@ class TestTrace:
                 acc += trace.count_on.mean()
             averages.append(acc / 200)
         assert averages[0] < averages[1]
+
+
+def _trace_counts_full_sort(expiry, pulse_times, p_on, retention, samples, rng):
+    """Reference for ``trace_counts``: every interval sorts the whole array."""
+    counts = np.empty(samples.size, dtype=np.int64)
+    bounds = [0, *np.searchsorted(samples, pulse_times, side="left"), samples.size]
+    for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if j:
+            pulse_update(expiry, pulse_times[j - 1], p_on, retention, rng)
+        off = np.searchsorted(np.sort(expiry, axis=None), samples[start:stop], side="right")
+        counts[start:stop] = expiry.size - off
+    return counts
+
+
+# Times on a 0.05 s grid, so that samples often coincide with pulses (and
+# pulses with each other); some samples fall between grid points.
+_GRID_TIMES = st.lists(st.integers(0, 40).map(lambda i: 0.05 * i), max_size=12).map(sorted)
+_SAMPLE_TIMES = st.lists(
+    st.one_of(st.integers(0, 44).map(lambda i: 0.05 * i), st.floats(0.0, 2.2)), max_size=30
+).map(sorted)
+
+
+class TestTraceCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 12),
+        pulses=_GRID_TIMES,
+        samples=_SAMPLE_TIMES,
+        p_on=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        median=st.sampled_from([0.01, 0.08, 0.3, 5.0]),
+        sigma=st.sampled_from([0.0, 0.5, 2.0]),
+        prior=st.lists(st.floats(-1.0, 2.0), min_size=48, max_size=48),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_sort_reads(self, m, n, pulses, samples, p_on, median, sigma, prior, seed):
+        retention = RetentionDistribution(median, sigma)
+        # Some cells come in ON (expiry after the first samples), some OFF.
+        start = np.array(prior[: m * n], dtype=float).reshape(m, n)
+        start[start < 0.0] = -np.inf
+        pulses, samples = np.array(pulses, dtype=float), np.array(samples, dtype=float)
+        fast, full = start.copy(), start.copy()
+        rng_fast, rng_full = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = trace_counts(fast, pulses, p_on, retention, samples, rng_fast)
+        expected = _trace_counts_full_sort(full, pulses, p_on, retention, samples, rng_full)
+        assert counts.dtype == expected.dtype
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(fast, full)
+        assert rng_fast.bit_generator.state == rng_full.bit_generator.state
+
+    def test_pulse_update_returns_written_expiries(self, rng):
+        # With p_on=0 exactly the ON cells are lit: they are refreshed, in C order.
+        expiry = np.array([[-np.inf, 2.0, -np.inf], [0.5, 1.5, 3.0]])
+        before = expiry.copy()
+        written = pulse_update(expiry, 1.0, 0.0, RetentionDistribution(0.2, 0.5), rng)
+        on = before > 1.0
+        assert written.shape == (3,)
+        assert np.array_equal(written, expiry[on])
+        assert np.array_equal(expiry[~on], before[~on])
+        written = pulse_update(expiry, 1.2, 1.0, RetentionDistribution(0.2, 0.5), rng)
+        assert np.array_equal(written, expiry.reshape(-1))
+        assert pulse_update(expiry, 10.0, 0.0, NO_DECAY, rng).size == 0
 
 
 class TestDeterminism:
