@@ -11,20 +11,26 @@ cells it is given. Trials and traces take ``p_on`` as given; only
 :func:`sweep_cells` maps it through the deck's switching curve (see the
 comment there).
 
-Random-number layout, version ``RNG_LAYOUT = 3``: the trials of one cell are
+Random-number layout, version ``RNG_LAYOUT = 4``: the trials of one cell are
 cut into chunks of ``TRIAL_CHUNK`` trials. Chunk ``c`` covers trials
 ``[TRIAL_CHUNK*c, min(TRIAL_CHUNK*(c+1), trials))`` and is run by
-:func:`memdecide.network.run_trials` from ``spawn_rng(cell_seed, "chunk", c)``,
-in the draw order that function documents. A batch can therefore be split or
-extended at chunk boundaries without changing any trial: ``run_trials(cfg,
+:func:`memdecide.network.run_trials` from ``spawn_rng(cell_seed, "chunk", c)``.
+Per chunk of ``m`` trials it draws A's pulse times, then B's, then ``m``
+``binomial(N, pi_A)`` end-of-window ON counts, then ``m`` ``binomial(N,
+pi_B)``, then ``m`` tie uniforms. A batch can therefore be split or extended
+at chunk boundaries without changing any trial: ``run_trials(cfg,
 TRIAL_CHUNK, spawn_rng(cell_seed, "chunk", c))`` reproduces chunk ``c`` alone.
+(Layout 3 drew each count by running every cell through the per-cell kernel
+:func:`memdecide.synapse.pulse_update`, which stays the definition of the
+model and the trace path; the counts have the same law.)
 
 Trace repeats are chunked the same way, chunk ``c`` being one ``(m, N)``
 expiry array run by :func:`memdecide.synapse.trace_counts` from
 ``spawn_rng(series_seed, "chunk", c)``. Per pulse, in time order, it draws
 ``rng.random((m, N))``, then one ``standard_normal`` per lit cell in C order;
 reads draw nothing. (Layout 2 drew repeat ``r`` from its own
-``spawn_rng(series_seed, "trace", r)``; sweep draws are unchanged.)
+``spawn_rng(series_seed, "trace", r)``; trace draws are unchanged since
+layout 3.)
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ _Z95 = 1.959963984540054
 
 # Version of the random-number layout described in the module docstring;
 # echoed into every CSV header. Change it whenever the draws change.
-RNG_LAYOUT = 3
+RNG_LAYOUT = 4
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:

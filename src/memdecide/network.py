@@ -8,10 +8,17 @@ synaptic currents are read and an ideal sign comparator picks the larger one.
 An exact tie is broken uniformly at random and flagged, which keeps the
 no-evidence baseline at chance level.
 
-:func:`run_trials` runs ``m`` trials of one configuration at once: the two
-synapses of all ``m`` trials are two ``(m, N)`` expiry arrays, each updated
-one pulse column at a time by :func:`memdecide.synapse.pulse_update`. A
-single trial is ``run_trials(cfg, 1, rng)``.
+:func:`run_trials` runs ``m`` trials of one configuration at once. The
+comparator sees only the two ON counts at the end of the window, and once a
+stream's pulse times are drawn the ``N`` cells of its synapse are
+independent and identically distributed, so each count is exactly
+``Binomial(N, pi)``, ``pi`` being one cell's chance to be ON at the end
+(:func:`on_probability`). A trial therefore draws its pulse times and two
+binomial counts, and its cost does not grow with ``N``. The per-cell kernel
+:func:`memdecide.synapse.pulse_update` still defines the model: ``pi`` is
+derived from it, traces and :class:`memdecide.synapse.Synapse` run it, and
+the tests check this sampler against it in law. A single trial is
+``run_trials(cfg, 1, rng)``.
 """
 
 from __future__ import annotations
@@ -21,11 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import DeviceParams, check_p_on
+from .device import DeviceParams, RetentionDistribution, check_p_on
 from .stream import StreamSpec, random_times
-from .synapse import check_n_devices, pulse_update
+from .synapse import check_n_devices
 
-__all__ = ["TwoAfcConfig", "TrialBatch", "decide", "run_trials"]
+__all__ = ["TwoAfcConfig", "TrialBatch", "decide", "on_probability", "run_trials"]
 
 
 @dataclass(frozen=True)
@@ -81,27 +88,46 @@ def decide(i1, i2, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return np.where(tie, u < 0.5, i1 > i2), tie
 
 
+def on_probability(
+    times: np.ndarray, duration_s: float, p_on: float, retention: RetentionDistribution
+) -> np.ndarray:
+    """Chance that one cell is ON at ``duration_s``, per row of a sorted ``(m, K)`` pulse-time matrix.
+
+    With ``S`` the retention survival, a cell is lit by pulse ``j`` (ON
+    before it and refreshed, or OFF and switched) with probability
+    ``q_1 = p_on``, ``q_j = p_on + (1 - p_on) * q_{j-1} * S(t_j - t_{j-1})``,
+    and is ON at the end with ``pi = q_K * S(duration_s - t_K)``; ``pi = 0``
+    for a stream without pulses. This is the law of one cell under
+    :func:`memdecide.synapse.pulse_update`.
+    """
+    m, k = times.shape
+    if not k:
+        return np.zeros(m)
+    # S of each gap between pulses, then of the gap from the last pulse to the read.
+    survive = retention.survival(np.diff(times, axis=1, append=duration_s))
+    q = np.full(m, float(p_on))
+    for s in survive[:, :-1].T:
+        q = p_on + (1.0 - p_on) * q * s
+    return q * survive[:, -1]
+
+
 def run_trials(cfg: TwoAfcConfig, m: int, rng: np.random.Generator) -> TrialBatch:
     """Run ``m`` independent trials of ``cfg`` from one generator.
 
     Draw order: A's pulse times as an ``(m, n_a)`` matrix, then B's as
-    ``(m, n_b)``; then A's pulses in time order, one column of the matrix
-    per :func:`pulse_update` call on an ``(m, N)`` expiry array, then B's
-    pulses the same way; last, one tie uniform per trial. Both synapses are
-    read at exactly ``t = duration_s``. The synapses are independent, so
-    driving A before B is the same model as a merged timeline.
+    ``(m, n_b)``; then A's end-of-window ON counts, ``binomial(N, pi_A)``
+    with one :func:`on_probability` per trial, then B's the same way; last,
+    one tie uniform per trial. Both synapses are read at exactly
+    ``t = duration_s``.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     params = cfg.params
     stream_times = (random_times(cfg.spec_a, m, rng), random_times(cfg.spec_b, m, rng))
-    counts = []
-    for times in stream_times:
-        expiry = np.full((m, cfg.n_devices), -np.inf)
-        for column in times.T:
-            pulse_update(expiry, column, cfg.p_on, params.retention, rng)
-        counts.append(np.count_nonzero(expiry > cfg.duration_s, axis=1))
-    count1, count2 = counts
+    count1, count2 = [
+        rng.binomial(cfg.n_devices, on_probability(times, cfg.duration_s, cfg.p_on, params.retention))
+        for times in stream_times
+    ]
     i1 = count1 * params.i_on_uA + (cfg.n_devices - count1) * params.i_off_uA
     i2 = count2 * params.i_on_uA + (cfg.n_devices - count2) * params.i_off_uA
     choose_a, tie = decide(i1, i2, rng)

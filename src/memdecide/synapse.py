@@ -9,12 +9,14 @@ decays, as individual filaments dissolve.
 
 The whole state is one vector of filament-expiry times: a cell is ON at time
 ``t`` if and only if its expiry is after ``t`` (``-inf`` for a cell that has
-never switched). :func:`pulse_update` is the one state-update kernel. It works
-on an expiry array of any shape ``(..., N)``, so the same code drives one
-synapse or a ``(trials, N)`` batch of independent synapses, which is what
-makes Monte Carlo sweeps cheap; :func:`trace_counts` is the one trace path,
-for one synapse or a batch of repeats. The cell model and its parameters are
-described in :mod:`memdecide.device`.
+never switched). :func:`pulse_update` is the one state-update kernel and the
+definition of the model. It works on an expiry array of any shape
+``(..., N)``, so the same code drives one synapse or a batch of independent
+synapses; :func:`trace_counts` is the one trace path, for one synapse or a
+batch of repeats. Trials do not run it: they need only the end-of-window
+count, whose law under this kernel :func:`memdecide.network.on_probability`
+gives in closed form. The cell model and its parameters are described in
+:mod:`memdecide.device`.
 
 A ``Synapse`` is a self-contained mutable value. It is not safe for
 concurrent mutation, but distinct instances may be driven in parallel.
@@ -33,8 +35,8 @@ from .stream import PulseStream
 
 __all__ = ["TRIAL_CHUNK", "Synapse", "Trace", "check_n_devices", "pulse_update", "trace_counts"]
 
-# Rows of the largest expiry array run at once: the trials or trace repeats of
-# one chunk (see :mod:`memdecide.experiment`).
+# Trials or trace repeats run at once, one chunk (see :mod:`memdecide.experiment`);
+# a chunk of trace repeats is one (TRIAL_CHUNK, N) expiry array.
 TRIAL_CHUNK = 256
 
 

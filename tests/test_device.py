@@ -115,6 +115,53 @@ class TestRetention:
             RetentionDistribution(median_s=median, sigma_log=sigma)
 
 
+class TestRetentionSurvival:
+    """``survival(d) = P(R > d)``, the law the collapsed trial sampler uses."""
+
+    @pytest.mark.parametrize("median,sigma", [(0.05, 0.5), (2.0, 0.5), (2.0, 0.0), (1.0, 2.0)])
+    def test_certain_at_zero(self, median, sigma):
+        assert RetentionDistribution(median, sigma).survival(0.0) == 1.0
+
+    def test_strict_step_without_spread(self):
+        # A filament that lives exactly d is OFF at d (the kernel's expiry > t).
+        dist = RetentionDistribution(median_s=0.5, sigma_log=0.0)
+        d = np.array([0.0, 0.25, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 3.0])
+        assert dist.survival(d).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("median,sigma", [(0.05, 0.5), (2.0, 0.5), (2.0, 0.0), (0.8, 0.1)])
+    def test_monotone_decreasing(self, median, sigma):
+        s = RetentionDistribution(median, sigma).survival(np.geomspace(1e-6, 1e3, 5001))
+        assert np.all(np.diff(s) <= 0.0) and s[0] <= 1.0 and s[-1] >= 0.0
+
+    @pytest.mark.parametrize("median,sigma", [(0.05, 0.5), (2.0, 0.5), (2.0, 0.0)])
+    def test_matches_sampled_frequency(self, rng, median, sigma):
+        dist = RetentionDistribution(median, sigma)
+        n = 10**5
+        samples = dist.sample(rng, n)
+        d = median * np.array([0.3, 0.8, 1.0, 1.5, 4.0])
+        s = dist.survival(d)
+        freq = (samples[:, np.newaxis] > d).mean(axis=0)
+        se = np.sqrt(s * (1.0 - s) / n)
+        assert np.all(np.abs(freq - s) <= 3.0 * se), (freq, s)
+
+    @pytest.mark.parametrize("median,sigma", [(0.05, 0.05), (0.05, 0.5), (2.0, 0.5), (0.8, 2.0)])
+    def test_matches_scipy_normal_tail(self, median, sigma):
+        # Over 12 log-spreads either side of the median (S down to ~1e-33).
+        from scipy.stats import norm
+
+        z = np.linspace(-12.0, 12.0, 4801)
+        d = median * np.exp(sigma * z)
+        expected = norm.sf(np.log(d / median) / sigma)
+        got = RetentionDistribution(median, sigma).survival(d)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
+    def test_keeps_shape(self):
+        dist = RetentionDistribution(2.0, 0.5)
+        assert dist.survival(np.ones((3, 4))).shape == (3, 4)
+        assert dist.survival(np.empty((5, 0))).shape == (5, 0)
+        assert np.ndim(dist.survival(1.0)) == 0
+
+
 class TestDeviceParams:
     def test_i_on_defaults_to_compliance(self):
         assert _params(i_cc=270.0).i_on_uA == 270.0

@@ -14,6 +14,11 @@ from memdecide import (
     run_trials,
     spawn_rng,
 )
+from memdecide.network import on_probability
+from memdecide.stream import random_times
+from memdecide.synapse import pulse_update
+
+from exact_accuracy import _on_probability as exact_on_probability
 
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05,
@@ -119,3 +124,97 @@ class TestRunTrial:
                            for i in range(n)) / n)
         se_diff = math.sqrt(2.0 * 0.25 / n)
         assert abs(acc[0] - acc[1]) < 3.0 * se_diff
+
+
+def _streams(k, m=3, duration=2.0, seed=0):
+    """A fixed ``(m, k)`` matrix of sorted pulse times on ``[0, duration)``."""
+    return random_times(StreamSpec(k, duration), m, np.random.default_rng(seed))
+
+
+# (case, retention, p_on, (m, K) stream matrix, window). The sigma = 0 rows put
+# gaps of exactly one median between pulses and before the read, where a cell
+# lit by the earlier pulse is OFF (strict expiry > t).
+LAW_CASES = [
+    ("fast decay", RetentionDistribution(0.05, 0.5), 0.2, _streams(40, seed=1), 2.0),
+    ("reference 40", RetentionDistribution(2.0, 0.5), 0.05, _streams(40, seed=2), 2.0),
+    ("reference 20", RetentionDistribution(2.0, 0.5), 0.05, _streams(20, seed=3), 2.0),
+    ("no spread", RetentionDistribution(0.25, 0.0), 0.5,
+     np.array([[0.0, 0.25, 0.5, 0.75], [0.0, 0.1, 0.35, 0.8], [0.1, 0.2, 0.45, 0.6]]), 1.0),
+    ("no spread random", RetentionDistribution(0.25, 0.0), 0.3, _streams(12, seed=4), 2.0),
+    ("p_on 0", RetentionDistribution(2.0, 0.5), 0.0, _streams(10, seed=5), 2.0),
+    ("p_on 1", RetentionDistribution(2.0, 0.5), 1.0, _streams(10, seed=6), 2.0),
+    ("p_on 1 fast", RetentionDistribution(0.05, 0.5), 1.0, _streams(10, duration=0.5, seed=7), 0.5),
+    ("K = 0", RetentionDistribution(2.0, 0.5), 0.05, _streams(0), 2.0),
+    ("K = 1", RetentionDistribution(0.5, 0.5), 0.6, _streams(1, m=4, duration=1.0, seed=8), 1.0),
+]
+
+
+class TestCollapsedSamplerLaw:
+    """The end-of-window count sampler against the per-cell kernel, in law.
+
+    ``run_trials`` draws each count as ``binomial(N, on_probability(...))``.
+    Here every row of a fixed stream matrix drives ``REPLICAS`` synapses of
+    ``N`` cells through :func:`pulse_update`, and the ON counts at the window
+    end are compared with the sampler on the same streams.
+    """
+
+    N = 10
+    REPLICAS = 4000
+
+    def _kernel_counts(self, retention, p_on, times, duration, rng):
+        rows = np.repeat(times, self.REPLICAS, axis=0)
+        expiry = np.full((rows.shape[0], self.N), -np.inf)
+        for column in rows.T:
+            pulse_update(expiry, column, p_on, retention, rng)
+        return np.count_nonzero(expiry > duration, axis=1).reshape(times.shape[0], -1)
+
+    @pytest.mark.parametrize("case,retention,p_on,times,duration", LAW_CASES,
+                             ids=[c[0] for c in LAW_CASES])
+    def test_on_probability_matches_kernel(self, case, retention, p_on, times, duration):
+        pi = on_probability(times, duration, p_on, retention)
+        counts = self._kernel_counts(retention, p_on, times, duration, spawn_rng(11, "law", case))
+        # The R*N cells of one row are independent Bernoulli(pi) under the kernel.
+        freq = counts.sum(axis=1) / (self.REPLICAS * self.N)
+        se = np.sqrt(pi * (1.0 - pi) / (self.REPLICAS * self.N))
+        assert np.all(np.abs(freq - pi) <= 3.0 * se), (freq, pi)
+
+    @pytest.mark.parametrize("case,retention,p_on,times,duration", LAW_CASES,
+                             ids=[c[0] for c in LAW_CASES])
+    def test_count_histogram_matches_kernel(self, case, retention, p_on, times, duration):
+        pi = on_probability(times, duration, p_on, retention)
+        kernel = self._kernel_counts(retention, p_on, times, duration, spawn_rng(12, "law", case))
+        rng = spawn_rng(13, "law", case)
+        sampled = rng.binomial(self.N, np.repeat(pi, self.REPLICAS)).reshape(kernel.shape)
+        for a, b in zip(kernel, sampled):
+            ha = np.bincount(a, minlength=self.N + 1)
+            hb = np.bincount(b, minlength=self.N + 1)
+            used = (ha + hb) > 0
+            df = np.count_nonzero(used) - 1
+            if not df:  # all mass in one bin (pi = 0 or 1): the bins must agree
+                assert np.array_equal(ha, hb)
+                continue
+            # Two-sample chi-square on equal sample sizes, within 3 SE of its mean.
+            chi2 = np.sum((ha[used] - hb[used]) ** 2 / (ha[used] + hb[used]))
+            assert (chi2 - df) / math.sqrt(2.0 * df) <= 3.0, (ha, hb)
+
+    def test_degenerate_probabilities(self):
+        times = _streams(10)
+        assert np.all(on_probability(times, 2.0, 0.0, RetentionDistribution(2.0, 0.5)) == 0.0)
+        assert np.all(on_probability(_streams(0, m=5), 2.0, 0.7, RetentionDistribution(2.0)) == 0.0)
+        # Every pulse lights every cell: only the last filament matters.
+        retention = RetentionDistribution(0.5, 0.5)
+        np.testing.assert_array_equal(
+            on_probability(times, 2.0, 1.0, retention), retention.survival(2.0 - times[:, -1])
+        )
+
+    @pytest.mark.parametrize("median,sigma,p_on", [(0.05, 0.5, 0.05), (2.0, 0.5, 0.05),
+                                                   (0.3, 0.0, 0.2), (2.0, 1.0, 0.4)])
+    def test_matches_exact_oracle_recurrence(self, median, sigma, p_on):
+        # The test-side oracle's pi, written independently, on shared streams.
+        for k in (0, 1, 2, 40):
+            times = _streams(k, m=200, seed=k)
+            np.testing.assert_allclose(
+                on_probability(times, 2.0, p_on, RetentionDistribution(median, sigma)),
+                exact_on_probability(times, 2.0, p_on, median, sigma),
+                rtol=1e-12, atol=1e-15,
+            )
