@@ -8,7 +8,8 @@ one cell go through that lifecycle.
 
 import numpy as np
 
-from memdecide import DeviceParams, RetentionDistribution, SwitchingCurve, Synapse
+from memdecide import DeviceParams, RetentionDistribution, SwitchingCurve
+from memdecide.synapse import pulse_update
 
 rng = np.random.default_rng(1)
 
@@ -28,19 +29,23 @@ params = DeviceParams(
 draws = params.retention.sample(rng, 5)
 print("\nfive retention times (s):", " ".join(f"{d:.2f}" for d in draws))
 
-# A synapse of one cell is the cell itself. The simulation takes a pulse's
-# switching probability; the curve names the amplitude that realizes it. Fire
-# ten pulses at the half-switching amplitude and read the cell after each one.
-cell = Synapse(1, params)
+# The cell's whole state is the time its filament dissolves: it is ON at t
+# while that expiry is after t, and -inf means it has never switched. A
+# synapse is an array of such expiries; this one has a single cell. The
+# simulation takes a pulse's switching probability; the curve names the
+# amplitude that realizes it. Fire ten pulses at the half-switching amplitude
+# and read the cell after each one.
+expiry = np.full(1, -np.inf)
 p_on = 0.5
 print(f"\npulse train at {curve.quantile(p_on):.1f} V (p_on = {p_on}), one pulse per 100 ms:")
 for k in range(10):
     t = 0.1 * k
-    count, current = cell.stimulate(t, p_on, rng).read(t)
-    print(f"  t={t:.1f} s: {'ON' if count else 'off'}, read current {current:.0f} uA")
+    pulse_update(expiry, t, p_on, params.retention, rng)
+    count = int(expiry[0] > t)
+    print(f"  t={t:.1f} s: {'ON' if count else 'off'}, "
+          f"read current {params.current_uA(count, 1):.0f} uA")
 
 # After the train stops the filament dissolves on its own.
 print("\nafter the train:")
 for t in (1.0, 1.5, 2.0, 3.0, 5.0):
-    count, _ = cell.read(t)
-    print(f"  t={t:.1f} s: {'still ON' if count else 'relaxed OFF'}")
+    print(f"  t={t:.1f} s: {'still ON' if expiry[0] > t else 'relaxed OFF'}")

@@ -29,13 +29,11 @@ from .errors import (
     ConfigError,
     DegenerateDataError,
     InsufficientDataError,
-    TimeOrderError,
 )
 from .experiment import (
     AccuracyPoint,
     SweepGrid,
     estimate_accuracy,
-    expected_on_count_no_decay,
     run_trace_experiment,
     sweep,
     sweep_cells,
@@ -51,7 +49,7 @@ from .stream import (
     read_stream_csv,
     write_stream_csv,
 )
-from .synapse import Synapse, Trace
+from .synapse import Trace
 
 __version__ = "0.1.0"
 
@@ -70,8 +68,6 @@ __all__ = [
     "SwitchingCurve",
     "SwitchingFitDiagnostics",
     "SwitchingRecord",
-    "Synapse",
-    "TimeOrderError",
     "Trace",
     "TrialBatch",
     "TwoAfcConfig",
@@ -80,7 +76,6 @@ __all__ = [
     "derive_seed",
     "device_params",
     "estimate_accuracy",
-    "expected_on_count_no_decay",
     "fit_retention",
     "fit_switching_curve",
     "generate_periodic",

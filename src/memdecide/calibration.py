@@ -28,6 +28,7 @@ import numpy as np
 
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import DegenerateDataError, InsufficientDataError
+from .stream import parse_finite
 
 __all__ = [
     "SwitchingRecord",
@@ -337,30 +338,36 @@ _RETENTION_HEADER = "i_cc_uA,retention_s"
 
 
 def _read_rows(path, expected_header: str):
+    """Rows after ``expected_header`` as ``(line number, fields)``; skips blank, ``#`` lines."""
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    if not lines or lines[0] != expected_header:
+        lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, 1)
+                 if line.strip() and not line.startswith("#")]
+    if not lines or lines[0][1] != expected_header:
         raise ValueError(f"{path}: expected header {expected_header!r}")
-    return [line.split(",") for line in lines[1:]]
+    return [(lineno, line.split(",")) for lineno, line in lines[1:]]
 
 
 def read_switching_csv(path) -> list[SwitchingRecord]:
-    """Read ``v_pulse_V,switched`` rows; ``switched`` must be 0 or 1."""
+    """Read ``v_pulse_V,switched`` rows; ``switched`` must be 0 or 1.
+
+    A bad row, or an amplitude that is not a finite number, is a
+    ``ValueError`` naming ``path:line``.
+    """
     records = []
-    for row in _read_rows(path, _SWITCHING_HEADER):
+    for lineno, row in _read_rows(path, _SWITCHING_HEADER):
         if len(row) != 2 or row[1] not in ("0", "1"):
-            raise ValueError(f"{path}: bad switching row {','.join(row)!r}")
-        records.append(SwitchingRecord(float(row[0]), row[1] == "1"))
+            raise ValueError(f"{path}:{lineno}: bad switching row {','.join(row)!r}")
+        records.append(SwitchingRecord(parse_finite(row[0], path, lineno), row[1] == "1"))
     return records
 
 
 def read_retention_csv(path) -> list[RetentionRecord]:
-    """Read ``i_cc_uA,retention_s`` rows."""
+    """Read ``i_cc_uA,retention_s`` rows; a bad or non-finite one names ``path:line``."""
     records = []
-    for row in _read_rows(path, _RETENTION_HEADER):
+    for lineno, row in _read_rows(path, _RETENTION_HEADER):
         if len(row) != 2:
-            raise ValueError(f"{path}: bad retention row {','.join(row)!r}")
-        records.append(RetentionRecord(float(row[0]), float(row[1])))
+            raise ValueError(f"{path}:{lineno}: bad retention row {','.join(row)!r}")
+        records.append(RetentionRecord(*(parse_finite(x, path, lineno) for x in row)))
     return records
 
 

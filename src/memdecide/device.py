@@ -20,8 +20,8 @@ mechanisms drive the dynamics:
 A pulse delivered to a cell that is already ON rebuilds the filament: the
 expiry is resampled from the retention distribution (refresh, not stacking).
 This module holds the parameters of that model, and every field must be
-finite. :class:`memdecide.synapse.Synapse` runs the model, one filament-expiry
-time per cell.
+finite. :func:`memdecide.synapse.pulse_update` runs the model, one
+filament-expiry time per cell.
 """
 
 from __future__ import annotations
@@ -148,3 +148,7 @@ class DeviceParams:
             raise ValueError(
                 f"i_on_uA ({self.i_on_uA}) must exceed i_off_uA ({self.i_off_uA})"
             )
+
+    def current_uA(self, count_on, n: int):
+        """Summed current of ``n`` cells of which ``count_on`` are ON (vectorizes over counts)."""
+        return count_on * self.i_on_uA + (n - count_on) * self.i_off_uA

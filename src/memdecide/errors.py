@@ -5,10 +5,6 @@ distinction can catch a single built-in class.
 """
 
 
-class TimeOrderError(ValueError):
-    """An event was submitted at a time earlier than the targeted state."""
-
-
 class DegenerateDataError(ValueError):
     """Calibration input admits no identifiable fit (e.g. one-sided outcomes)."""
 

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: accuracy estimation, parameter sweeps, traces, oracles.
+"""Monte Carlo harness: accuracy estimation, parameter sweeps, traces.
 
 Accuracy is the fraction of correct choices over independent seeded trials,
 reported with a Wilson 95% confidence interval (well behaved both near chance
@@ -60,7 +60,6 @@ __all__ = [
     "estimate_accuracy",
     "sweep_cells",
     "sweep",
-    "expected_on_count_no_decay",
     "sample_count",
     "run_trace_experiment",
 ]
@@ -128,20 +127,6 @@ class AccuracyPoint:
     ci_high: float
     n_trials: int
     n_ties: int
-
-
-def expected_on_count_no_decay(n: int, p: float, k: int) -> float:
-    """Mean ON count after ``k`` pulses with relaxation disabled.
-
-    Each of the ``n`` cells is ON independently with probability
-    ``1 - (1-p)^k``, so the expectation is ``n * (1 - (1-p)^k)``. This is the
-    closed-form oracle the synapse simulation is verified against.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return n * (1.0 - (1.0 - p) ** k)
 
 
 def estimate_accuracy(cfg: TwoAfcConfig, trials: int, master_seed: int) -> AccuracyPoint:
@@ -271,9 +256,10 @@ def run_trace_experiment(
     Samples run at ``sample_rate_hz`` from 0 through the stream window plus
     ``tail_s`` (the tail shows the relaxation after the last pulse), on the
     grid :func:`sample_count` sizes. The repeats are cut into chunks of
-    ``TRIAL_CHUNK``; chunk ``c`` is one ``(m, n)`` expiry array driven by :func:`memdecide.synapse.trace_counts`
-    from ``spawn_rng(master_seed, "chunk", c)``, so with ``repeats=1`` this is
-    exactly one :meth:`Synapse.trace` under that generator.
+    ``TRIAL_CHUNK``; chunk ``c`` is one ``(m, n)`` expiry array driven by
+    :func:`memdecide.synapse.trace_counts` from ``spawn_rng(master_seed,
+    "chunk", c)``, so with ``repeats=1`` this is one ``(1, n)`` array under
+    that generator.
     """
     check_n_devices(n)
     if repeats < 1:
@@ -293,5 +279,5 @@ def run_trace_experiment(
     return Trace(
         times=sample_times,
         count_on=mean,
-        current_uA=mean * params.i_on_uA + (n - mean) * params.i_off_uA,
+        current_uA=params.current_uA(mean, n),
     )

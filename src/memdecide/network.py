@@ -16,9 +16,8 @@ independent and identically distributed, so each count is exactly
 (:func:`on_probability`). A trial therefore draws its pulse times and two
 binomial counts, and its cost does not grow with ``N``. The per-cell kernel
 :func:`memdecide.synapse.pulse_update` still defines the model: ``pi`` is
-derived from it, traces and :class:`memdecide.synapse.Synapse` run it, and
-the tests check this sampler against it in law. A single trial is
-``run_trials(cfg, 1, rng)``.
+derived from it, traces run it, and the tests check this sampler against it
+in law. A single trial is ``run_trials(cfg, 1, rng)``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import numpy as np
 
 from .device import DeviceParams, RetentionDistribution, check_p_on
 from .stream import StreamSpec, random_times
-from .synapse import check_n_devices
 
 __all__ = ["TwoAfcConfig", "TrialBatch", "decide", "on_probability", "run_trials"]
 
@@ -46,7 +44,10 @@ class TwoAfcConfig:
     spec_b: StreamSpec
 
     def __post_init__(self):
-        check_n_devices(self.n_devices)
+        # A trial allocates nothing per cell; its N only has to fit the int64
+        # ``n`` of ``rng.binomial``.
+        if not 1 <= self.n_devices <= 2**63 - 1:
+            raise ValueError(f"n_devices must lie in [1, 2**63 - 1], got {self.n_devices}")
         check_p_on(self.p_on)
         if self.spec_a.duration_s != self.spec_b.duration_s:
             raise ValueError(
@@ -128,8 +129,7 @@ def run_trials(cfg: TwoAfcConfig, m: int, rng: np.random.Generator) -> TrialBatc
         rng.binomial(cfg.n_devices, on_probability(times, cfg.duration_s, cfg.p_on, params.retention))
         for times in stream_times
     ]
-    i1 = count1 * params.i_on_uA + (cfg.n_devices - count1) * params.i_off_uA
-    i2 = count2 * params.i_on_uA + (cfg.n_devices - count2) * params.i_off_uA
+    i1, i2 = params.current_uA(count1, cfg.n_devices), params.current_uA(count2, cfg.n_devices)
     choose_a, tie = decide(i1, i2, rng)
 
     n_a, n_b = cfg.spec_a.n_pulses, cfg.spec_b.n_pulses

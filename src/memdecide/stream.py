@@ -20,6 +20,7 @@ __all__ = [
     "generate_periodic",
     "write_stream_csv",
     "read_stream_csv",
+    "parse_finite",
 ]
 
 
@@ -112,6 +113,17 @@ def write_stream_csv(stream: PulseStream, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def parse_finite(text: str, path, lineno: int) -> float:
+    """``text`` as a finite float; anything else is a ``ValueError`` naming ``path:lineno``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: not a finite number: {text.strip()!r}")
+    return value
+
+
 def read_stream_csv(path, duration_s: float | None = None) -> PulseStream:
     """Read a replay file written by :func:`write_stream_csv`.
 
@@ -119,15 +131,6 @@ def read_stream_csv(path, duration_s: float | None = None) -> PulseStream:
     row or ``duration_s`` value that is not a finite number is a
     ``ValueError`` naming ``path:line``.
     """
-    def number(text: str, lineno: int) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(f"{path}:{lineno}: not a finite number: {text.strip()!r}")
-        return value
-
     times = []
     file_duration = None
     with open(path) as fh:
@@ -136,9 +139,9 @@ def read_stream_csv(path, duration_s: float | None = None) -> PulseStream:
             if line.startswith("#"):
                 key, _, value = line.lstrip("# ").partition("=")
                 if key.strip() == "duration_s":
-                    file_duration = number(value, lineno)
+                    file_duration = parse_finite(value, path, lineno)
             elif line not in ("", "t_s"):
-                times.append(number(line, lineno))
+                times.append(parse_finite(line, path, lineno))
     duration = duration_s if duration_s is not None else file_duration
     if duration is None:
         raise ValueError(f"{path}: no duration_s comment and no override given")

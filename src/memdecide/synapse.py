@@ -4,8 +4,9 @@ N cells share their electrodes, so every pulse reaches all of them at once
 and each OFF cell switches independently with the pulse's switching
 probability ``p_on``, the only property of a pulse that a synapse sees. The
 synaptic weight is the number of cells currently ON; the summed current is
-``count_on * i_on + (N - count_on) * i_off``. Between pulses the weight only
-decays, as individual filaments dissolve.
+``count_on * i_on + (N - count_on) * i_off``
+(:meth:`memdecide.device.DeviceParams.current_uA`). Between pulses the
+weight only decays, as individual filaments dissolve.
 
 The whole state is one vector of filament-expiry times: a cell is ON at time
 ``t`` if and only if its expiry is after ``t`` (``-inf`` for a cell that has
@@ -17,9 +18,6 @@ batch of repeats. Trials do not run it: they need only the end-of-window
 count, whose law under this kernel :func:`memdecide.network.on_probability`
 gives in closed form. The cell model and its parameters are described in
 :mod:`memdecide.device`.
-
-A ``Synapse`` is a self-contained mutable value. It is not safe for
-concurrent mutation, but distinct instances may be driven in parallel.
 """
 
 from __future__ import annotations
@@ -29,11 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import DeviceParams, RetentionDistribution, check_p_on
-from .errors import TimeOrderError
-from .stream import PulseStream
+from .device import RetentionDistribution
 
-__all__ = ["TRIAL_CHUNK", "Synapse", "Trace", "check_n_devices", "pulse_update", "trace_counts"]
+__all__ = ["TRIAL_CHUNK", "Trace", "check_n_devices", "pulse_update", "trace_counts"]
 
 # Trials or trace repeats run at once, one chunk (see :mod:`memdecide.experiment`);
 # a chunk of trace repeats is one (TRIAL_CHUNK, N) expiry array.
@@ -41,12 +37,13 @@ TRIAL_CHUNK = 256
 
 
 def check_n_devices(n: int) -> None:
-    """Reject ``n`` below 1, or so large that no ``(TRIAL_CHUNK, n)`` float64 array can exist."""
+    """Reject ``n`` below 1, or so large that a trace chunk's ``(TRIAL_CHUNK, n)``
+    float64 expiry array cannot exist (trials allocate nothing per cell)."""
     if n < 1:
         raise ValueError(f"a synapse needs at least one device, got n={n}")
     if n > sys.maxsize // (8 * TRIAL_CHUNK):
-        raise ValueError(f"n={n} devices is too many: a ({TRIAL_CHUNK}, n) float64 array "
-                         f"would exceed {sys.maxsize} bytes")
+        raise ValueError(f"n={n} devices is too many: a trace's ({TRIAL_CHUNK}, n) float64 "
+                         f"expiry array would exceed {sys.maxsize} bytes")
 
 
 class Trace(NamedTuple):
@@ -115,70 +112,3 @@ def trace_counts(
         off = np.searchsorted(np.sort(live, axis=None), samples[start:stop], side="right")
         counts[start:stop] = live.size - off
     return counts
-
-
-class Synapse:
-    """N identically parameterized cells driven and read as one unit."""
-
-    def __init__(self, n: int, params: DeviceParams):
-        check_n_devices(n)
-        self.params = params
-        self._expiry = np.full(n, -np.inf)
-        self.last_event_time = 0.0
-
-    @property
-    def n(self) -> int:
-        return int(self._expiry.size)
-
-    def count_on(self) -> int:
-        """Cells ON as of the last processed event."""
-        return int(np.count_nonzero(self._expiry > self.last_event_time))
-
-    def _check_time(self, t: float) -> None:
-        if t < self.last_event_time:
-            raise TimeOrderError(
-                f"event at t={t} precedes last event time {self.last_event_time}"
-            )
-
-    def stimulate(self, t: float, p_on: float, rng: np.random.Generator) -> "Synapse":
-        """Deliver one pulse at time ``t`` to all cells: :func:`pulse_update`."""
-        check_p_on(p_on)
-        self._check_time(t)
-        pulse_update(self._expiry, t, p_on, self.params.retention, rng)
-        self.last_event_time = t
-        return self
-
-    def read(self, t: float) -> tuple[int, float]:
-        """Return ``(count_on, current_uA)`` at ``t``; only advances the clock."""
-        self._check_time(t)
-        self.last_event_time = t
-        count = int(np.count_nonzero(self._expiry > t))
-        current = count * self.params.i_on_uA + (self.n - count) * self.params.i_off_uA
-        return count, current
-
-    def trace(
-        self,
-        stream: PulseStream,
-        p_on: float,
-        sample_times,
-        rng: np.random.Generator,
-    ) -> Trace:
-        """Drive the synapse with ``stream`` and sample it at ``sample_times``.
-
-        The one-row view of :func:`trace_counts`: a pulse is applied before a
-        sample at an equal time (a read at the moment of a spike sees its
-        effect). Returns one record per sample time.
-        """
-        check_p_on(p_on)
-        samples = np.asarray(sample_times, dtype=float)
-        if samples.size and np.any(np.diff(samples) < 0.0):
-            raise ValueError("sample_times must be sorted ascending")
-        events = np.concatenate([stream.times, samples])
-        if events.size:
-            self._check_time(events.min())
-            self.last_event_time = float(events.max())
-        counts = trace_counts(
-            self._expiry[np.newaxis], stream.times, p_on, self.params.retention, samples, rng
-        )
-        currents = counts * self.params.i_on_uA + (self.n - counts) * self.params.i_off_uA
-        return Trace(times=samples, count_on=counts, current_uA=currents)

@@ -20,7 +20,8 @@ Robert, Biometrika 1996). Built on numpy and scipy only.
 The same recurrence gives the exact mean trace of a synapse driven by one
 fixed stream (``exact_trace_mean``): a cell read at time t, whose last pulse
 at or before t is pulse j, is ON with probability q_j * S(t - t_j), and ON
-with probability 0 before the first pulse.
+with probability 0 before the first pulse. With decay disabled the mean
+count after k pulses has the closed form ``expected_on_count_no_decay``.
 """
 
 import numpy as np
@@ -64,6 +65,19 @@ def exact_trace_mean(n, pulse_times, sample_times, p, median, sigma):
     d = sample_times[hit] - pulse_times[last[hit]]
     mean[hit] = n * q[last[hit]] * _survival(d, median, sigma)
     return mean
+
+
+def expected_on_count_no_decay(n, p, k):
+    """Mean ON count of ``n`` cells after ``k`` pulses with relaxation disabled.
+
+    Each cell is ON independently with probability ``1 - (1-p)^k``, so the
+    expectation is ``n * (1 - (1-p)^k)``.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return n * (1.0 - (1.0 - p) ** k)
 
 
 def exact_accuracy(n, n_a, n_b, duration, p, median, sigma, pairs, seed):

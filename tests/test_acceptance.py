@@ -29,11 +29,9 @@ from memdecide import (
     SwitchingCurve,
     SwitchingRecord,
     RetentionRecord,
-    Synapse,
     TwoAfcConfig,
     default_deck,
     estimate_accuracy,
-    expected_on_count_no_decay,
     fit_retention,
     fit_switching_curve,
     generate_periodic,
@@ -42,9 +40,9 @@ from memdecide import (
     spawn_rng,
 )
 from memdecide.cli import main as cli_main
-from memdecide.synapse import pulse_update
+from memdecide.synapse import pulse_update, trace_counts
 
-from exact_accuracy import exact_accuracy
+from exact_accuracy import exact_accuracy, expected_on_count_no_decay
 
 MASTER_SEED = 2026
 SIGMA_LOG = 0.5
@@ -117,7 +115,8 @@ def test_integration_regimes():
         total = np.zeros(stream.times.size)
         for r in range(repeats):
             rng = spawn_rng(MASTER_SEED, "integration", p_on, r)
-            total += Synapse(50, params).trace(stream, p_on, stream.times, rng).count_on
+            total += trace_counts(np.full((1, 50), -np.inf), stream.times, p_on,
+                                  params.retention, stream.times, rng)
         return total / repeats
 
     linear = mean_trace(0.01)
@@ -152,7 +151,8 @@ def test_retention_ordering():
         averages = np.empty(repeats)
         for r in range(repeats):
             rng = spawn_rng(MASTER_SEED, "retention-ordering", median, r)
-            averages[r] = Synapse(50, params).trace(stream, 0.10, sample_times, rng).count_on.mean()
+            averages[r] = trace_counts(np.full((1, 50), -np.inf), stream.times, 0.10,
+                                       params.retention, sample_times, rng).mean()
         mean = averages.mean()
         half = 1.959963984540054 * averages.std(ddof=1) / math.sqrt(repeats)
         intervals.append((median, mean, mean - half, mean + half))

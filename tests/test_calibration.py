@@ -205,6 +205,21 @@ class TestCsvIngestion:
         with pytest.raises(ValueError):
             read_switching_csv(path)
 
+    @pytest.mark.parametrize("row", ["nan,1", "inf,0", "1e400,1", "abc,0"])
+    def test_switching_rejects_non_finite_amplitude(self, tmp_path, row):
+        # Line numbers count the comment and blank lines the reader skips.
+        path = tmp_path / "sw.csv"
+        path.write_text(f"# measured\nv_pulse_V,switched\n0.55,0\n\n{row}\n")
+        with pytest.raises(ValueError, match=r"sw\.csv:5: not a finite number"):
+            read_switching_csv(path)
+
+    @pytest.mark.parametrize("row", ["100,inf", "nan,0.5", "100,-inf", "100,"])
+    def test_retention_rejects_non_finite_value(self, tmp_path, row):
+        path = tmp_path / "ret.csv"
+        path.write_text(f"i_cc_uA,retention_s\n10.0,0.011\n{row}\n")
+        with pytest.raises(ValueError, match=r"ret\.csv:3: not a finite number"):
+            read_retention_csv(path)
+
     def test_retention_round_trip(self, tmp_path):
         path = tmp_path / "ret.csv"
         path.write_text("i_cc_uA,retention_s\n10.0,0.011\n300.0,0.9\n")

@@ -271,6 +271,17 @@ class TestSweep:
         ]
         assert strip("o1") == strip("o2")
 
+    def test_synapse_beyond_trace_array_bound_runs(self, tmp_path):
+        # A trial allocates nothing per cell, so a sweep may use more cells
+        # than a trace chunk's (256, N) expiry array could hold.
+        payload = _sweep_config(tmp_path / "out", trials=10)
+        payload["sweep"]["device_counts"] = [10**17]
+        cfg = _write_config(tmp_path / "s.cfg", payload)
+        assert main(["sweep", "--config", cfg]) == 0
+        lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert [row[3] for row in rows] == [str(10**17)] * 2
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = _write_config(tmp_path / "s.cfg", _sweep_config(tmp_path / "o1"))
         assert main(["sweep", "--config", cfg]) == 0
@@ -495,6 +506,20 @@ class TestConfigErrors:
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main(["trace", "--config", cfg]) == 2
         assert f"{replay}:{line}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,path,value", [("sweep", "sweep.device_counts", [5, 2**63]),
+                                                    ("trial", "trial.n_devices", 2**63)],
+                             ids=["sweep", "trial"])
+    def test_device_count_beyond_binomial_range_exits_two(self, tmp_path, capsys,
+                                                          command, path, value):
+        # rng.binomial takes an int64 count; 2**63 would overflow at run time.
+        out = tmp_path / "out"
+        payload = _CONFIGS[command](out)
+        _set(payload, path, value)
+        cfg = _write_config(tmp_path / "c.cfg", payload)
+        assert main([command, "--config", cfg]) == 2
+        assert f"{command}: n_devices must lie in [1, 2**63 - 1]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_calibrate_needs_some_input(self, tmp_path):

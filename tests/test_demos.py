@@ -1,11 +1,13 @@
-"""Smoke test: demos run end to end against the current package API."""
+"""Smoke test: demos and the README library tour run end to end against the current package API."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize(
@@ -24,3 +26,12 @@ def test_demo_runs(tmp_path, monkeypatch, capsys, script, expected):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert expected in capsys.readouterr().out
+
+
+def test_readme_library_tour_runs(tmp_path, monkeypatch, capsys):
+    # The README's one python block, run as written, so it cannot name an API
+    # that no longer exists.
+    (tour,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(tour, "README.md", "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out

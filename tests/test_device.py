@@ -1,7 +1,8 @@
 """Single-cell model: switching curve, retention law, pulse and relaxation lifecycle.
 
-The lifecycle tests drive one cell, or many independent ones, through
-:class:`memdecide.Synapse`, whose expiry vector is the only cell state.
+The lifecycle tests drive one cell, or many independent ones, with
+:func:`memdecide.synapse.pulse_update` on an expiry vector, the only cell
+state: a cell is ON at ``t`` while its expiry is after ``t``.
 """
 
 import math
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from memdecide import DeviceParams, RetentionDistribution, SwitchingCurve, Synapse
+from memdecide import DeviceParams, RetentionDistribution, SwitchingCurve
+from memdecide.synapse import pulse_update
 
 CURVE = SwitchingCurve(v_median=0.6, v_spread=0.05)
 P_CERTAIN = 1.0
@@ -30,11 +32,23 @@ def _params(median_s=1.0, sigma_log=0.0, i_cc=300.0, **kw):
     )
 
 
+def _pulse(expiry, t, p_on, params, rng):
+    """Deliver one pulse to the cells of ``expiry``; returns the array."""
+    pulse_update(expiry, t, p_on, params.retention, rng)
+    return expiry
+
+
+def _read(expiry, params, t):
+    """``(count_on, current_uA)`` of the cells of ``expiry`` at ``t``."""
+    count = int(np.count_nonzero(expiry > t))
+    return count, params.current_uA(count, expiry.size)
+
+
 def _cell_on_until(expiry, rng, **kw):
-    """One cell switched ON at t=0 with a deterministic retention of ``expiry``."""
-    return Synapse(1, _params(median_s=expiry, sigma_log=0.0, **kw)).stimulate(
-        0.0, P_CERTAIN, rng
-    )
+    """One cell switched ON at t=0 with a deterministic retention of ``expiry``,
+    and its parameters."""
+    params = _params(median_s=expiry, sigma_log=0.0, **kw)
+    return _pulse(np.full(1, -np.inf), 0.0, P_CERTAIN, params, rng), params
 
 
 class TestSwitchingCurve:
@@ -189,76 +203,75 @@ class TestApplyPulse:
     def test_certain_switching(self, rng):
         # Switching probability exactly 1, and every retention draw is
         # positive, so all cells are still ON at the pulse.
-        syn = Synapse(100, _params(median_s=2.0, sigma_log=0.5))
-        syn.stimulate(1.0, P_CERTAIN, rng)
-        assert syn.read(1.0) == (100, 100 * 300.0)
+        params = _params(median_s=2.0, sigma_log=0.5)
+        cells = _pulse(np.full(100, -np.inf), 1.0, P_CERTAIN, params, rng)
+        assert _read(cells, params, 1.0) == (100, 100 * 300.0)
 
     def test_impossible_switching(self, rng):
-        syn = Synapse(100, _params())
-        syn.stimulate(1.0, P_NEVER, rng)
-        assert syn.read(1.0) == (0, 0.0)
+        params = _params()
+        cells = _pulse(np.full(100, -np.inf), 1.0, P_NEVER, params, rng)
+        assert _read(cells, params, 1.0) == (0, 0.0)
 
     def test_bernoulli_frequency(self, rng):
         # One pulse at p=0.1 on 1e5 independent cells; 3-standard-error band.
         n = 100_000
-        syn = Synapse(n, _params())
-        syn.stimulate(0.0, 0.1, rng)
+        cells = _pulse(np.full(n, -np.inf), 0.0, 0.1, _params(), rng)
         band = 3.0 * math.sqrt(0.1 * 0.9 / n)
-        assert abs(syn.count_on() / n - 0.1) < band
+        assert abs(np.count_nonzero(cells > 0.0) / n - 0.1) < band
 
     def test_repulse_refreshes_expiry(self, rng):
         # Deterministic 1 s retention: ON at 3.5 until 4.5. A pulse at 4.0 that
         # switches nothing still rebuilds the filament, so the cell outlives
         # 4.5 and dissolves at 4.0 + 1.0 = 5.0; stacking would give 5.5.
-        syn = Synapse(1, _params(median_s=1.0, sigma_log=0.0))
-        syn.stimulate(3.5, P_CERTAIN, rng)
-        syn.stimulate(4.0, P_NEVER, rng)
-        assert syn.read(4.75) == (1, 300.0)
-        assert syn.read(np.nextafter(5.0, 0.0))[0] == 1
-        assert syn.read(5.0)[0] == 0
+        params = _params(median_s=1.0, sigma_log=0.0)
+        cell = _pulse(np.full(1, -np.inf), 3.5, P_CERTAIN, params, rng)
+        _pulse(cell, 4.0, P_NEVER, params, rng)
+        assert _read(cell, params, 4.75) == (1, 300.0)
+        assert _read(cell, params, np.nextafter(5.0, 0.0))[0] == 1
+        assert _read(cell, params, 5.0)[0] == 0
 
     def test_pulse_at_expiry_does_not_refresh(self, rng):
         # The expiry boundary is inclusive for pulses too: ON at 3.0 until 4.0,
         # the cell is already OFF when a never-switching pulse arrives at 4.0.
-        syn = Synapse(1, _params(median_s=1.0, sigma_log=0.0))
-        syn.stimulate(3.0, P_CERTAIN, rng)
-        syn.stimulate(4.0, P_NEVER, rng)
-        assert syn.read(4.0) == (0, 0.0)
+        params = _params(median_s=1.0, sigma_log=0.0)
+        cell = _pulse(np.full(1, -np.inf), 3.0, P_CERTAIN, params, rng)
+        _pulse(cell, 4.0, P_NEVER, params, rng)
+        assert _read(cell, params, 4.0) == (0, 0.0)
 
     def test_determinism(self):
         params = _params(median_s=1.0, sigma_log=0.5)
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            syn = Synapse(1, params)
+            cell = np.full(1, -np.inf)
             history = []
             for k in range(20):
-                syn.stimulate(0.1 * k, 0.3, rng)
-                history.append(syn.read(0.1 * k + 0.05))
+                _pulse(cell, 0.1 * k, 0.3, params, rng)
+                history.append(_read(cell, params, 0.1 * k + 0.05))
             runs.append(history)
         assert runs[0] == runs[1]
 
 
 class TestRelax:
     def test_before_expiry_unchanged(self, rng):
-        assert _cell_on_until(2.0, rng).read(1.0) == (1, 300.0)
+        assert _read(*_cell_on_until(2.0, rng), 1.0) == (1, 300.0)
 
     def test_boundary_is_inclusive(self, rng):
         # At t == expiry the filament has dissolved.
-        assert _cell_on_until(2.0, rng).read(2.0) == (0, 0.0)
+        assert _read(*_cell_on_until(2.0, rng), 2.0) == (0, 0.0)
 
     def test_off_is_absorbing(self, rng):
-        syn = _cell_on_until(2.0, rng)
-        assert syn.read(2.0)[0] == 0
-        assert syn.read(123.0)[0] == 0
-        syn.stimulate(124.0, P_NEVER, rng)
-        assert syn.read(200.0)[0] == 0
+        cell, params = _cell_on_until(2.0, rng)
+        assert _read(cell, params, 2.0)[0] == 0
+        assert _read(cell, params, 123.0)[0] == 0
+        _pulse(cell, 124.0, P_NEVER, params, rng)
+        assert _read(cell, params, 200.0)[0] == 0
 
     @given(expiry=st.floats(0.1, 100.0), t=st.floats(0.0, 200.0))
     def test_idempotent(self, expiry, t):
-        syn = _cell_on_until(expiry, np.random.default_rng(0))
-        once = syn.read(t)
-        assert syn.read(t) == once
+        cell, params = _cell_on_until(expiry, np.random.default_rng(0))
+        once = _read(cell, params, t)
+        assert _read(cell, params, t) == once
         assert once[0] == (1 if t < expiry else 0)
 
     @given(
@@ -267,22 +280,24 @@ class TestRelax:
         dt=st.floats(0.0, 100.0),
     )
     def test_off_stays_off(self, expiry, t1, dt):
-        syn = _cell_on_until(expiry, np.random.default_rng(0))
-        if syn.read(t1)[0] == 0:
-            assert syn.read(t1 + dt)[0] == 0
+        cell, params = _cell_on_until(expiry, np.random.default_rng(0))
+        if _read(cell, params, t1)[0] == 0:
+            assert _read(cell, params, t1 + dt)[0] == 0
 
 
 class TestReadCurrent:
     @pytest.mark.parametrize("i_on", [300.0, 10.0])
     def test_on_reads_on_current(self, i_on, rng):
-        assert _cell_on_until(9.0, rng, i_cc=i_on).read(1.0) == (1, i_on)
+        assert _read(*_cell_on_until(9.0, rng, i_cc=i_on), 1.0) == (1, i_on)
 
     def test_off_reads_leakage(self):
-        assert Synapse(1, _params(i_off_uA=2.0)).read(0.0) == (0, 2.0)
+        params = _params(i_off_uA=2.0)
+        assert params.current_uA(0, 1) == 2.0
+        assert _read(np.full(1, -np.inf), params, 0.0) == (0, 2.0)
 
     def test_non_destructive(self, rng):
         # Repeated reads neither turn the cell off nor shorten its retention.
-        syn = _cell_on_until(9.0, rng)
-        assert [syn.read(1.0) for _ in range(5)] == [(1, 300.0)] * 5
-        assert syn.read(np.nextafter(9.0, 0.0)) == (1, 300.0)
-        assert syn.read(9.0) == (0, 0.0)
+        cell, params = _cell_on_until(9.0, rng)
+        assert [_read(cell, params, 1.0) for _ in range(5)] == [(1, 300.0)] * 5
+        assert _read(cell, params, np.nextafter(9.0, 0.0)) == (1, 300.0)
+        assert _read(cell, params, 9.0) == (0, 0.0)

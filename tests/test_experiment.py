@@ -17,7 +17,6 @@ from memdecide import (
     derive_seed,
     device_params,
     estimate_accuracy,
-    expected_on_count_no_decay,
     generate_periodic,
     interpolate_retention,
     run_trace_experiment,
@@ -28,9 +27,9 @@ from memdecide import (
     wilson_interval,
 )
 from memdecide.experiment import TRIAL_CHUNK, sample_count
-from memdecide.synapse import Synapse, trace_counts
+from memdecide.synapse import trace_counts
 
-from exact_accuracy import exact_accuracy, exact_trace_mean
+from exact_accuracy import exact_accuracy, exact_trace_mean, expected_on_count_no_decay
 
 CURVE = SwitchingCurve(v_median=0.6, v_spread=0.05)
 
@@ -303,11 +302,10 @@ class TestTraceExperiment:
         averaged = run_trace_experiment(
             30, stream, 0.1, params, sample_rate_hz=10.0, repeats=1, master_seed=31
         )
-        manual = Synapse(30, params).trace(
-            stream, 0.1, averaged.times, spawn_rng(31, "chunk", 0)
-        )
-        assert np.array_equal(averaged.count_on, manual.count_on.astype(float))
-        assert np.array_equal(averaged.current_uA, manual.current_uA.astype(float))
+        manual = trace_counts(np.full((1, 30), -np.inf), stream.times, 0.1,
+                              params.retention, averaged.times, spawn_rng(31, "chunk", 0))
+        assert np.array_equal(averaged.count_on, manual.astype(float))
+        assert np.array_equal(averaged.current_uA, params.current_uA(manual, 30))
 
     def test_split_at_chunk_boundary_is_exact(self):
         # Repeats [0, 256) come from chunk 0's generator, [256, 512) from chunk 1's.

@@ -1,4 +1,9 @@
-"""Parallel synapse: vectorized switching, relaxation, traces, oracles."""
+"""Parallel synapse: vectorized switching, relaxation, traces, oracles.
+
+A synapse is its expiry array: these tests drive it with ``pulse_update`` and
+read it with ``trace_counts`` (or, for single reads, count the cells whose
+expiry is after the read time, which is what ON means).
+"""
 
 import math
 import sys
@@ -12,13 +17,14 @@ from memdecide import (
     DeviceParams,
     PulseStream,
     RetentionDistribution,
-    Synapse,
-    TimeOrderError,
-    expected_on_count_no_decay,
     generate_periodic,
+    run_trace_experiment,
     spawn_rng,
 )
+from memdecide.device import check_p_on
 from memdecide.synapse import TRIAL_CHUNK, check_n_devices, pulse_update, trace_counts
+
+from exact_accuracy import expected_on_count_no_decay
 
 P_CERTAIN = 1.0
 P_NEVER = 0.0
@@ -31,31 +37,41 @@ def _params(retention=NO_DECAY, **kw):
     return DeviceParams(i_cc_uA=300.0, retention=retention, **kw)
 
 
+def _read(expiry, params, t):
+    """``(count_on, current_uA)`` of one synapse's expiry array at ``t``."""
+    count = int(np.count_nonzero(expiry > t))
+    return count, params.current_uA(count, expiry.size)
+
+
+def _trace(n, stream, p_on, retention, samples, rng):
+    """ON counts of a fresh ``n``-cell synapse: ``trace_counts`` on a ``(1, n)`` array."""
+    samples = np.asarray(samples, dtype=float)
+    return trace_counts(np.full((1, n), -np.inf), stream.times, p_on, retention, samples, rng)
+
+
 def _final_counts(n, p, k, trials, seed):
     """Final ON counts after k pulses with decay disabled, one per trial."""
-    params = _params()
     counts = np.empty(trials, dtype=np.int64)
     for i in range(trials):
         rng = spawn_rng(seed, i)
-        syn = Synapse(n, params)
+        expiry = np.full(n, -np.inf)
         for j in range(k):
-            syn.stimulate(0.1 * j, p, rng)
-        counts[i], _ = syn.read(0.1 * k)
+            pulse_update(expiry, 0.1 * j, p, NO_DECAY, rng)
+        counts[i] = np.count_nonzero(expiry > 0.1 * k)
     return counts
 
 
 class TestConstruction:
     @pytest.mark.parametrize("n", [1, 50, 100])
-    def test_all_off_at_start(self, n):
-        syn = Synapse(n, _params())
-        assert syn.n == n
-        assert syn.count_on() == 0
-        assert syn.last_event_time == 0.0
-        assert syn.read(0.0) == (0, 0.0)
+    def test_all_off_at_start(self, n, rng):
+        expiry = np.full(n, -np.inf)
+        assert _read(expiry, _params(), 0.0) == (0, 0.0)
+        no_pulses = PulseStream(times=np.array([]), duration_s=1.0)
+        assert _trace(n, no_pulses, P_CERTAIN, NO_DECAY, [0.0], rng).tolist() == [0]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Synapse(0, _params())
+            check_n_devices(0)
 
     def test_cell_count_bounded_by_one_chunk_array(self):
         # The largest count whose (TRIAL_CHUNK, n) float64 array numpy can
@@ -70,29 +86,19 @@ class TestConstruction:
 
 class TestStimulate:
     def test_certain_switching(self, rng):
-        syn = Synapse(10, _params())
-        syn.stimulate(0.0, P_CERTAIN, rng)
-        assert syn.count_on() == 10
+        expiry = np.full(10, -np.inf)
+        pulse_update(expiry, 0.0, P_CERTAIN, NO_DECAY, rng)
+        assert np.count_nonzero(expiry > 0.0) == 10
 
     def test_impossible_switching(self, rng):
-        syn = Synapse(10, _params())
-        syn.stimulate(0.0, P_NEVER, rng)
-        assert syn.count_on() == 0
-
-    def test_time_order_enforced(self, rng):
-        syn = Synapse(5, _params())
-        syn.stimulate(1.0, P_CERTAIN, rng)
-        with pytest.raises(TimeOrderError):
-            syn.stimulate(0.5, P_CERTAIN, rng)
-        with pytest.raises(TimeOrderError):
-            syn.read(0.5)
+        expiry = np.full(10, -np.inf)
+        pulse_update(expiry, 0.0, P_NEVER, NO_DECAY, rng)
+        assert np.count_nonzero(expiry > 0.0) == 0
 
     @pytest.mark.parametrize("p_on", [-0.1, 1.1, math.nan])
-    def test_rejects_p_on_out_of_range(self, p_on, rng):
-        syn = Synapse(5, _params())
+    def test_rejects_p_on_out_of_range(self, p_on):
         with pytest.raises(ValueError, match="p_on"):
-            syn.stimulate(1.0, p_on, rng)
-        assert syn.last_event_time == 0.0
+            check_p_on(p_on)
 
     def test_mean_count_matches_binomial_oracle(self):
         # 50 pulses at p=0.02 with decay disabled: closed form gives
@@ -120,44 +126,46 @@ class TestRead:
     def test_linear_current_sum(self, rng):
         # Ten cells with lognormal retentions dissolve one by one; at every
         # read the current is the ON count times the ON current.
-        syn = Synapse(10, _params(retention=RetentionDistribution(1.0, 0.5)))
-        syn.stimulate(0.0, P_CERTAIN, rng)
-        reads = [syn.read(t) for t in np.linspace(0.0, 10.0, 10_001)]
+        params = _params(retention=RetentionDistribution(1.0, 0.5))
+        expiry = np.full(10, -np.inf)
+        pulse_update(expiry, 0.0, P_CERTAIN, params.retention, rng)
+        reads = [_read(expiry, params, t) for t in np.linspace(0.0, 10.0, 10_001)]
         counts = [count for count, _ in reads]
         assert counts[0] == 10 and counts[-1] == 0
         assert 3 in counts
         assert all(current == count * 300.0 for count, current in reads)
 
     def test_leakage_included(self, rng):
-        syn = Synapse(10, _params(i_on_uA=300.0, i_off_uA=2.0))
-        syn.stimulate(0.0, P_CERTAIN, rng)
-        count, current = syn.read(0.0)
+        params = _params(i_on_uA=300.0, i_off_uA=2.0)
+        expiry = np.full(10, -np.inf)
+        pulse_update(expiry, 0.0, P_CERTAIN, params.retention, rng)
+        count, current = _read(expiry, params, 0.0)
         assert count == 10 and current == 10 * 300.0
         # All retention draws are finite, so far in the future everything is
         # off and only leakage remains.
-        count, current = syn.read(1e12)
+        count, current = _read(expiry, params, 1e12)
         assert count == 0 and current == 10 * 2.0
 
     def test_full_relaxation(self, rng):
-        syn = Synapse(10, _params(retention=RetentionDistribution(0.01, 0.5)))
-        syn.stimulate(0.0, P_CERTAIN, rng)
-        assert syn.read(5.0) == (0, 0.0)
+        params = _params(retention=RetentionDistribution(0.01, 0.5))
+        expiry = np.full(10, -np.inf)
+        pulse_update(expiry, 0.0, P_CERTAIN, params.retention, rng)
+        assert _read(expiry, params, 5.0) == (0, 0.0)
 
 
-def _manual_trace(syn, stream, p_on, samples, rng):
-    """Reference for ``Synapse.trace``: one stimulate per pulse, one read per
-    sample, in merged time order with a pulse first at equal times."""
+def _manual_trace(expiry, stream, p_on, retention, samples, rng):
+    """Reference for ``trace_counts`` on one ``(N,)`` synapse: one pulse_update
+    per pulse and one count per sample, in merged time order with a pulse
+    first at equal times."""
     pulses = list(stream.times)
-    counts, currents = [], []
+    counts = []
     for t in samples:
         while pulses and pulses[0] <= t:
-            syn.stimulate(pulses.pop(0), p_on, rng)
-        count, current = syn.read(t)
-        counts.append(count)
-        currents.append(current)
+            pulse_update(expiry, pulses.pop(0), p_on, retention, rng)
+        counts.append(np.count_nonzero(expiry > t))
     for t in pulses:
-        syn.stimulate(t, p_on, rng)
-    return np.array(counts, dtype=np.int64), np.array(currents, dtype=float)
+        pulse_update(expiry, t, p_on, retention, rng)
+    return np.array(counts, dtype=np.int64)
 
 
 class TestTrace:
@@ -175,107 +183,82 @@ class TestTrace:
              "no-samples", "pulses-after-last-sample"],
     )
     def test_matches_manual_stimulate_read_loop(self, pulses, samples):
-        params = _params(i_off_uA=1.5, retention=RetentionDistribution(0.15, 0.5))
+        retention = RetentionDistribution(0.15, 0.5)
         stream = PulseStream(times=np.array(pulses, dtype=float), duration_s=1.0)
         samples = np.array(samples, dtype=float)
         p_on = 0.3
-        batched, manual = Synapse(20, params), Synapse(20, params)
-        trace = batched.trace(stream, p_on, samples, np.random.default_rng(5))
-        counts, currents = _manual_trace(manual, stream, p_on, samples, np.random.default_rng(5))
-        assert trace.count_on.dtype == counts.dtype
-        assert np.array_equal(trace.count_on, counts)
-        assert np.array_equal(trace.current_uA, currents)
-        assert batched.last_event_time == manual.last_event_time
-        # Same state afterwards: equal reads at later times.
-        later = [manual.last_event_time + d for d in (0.0, 0.05, 0.2, 1.0)]
-        assert [batched.read(t) for t in later] == [manual.read(t) for t in later]
+        batched, manual = np.full((1, 20), -np.inf), np.full(20, -np.inf)
+        rngs = np.random.default_rng(5), np.random.default_rng(5)
+        counts = trace_counts(batched, stream.times, p_on, retention, samples, rngs[0])
+        expected = _manual_trace(manual, stream, p_on, retention, samples, rngs[1])
+        assert counts.dtype == expected.dtype
+        assert np.array_equal(counts, expected)
+        # Same state and generator afterwards.
+        assert np.array_equal(batched[0], manual)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     def test_stimulated_synapse_matches_manual_loop(self):
         # Cells lit before the trace decay through the samples that precede
         # its first pulse, which read the whole state.
-        params = _params(retention=RetentionDistribution(0.15, 0.5))
+        retention = RetentionDistribution(0.15, 0.5)
         stream = PulseStream(times=np.array([0.4, 0.5, 0.8]), duration_s=1.0)
         samples = np.array([0.1, 0.12, 0.2, 0.3, 0.4, 0.45, 0.9, 1.5])
-        batched, manual = Synapse(30, params), Synapse(30, params)
+        batched, manual = np.full((1, 30), -np.inf), np.full(30, -np.inf)
         rngs = np.random.default_rng(8), np.random.default_rng(8)
-        for syn, rng in zip((batched, manual), rngs):
-            syn.stimulate(0.0, 0.6, rng).stimulate(0.1, 0.6, rng)
-        trace = batched.trace(stream, 0.3, samples, rngs[0])
-        counts, currents = _manual_trace(manual, stream, 0.3, samples, rngs[1])
-        assert counts[0] > 0
-        assert np.array_equal(trace.count_on, counts)
-        assert np.array_equal(trace.current_uA, currents)
+        for expiry, rng in zip((batched, manual), rngs):
+            pulse_update(expiry, 0.0, 0.6, retention, rng)
+            pulse_update(expiry, 0.1, 0.6, retention, rng)
+        counts = trace_counts(batched, stream.times, 0.3, retention, samples, rngs[0])
+        expected = _manual_trace(manual, stream, 0.3, retention, samples, rngs[1])
+        assert expected[0] > 0
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(batched[0], manual)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-        later = [manual.last_event_time + d for d in (0.0, 0.05, 0.2, 1.0)]
-        assert [batched.read(t) for t in later] == [manual.read(t) for t in later]
-
-    def test_time_order_enforced(self, rng):
-        syn = Synapse(5, _params())
-        syn.stimulate(1.0, P_CERTAIN, rng)
-        stream = PulseStream(times=np.array([1.5]), duration_s=2.0)
-        with pytest.raises(TimeOrderError):
-            syn.trace(stream, P_CERTAIN, np.array([0.5, 1.6]), rng)
-        early = PulseStream(times=np.array([0.5]), duration_s=2.0)
-        with pytest.raises(TimeOrderError):
-            syn.trace(early, P_CERTAIN, np.array([1.6]), rng)
-        assert syn.last_event_time == 1.0
 
     def test_empty_stream_flat_zero(self, rng):
-        syn = Synapse(10, _params())
         empty = PulseStream(times=np.array([]), duration_s=1.0)
-        trace = syn.trace(empty, P_CERTAIN, np.linspace(0.0, 1.0, 11), rng)
-        assert np.all(trace.count_on == 0)
-        assert np.all(trace.current_uA == 0.0)
+        counts = _trace(10, empty, P_CERTAIN, NO_DECAY, np.linspace(0.0, 1.0, 11), rng)
+        assert np.all(counts == 0)
+        assert np.all(_params().current_uA(counts, 10) == 0.0)
 
     def test_pulse_applied_before_coincident_sample(self, rng):
-        syn = Synapse(10, _params())
         stream = PulseStream(times=np.array([0.5]), duration_s=1.0)
-        trace = syn.trace(stream, P_CERTAIN, np.array([0.5]), rng)
-        assert trace.count_on[0] == 10
+        assert _trace(10, stream, P_CERTAIN, NO_DECAY, [0.5], rng)[0] == 10
 
     def test_counts_non_increasing_between_pulses(self, rng):
-        syn = Synapse(50, _params(retention=RetentionDistribution(0.3, 0.5)))
         stream = PulseStream(times=np.array([0.0]), duration_s=0.1)
-        trace = syn.trace(stream, P_CERTAIN, np.linspace(0.0, 2.0, 201), rng)
-        assert np.all(np.diff(trace.count_on) <= 0)
+        counts = _trace(50, stream, P_CERTAIN, RetentionDistribution(0.3, 0.5),
+                        np.linspace(0.0, 2.0, 201), rng)
+        assert np.all(np.diff(counts) <= 0)
 
     def test_current_identity_at_every_sample(self, rng):
-        syn = Synapse(20, _params(i_on_uA=300.0, i_off_uA=1.5,
-                                  retention=RetentionDistribution(0.2, 0.5)))
+        params = _params(i_on_uA=300.0, i_off_uA=1.5, retention=RetentionDistribution(0.2, 0.5))
         stream = generate_periodic(20, 10.0)
-        trace = syn.trace(stream, 0.3, np.linspace(0.0, 3.0, 61), rng)
-        expected = trace.count_on * 300.0 + (20 - trace.count_on) * 1.5
-        assert np.array_equal(trace.current_uA, expected)
-
-    def test_rejects_unsorted_samples(self, rng):
-        syn = Synapse(5, _params())
-        stream = generate_periodic(5, 10.0)
-        with pytest.raises(ValueError):
-            syn.trace(stream, P_CERTAIN, np.array([0.2, 0.1]), rng)
+        counts = _trace(20, stream, 0.3, params.retention, np.linspace(0.0, 3.0, 61), rng)
+        expected = counts * 300.0 + (20 - counts) * 1.5
+        assert np.array_equal(params.current_uA(counts, 20), expected)
 
     @pytest.mark.parametrize("p_on", [-0.1, 1.1, math.nan])
-    def test_rejects_p_on_out_of_range(self, p_on, rng):
-        syn = Synapse(5, _params())
+    def test_rejects_p_on_out_of_range(self, p_on):
         with pytest.raises(ValueError, match="p_on"):
-            syn.trace(generate_periodic(5, 10.0), p_on, np.array([0.1]), rng)
-        assert syn.last_event_time == 0.0
+            run_trace_experiment(5, generate_periodic(5, 10.0), p_on, _params(),
+                                 sample_rate_hz=10.0, repeats=1, master_seed=0)
 
     @pytest.mark.parametrize("p_on", [0.0, 1.0])
     def test_accepts_p_on_bounds(self, p_on, rng):
-        trace = Synapse(5, _params()).trace(generate_periodic(5, 10.0), p_on, np.array([0.5]), rng)
-        assert trace.count_on.tolist() == [5 * p_on]
+        counts = _trace(5, generate_periodic(5, 10.0), p_on, NO_DECAY, [0.5], rng)
+        assert counts.tolist() == [5 * p_on]
 
     def test_saturation_at_high_probability(self):
         # 50 pulses at 10 Hz with p=0.10 and long retention: the mean trace
         # should hit 95% of the device count well before the train ends.
         stream = generate_periodic(50, 10.0)
-        params = _params(retention=RetentionDistribution(1e3, 0.5))
+        retention = RetentionDistribution(1e3, 0.5)
         p_on = 0.10
         sample_times = stream.times
         total = np.zeros(sample_times.size)
         for r in range(200):
-            trace = Synapse(50, params).trace(stream, p_on, sample_times, spawn_rng(7, r))
-            total += trace.count_on
+            total += _trace(50, stream, p_on, retention, sample_times, spawn_rng(7, r))
         mean = total / 200
         crossing = np.argmax(mean >= 0.95 * 50)
         assert mean.max() >= 0.95 * 50
@@ -293,12 +276,11 @@ class TestTrace:
         # Small switching probability, long retention: mean count grows almost
         # linearly with pulse index (R^2 of a straight-line fit > 0.98).
         stream = generate_periodic(50, 10.0)
-        params = _params(retention=RetentionDistribution(1e3, 0.5))
+        retention = RetentionDistribution(1e3, 0.5)
         p_on = 0.01
         total = np.zeros(stream.times.size)
         for r in range(300):
-            trace = Synapse(50, params).trace(stream, p_on, stream.times, spawn_rng(11, r))
-            total += trace.count_on
+            total += _trace(50, stream, p_on, retention, stream.times, spawn_rng(11, r))
         mean = total / 300
         x = np.vstack([np.ones_like(stream.times), stream.times]).T
         coef, *_ = np.linalg.lstsq(x, mean, rcond=None)
@@ -313,11 +295,10 @@ class TestTrace:
         p_on = 0.10
         averages = []
         for median in (0.02, 2.0):
-            params = _params(retention=RetentionDistribution(median, 0.5))
+            retention = RetentionDistribution(median, 0.5)
             acc = 0.0
             for r in range(200):
-                trace = Synapse(50, params).trace(stream, p_on, stream.times, spawn_rng(13, r))
-                acc += trace.count_on.mean()
+                acc += _trace(50, stream, p_on, retention, stream.times, spawn_rng(13, r)).mean()
             averages.append(acc / 200)
         assert averages[0] < averages[1]
 
@@ -386,13 +367,9 @@ class TestTraceCounts:
 
 class TestDeterminism:
     def test_identical_seed_identical_history(self):
-        params = _params(retention=RetentionDistribution(0.5, 0.5))
+        retention = RetentionDistribution(0.5, 0.5)
         stream = generate_periodic(30, 10.0)
         samples = np.linspace(0.0, 3.5, 71)
-        traces = [
-            Synapse(25, params).trace(stream, 0.2, samples,
-                                      np.random.default_rng(321))
-            for _ in range(2)
-        ]
-        assert np.array_equal(traces[0].count_on, traces[1].count_on)
-        assert np.array_equal(traces[0].current_uA, traces[1].current_uA)
+        traces = [_trace(25, stream, 0.2, retention, samples, np.random.default_rng(321))
+                  for _ in range(2)]
+        assert np.array_equal(traces[0], traces[1])
