@@ -8,8 +8,10 @@ mechanisms drive the dynamics:
 * **Switching.** A pulse turns an OFF cell ON with probability ``p_on``, the
   only property of a pulse that the simulation sees. :class:`SwitchingCurve`
   maps a pulse amplitude to ``p_on`` (the normal CDF of the set voltage) for
-  calibration and decks. It is independent of the compliance current:
-  filament formation has no memory of the limit that applies once it conducts.
+  calibration and decks, through :mod:`memdecide._normal`, a stdlib port of
+  Cephes that is bit-identical to ``scipy.special``. It is independent of the
+  compliance current: filament formation has no memory of the limit that
+  applies once it conducts.
 
 * **Relaxation.** An ON cell spontaneously returns to OFF after a random
   retention time, lognormal with a given median and log-domain spread. The
@@ -30,6 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._normal import ndtr, ndtri
 
 __all__ = ["SwitchingCurve", "RetentionDistribution", "DeviceParams", "check_p_on"]
 
@@ -55,7 +59,8 @@ class SwitchingCurve:
     ``v_spread`` (> 0) is the standard deviation of the underlying set-voltage
     distribution. Any object exposing the same ``probability``/``quantile``
     methods can stand in for this class, e.g. an empirical curve produced by
-    calibration.
+    calibration. Both methods run on :mod:`memdecide._normal`, bit-identical
+    to ``scipy.special.ndtr``/``ndtri``, so no simulation imports scipy.
     """
 
     v_median: float
@@ -67,16 +72,15 @@ class SwitchingCurve:
             raise ValueError(f"v_spread must be > 0, got {self.v_spread}")
 
     def probability(self, v):
-        """P(switch ON) for a pulse of amplitude ``v`` (vectorizes)."""
-        from scipy.special import ndtr  # lazily: traces and trials never import scipy
-        return ndtr((np.asarray(v, dtype=float) - self.v_median) / self.v_spread)
+        """P(switch ON) at amplitude ``v``: a float64 scalar, or an array of ``v``'s shape."""
+        x = (np.asarray(v, dtype=float) - self.v_median) / self.v_spread
+        return np.fromiter(map(ndtr, x.ravel().tolist()), float, x.size).reshape(x.shape)[()]
 
     def quantile(self, p: float) -> float:
         """Pulse amplitude at which the switching probability equals ``p``."""
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile requires 0 < p < 1, got {p}")
-        from scipy.special import ndtri
-        return self.v_median + self.v_spread * float(ndtri(p))
+        return self.v_median + self.v_spread * ndtri(float(p))
 
 
 @dataclass(frozen=True)

@@ -192,8 +192,9 @@ def sweep_cells(
             params=device_params(deck, i_cc_uA, i_off_uA=i_off_uA, retention=retention),
             # The p_on column of the committed reports (out/, perfbench/golden/)
             # records p_on realised through the deck's curve, 0.010000000000000016
-            # for 0.01, and the trials draw against it. Dropping the round trip
-            # changes those files, so it waits for a refresh of perfbench/golden/.
+            # for 0.01, and the trials draw against it. The round trip runs on
+            # memdecide._normal, bit-identical to scipy. Dropping it changes
+            # those files, so it waits for a refresh of perfbench/golden/.
             p_on=float(deck.switching.probability(deck.switching.quantile(p_on))),
             spec_a=StreamSpec(n_pulses=n_a, duration_s=duration_s),
             spec_b=StreamSpec(n_pulses=n_b, duration_s=duration_s),

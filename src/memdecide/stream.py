@@ -8,6 +8,7 @@ probability, and pulse width and shape are abstracted away.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,10 @@ class StreamSpec:
     def __post_init__(self):
         if self.n_pulses < 0:
             raise ValueError(f"n_pulses must be >= 0, got {self.n_pulses}")
-        if not (self.duration_s > 0.0):
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        # A subnormal window holds too few representable times for random_times
+        # to keep a row strictly sorted inside it.
+        if not (self.duration_s >= sys.float_info.min):
+            raise ValueError(f"duration_s must be >= {sys.float_info.min}, got {self.duration_s}")
 
 
 @dataclass(frozen=True)

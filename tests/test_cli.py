@@ -185,22 +185,30 @@ class TestTrial:
         assert row[-1] == "1"  # tie flag
 
 
-def test_traces_and_trials_do_not_import_scipy(tmp_path):
-    # scipy is needed only to map pulse amplitudes and to fit; a trace or a
-    # trial gets p_on from its config and never crosses that boundary.
+def test_simulations_run_with_scipy_unimportable(tmp_path):
+    # scipy is needed only to fit a calibration; a trace or a trial gets p_on
+    # from its config, and a sweep maps it through the deck's curve on
+    # memdecide._normal. A None entry in sys.modules makes any scipy import
+    # raise ImportError.
     trace_cfg = _write_config(tmp_path / "trace.cfg", _trace_config(tmp_path / "trace"))
     trial_cfg = _write_config(tmp_path / "trial.cfg", _trial_config(tmp_path / "trial"))
+    sweep_cfg = _write_config(tmp_path / "sweep.cfg", _sweep_config(tmp_path / "sweep"))
+    deck_cfg = _write_config(tmp_path / "deck.cfg", {**_sweep_config(tmp_path / "deck"),
+                                                     "deck": str(ROOT / "out/fixtures/deck.json")})
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from memdecide.cli import main\n"
         f"assert main(['trace', '--config', {trace_cfg!r}]) == 0\n"
         f"assert main(['trial', '--config', {trial_cfg!r}]) == 0\n"
+        f"assert main(['sweep', '--config', {sweep_cfg!r}]) == 0\n"
+        f"assert main(['sweep', '--config', {deck_cfg!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-1] == "['scipy']"
 
 
 def test_commands_load_no_module_after_set_up(tmp_path):
@@ -521,6 +529,29 @@ class TestConfigErrors:
         assert main([command, "--config", cfg]) == 2
         assert f"{command}: n_devices must lie in [1, 2**63 - 1]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,path,value", [("trial", "trial.duration_s", 5e-324),
+                                                    ("sweep", "sweep.durations_s", [2.0, 5e-324])],
+                             ids=["trial", "sweep"])
+    def test_subnormal_window_exits_two(self, tmp_path, capsys, command, path, value):
+        # A subnormal window holds too few representable pulse times: the
+        # one-ulp nudges of duplicate times would carry pulses past its end.
+        out = tmp_path / "out"
+        payload = _CONFIGS[command](out)
+        _set(payload, path, value)
+        cfg = _write_config(tmp_path / "c.cfg", payload)
+        assert main([command, "--config", cfg]) == 2
+        assert f"{command}: duration_s must be >= {sys.float_info.min}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,path", [("trial", "trial.duration_s"),
+                                              ("sweep", "sweep.durations_s")],
+                             ids=["trial", "sweep"])
+    def test_smallest_normal_window_runs(self, tmp_path, command, path):
+        payload = _CONFIGS[command](tmp_path / "out")
+        _set(payload, path, [sys.float_info.min] if command == "sweep" else sys.float_info.min)
+        cfg = _write_config(tmp_path / "c.cfg", payload)
+        assert main([command, "--config", cfg]) == 0
 
     def test_calibrate_needs_some_input(self, tmp_path):
         cfg = _write_config(

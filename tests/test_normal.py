@@ -1,0 +1,101 @@
+"""The stdlib normal CDF and quantile against scipy.special, bit for bit.
+
+``memdecide._normal`` ports the Cephes ``ndtr``/``ndtri`` that scipy runs, so
+every comparison here is ``==`` on the float64 bits, not a tolerance: the
+sweep reports under ``out/`` record ``p_on`` realised through these
+functions, and CI pins the scipy build those rows came from.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import special
+
+from memdecide import SwitchingCurve, default_deck, read_deck
+from memdecide._normal import ndtr, ndtri
+
+ROOT = Path(__file__).resolve().parent.parent
+MAXLOG_EDGE = math.sqrt(2.0 * 7.09782712893383996843e2)  # erfc underflows past a / sqrt(2) = sqrt(MAXLOG)
+
+
+def _around(*points):
+    """Each point and its two float64 neighbours."""
+    return [q for p in points for q in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+
+
+def _assert_bits_equal(mine, theirs):
+    mine, theirs = np.asarray(mine, dtype=float), np.asarray(theirs, dtype=float)
+    nan = np.isnan(theirs)
+    np.testing.assert_array_equal(np.isnan(mine), nan)
+    differ = mine[~nan].view(np.int64) != theirs[~nan].view(np.int64)
+    assert not differ.any(), f"{differ.sum()} values differ, first at {np.flatnonzero(differ)[:5]}"
+
+
+def test_ndtr_matches_scipy():
+    rng = np.random.default_rng(20221)
+    edges = _around(0.0, math.sqrt(0.5), 1.0, math.sqrt(2.0), 8.0, 8.0 * math.sqrt(2.0), MAXLOG_EDGE, 40.0)
+    x = np.concatenate([
+        rng.uniform(-40.0, 40.0, 20_000),
+        rng.uniform(-3.0, 3.0, 20_000),
+        edges, np.negative(edges), [-0.0, math.inf, -math.inf, math.nan],
+    ])
+    _assert_bits_equal([ndtr(v) for v in x.tolist()], special.ndtr(x))
+
+
+def test_ndtri_matches_scipy():
+    rng = np.random.default_rng(20222)
+    p = np.concatenate([
+        rng.uniform(0.0, 1.0, 20_000),
+        10.0 ** rng.uniform(-300.0, 0.0, 20_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 5_000),
+        _around(math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 0.5),
+        [5e-324, sys.float_info.min, np.nextafter(1.0, 0.0), 0.0, 1.0],
+    ])
+    _assert_bits_equal([ndtri(v) for v in p.tolist()], special.ndtri(p))
+
+
+def _bundled_p_on_values():
+    return sorted({p for path in (ROOT / "configs").glob("*.cfg")
+                   for p in json.loads(path.read_text()).get("sweep", {}).get("p_on_values", [])})
+
+
+@pytest.mark.parametrize("deck", [default_deck(), read_deck(ROOT / "out/fixtures/deck.json")],
+                         ids=["default", "fixture"])
+def test_realised_p_on_matches_scipy(deck):
+    # The expression sweep_cells evaluates, then the same one on scipy.
+    curve = deck.switching
+    p_on = _bundled_p_on_values()
+    assert p_on
+    mine = [float(curve.probability(curve.quantile(p))) for p in p_on]
+    theirs = [float(special.ndtr(((curve.v_median + curve.v_spread * float(special.ndtri(p)))
+                                  - curve.v_median) / curve.v_spread)) for p in p_on]
+    _assert_bits_equal(mine, theirs)
+
+
+class TestSwitchingCurveTypes:
+    CURVE = SwitchingCurve(0.6, 0.05)
+
+    def test_scalar_in_scalar_out(self):
+        for v in (0.65, np.float64(0.65), np.array(0.65)):
+            out = self.CURVE.probability(v)
+            assert type(out) is np.float64
+            assert out == special.ndtr((0.65 - 0.6) / 0.05)
+
+    def test_array_keeps_shape(self):
+        v = np.linspace(0.4, 0.8, 12).reshape(3, 4)
+        out = self.CURVE.probability(v)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (3, 4)
+        _assert_bits_equal(out, special.ndtr((v - 0.6) / 0.05))
+        assert self.CURVE.probability([0.6]).shape == (1,)
+
+    def test_non_finite_amplitudes(self):
+        assert math.isnan(self.CURVE.probability(math.nan))
+        assert self.CURVE.probability(math.inf) == 1.0
+        assert self.CURVE.probability(-math.inf) == 0.0
+
+    def test_quantile_is_a_float(self):
+        assert type(self.CURVE.quantile(np.float64(0.02))) is float

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +110,14 @@ class TestPulseStream:
             StreamSpec(-1, 1.0)
         with pytest.raises(ValueError):
             StreamSpec(10, 0.0)
+
+    def test_window_is_at_least_the_smallest_normal_float(self, rng):
+        # In a 5e-324 window every uniform lands on 0.0 and the one-ulp nudges
+        # of duplicates carry the pulses past the window's end.
+        with pytest.raises(ValueError, match=re.escape(str(sys.float_info.min))):
+            StreamSpec(40, 5e-324)
+        times = generate_random(StreamSpec(40, sys.float_info.min), rng).times
+        assert np.all(np.diff(times) > 0) and times[-1] < sys.float_info.min
 
 
 class TestReplayCsv:
