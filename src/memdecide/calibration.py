@@ -4,7 +4,10 @@ Two kinds of records come in from CSV:
 
 * switching records ``(v_pulse_V, switched)``: binary outcomes of programming
   pulses at various amplitudes, fitted by maximum likelihood to the normal-CDF
-  switching curve (probit regression on amplitude);
+  switching curve (probit regression on amplitude, one Newton loop on its
+  concave log-likelihood). Data with no finite rising fit (hits and misses
+  separated by amplitude, or switching that falls with amplitude) raises
+  :class:`DegenerateDataError`;
 * retention records ``(i_cc, retention_s)``: measured retention times grouped
   by compliance current, fitted per group to a lognormal via the sample median
   and the standard deviation of log-values. The moment-free fit is robust to
@@ -97,60 +100,42 @@ class ParamDeck:
 # --- switching-curve fit (probit MLE) ---------------------------------------
 
 
-def _probit_nll_grad(theta: np.ndarray, v: np.ndarray, y: np.ndarray):
-    """Negative log-likelihood and gradient in (mu, log sigma) coordinates."""
+def _probit_terms(theta: np.ndarray, v: np.ndarray, y: np.ndarray):
+    """Negative log-likelihood, gradient and Hessian in ``z = a + b*v`` coordinates.
+
+    Each record contributes ``log Phi(s*z)``, ``s = +1`` for a hit and ``-1``
+    for a miss. With ``lam = phi/Phi`` at the signed ``z``, its gradient in
+    ``(a, b)`` is ``-s*lam*(1, v)`` and its Hessian ``w*(1, v)(1, v)^T`` with
+    ``w = lam*(lam + z) > 0``, so the NLL is convex (Pratt 1981).
+    """
     from scipy.special import log_ndtr  # lazily: traces and trials never import scipy
-    mu, log_sigma = theta
-    sigma = math.exp(log_sigma)
-    z = (v - mu) / sigma
-    # log Phi(z) and log Phi(-z) stay finite far into the tails.
-    log_p = log_ndtr(z)
-    log_q = log_ndtr(-z)
-    nll = -float(np.sum(np.where(y, log_p, log_q)))
-    log_phi = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
-    # d log-lik / dz per record: phi/Phi for hits, -phi/(1-Phi) for misses.
-    dldz = np.where(y, np.exp(log_phi - log_p), -np.exp(log_phi - log_q))
-    # Chain rule with dz/dmu = -1/sigma and dz/d(log sigma) = -z, negated for nll.
-    g_mu = float(np.sum(dldz) / sigma)
-    g_ls = float(np.sum(dldz * z))
-    return nll, np.array([g_mu, g_ls])
+    sign = np.where(y, 1.0, -1.0)
+    z = sign * (theta[0] + theta[1] * v)
+    # log Phi stays finite far into the tails, where Phi itself underflows.
+    log_cdf = log_ndtr(z)
+    lam = np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_cdf)
+    w = lam * (lam + z)
+    g = -sign * lam
+    grad = np.array([np.sum(g), np.sum(g * v)])
+    wv = w * v
+    hess = np.array([[np.sum(w), np.sum(wv)], [np.sum(wv), np.sum(wv * v)]])
+    return -float(np.sum(log_cdf)), grad, hess
 
 
-def _numeric_hessian(theta, v, y, h=1e-5):
-    hess = np.empty((2, 2))
-    for j in range(2):
-        step = np.zeros(2)
-        step[j] = h
-        _, g_plus = _probit_nll_grad(theta + step, v, y)
-        _, g_minus = _probit_nll_grad(theta - step, v, y)
-        hess[:, j] = (g_plus - g_minus) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
-
-
-def _grid_search(v, y, mu_lo, mu_hi, sig_lo, sig_hi, n=50):
-    best = (math.inf, None)
-    for mu in np.linspace(mu_lo, mu_hi, n):
-        for sigma in np.geomspace(sig_lo, sig_hi, n):
-            theta = np.array([mu, math.log(sigma)])
-            nll, _ = _probit_nll_grad(theta, v, y)
-            if nll < best[0]:
-                best = (nll, theta)
-    return best[1]
-
-
-def fit_switching_curve(
-    records, tol: float = 1e-8, max_iter: int = 500
-) -> tuple[SwitchingCurve, SwitchingFitDiagnostics]:
+def fit_switching_curve(records) -> tuple[SwitchingCurve, SwitchingFitDiagnostics]:
     """Maximum-likelihood normal-CDF fit to binary switching outcomes.
 
-    Damped Newton ascent on the log-likelihood over (median, log spread),
-    converged when the parameter change drops below ``tol``; falls back to a
-    grid search over a box spanning the observed amplitudes if Newton fails
-    to converge. Standard errors come from the observed information matrix.
+    Newton's method with step halving on the probit model ``P(switch) =
+    Phi(a + b*v)``, whose log-likelihood is concave in ``(a, b)``; the curve
+    is ``v_median = -a/b``, ``v_spread = 1/b``. It stops when a step changes
+    ``(a, b)`` by at most ``1e-10`` relative, or unconverged after 100 steps.
+    Standard errors come from the inverse Hessian by the delta method.
 
     Raises :class:`InsufficientDataError` for fewer than 10 records and
-    :class:`DegenerateDataError` when all outcomes are identical or all
-    amplitudes coincide (the curve is unidentifiable).
+    :class:`DegenerateDataError` when no finite rising curve fits: all
+    outcomes identical, hits and misses separated by amplitude (no miss above
+    the lowest hit, or no hit above the lowest miss; Albert & Anderson 1984),
+    or a fitted slope that is not positive.
     """
     records = list(records)
     if len(records) < 10:
@@ -161,70 +146,43 @@ def fit_switching_curve(
     y = np.array([bool(r[1]) for r in records])
     if y.all() or not y.any():
         raise DegenerateDataError("all switching outcomes identical; curve unidentifiable")
-    if np.ptp(v) == 0.0:
-        raise DegenerateDataError("all pulse amplitudes identical; curve unidentifiable")
+    if v[~y].max() <= v[y].min() or v[y].max() <= v[~y].min():
+        raise DegenerateDataError(
+            "hits and misses are separated by pulse amplitude; no finite switching curve fits"
+        )
 
     mu0 = 0.5 * (float(v[y].mean()) + float(v[~y].mean()))
-    sigma0 = max(float(v.std()) / 2.0, 1e-6 * float(np.ptp(v)))
-    theta = np.array([mu0, math.log(sigma0)])
-
-    nll, grad = _probit_nll_grad(theta, v, y)
+    sigma0 = float(v.std()) / 2.0
+    theta = np.array([-mu0 / sigma0, 1.0 / sigma0])
+    nll, grad, hess = _probit_terms(theta, v, y)
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        hess = _numeric_hessian(theta, v, y)
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        # Backtrack until the likelihood stops getting worse; equality is
-        # fine, the parameter-change test below decides convergence.
-        scale = 1.0
-        accepted = False
-        for _ in range(40):
-            cand = theta + scale * step
-            cand_nll, cand_grad = _probit_nll_grad(cand, v, y)
-            if cand_nll <= nll:
-                accepted = True
+    for iterations in range(1, 101):
+        step = np.linalg.solve(hess, -grad)
+        while True:
+            cand = theta + step
+            cand_terms = _probit_terms(cand, v, y)
+            # Holds at the latest once the step no longer moves theta.
+            if cand_terms[0] <= nll:
                 break
-            scale *= 0.5
-        if not accepted:
-            # No improving direction left; a vanishing Newton step means we
-            # are at the optimum to working precision.
-            converged = float(np.max(np.abs(step))) < tol
-            break
-        delta = float(np.max(np.abs(cand - theta)))
-        theta, nll, grad = cand, cand_nll, cand_grad
-        if delta < tol:
-            converged = True
+            step = step / 2.0
+        converged = bool(np.linalg.norm(cand - theta) <= 1e-10 * np.linalg.norm(cand))
+        theta, (nll, grad, hess) = cand, cand_terms
+        if converged:
             break
 
-    if not converged:
-        span = float(np.ptp(v))
-        grid_theta = _grid_search(
-            v, y,
-            mu_lo=float(v.min()), mu_hi=float(v.max()),
-            sig_lo=1e-4 * span, sig_hi=span,
+    a, b = float(theta[0]), float(theta[1])
+    if not b > 0.0:
+        raise DegenerateDataError(
+            f"switching does not rise with pulse amplitude (fitted slope {b:g} per V)"
         )
-        grid_nll, _ = _probit_nll_grad(grid_theta, v, y)
-        if grid_nll < nll:
-            theta, nll = grid_theta, grid_nll
-
-    mu, sigma = float(theta[0]), math.exp(float(theta[1]))
-    hess = _numeric_hessian(theta, v, y)
-    try:
-        cov = np.linalg.inv(hess)
-        se_mu = math.sqrt(max(cov[0, 0], 0.0))
-        # Delta method: Var(sigma) = sigma^2 Var(log sigma).
-        se_sigma = sigma * math.sqrt(max(cov[1, 1], 0.0))
-    except np.linalg.LinAlgError:
-        se_mu = se_sigma = math.nan
-
-    curve = SwitchingCurve(v_median=mu, v_spread=sigma)
+    cov = np.linalg.inv(hess)
+    # Delta method: d(mu)/d(a, b) = (-1/b, a/b^2), d(sigma)/d(a, b) = (0, -1/b^2).
+    jac_mu = np.array([-1.0 / b, a / (b * b)])
+    curve = SwitchingCurve(v_median=-a / b, v_spread=1.0 / b)
     diag = SwitchingFitDiagnostics(
         log_likelihood=-nll,
-        se_v_median=se_mu,
-        se_v_spread=se_sigma,
+        se_v_median=math.sqrt(jac_mu @ cov @ jac_mu),
+        se_v_spread=math.sqrt(cov[1, 1]) / (b * b),
         n_records=len(records),
         n_iterations=iterations,
         converged=converged,

@@ -53,7 +53,7 @@ from .calibration import (
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import ConfigError
 from .experiment import RNG_LAYOUT, SweepGrid, run_trace_experiment, sample_count, sweep, sweep_cells
-from .network import TwoAfcConfig, run_trials
+from .network import TwoAfcConfig, check_trial_devices, run_trials
 from .reports import (
     REPORT_HEADER,
     TRACE_HEADER,
@@ -65,7 +65,7 @@ from .reports import (
     write_csv,
 )
 from .seeding import derive_seed, spawn_rng
-from .stream import StreamSpec, generate_periodic, generate_random, read_stream_csv
+from .stream import StreamSpec, check_duration, generate_periodic, generate_random, read_stream_csv
 from .svgplot import line_chart
 from .synapse import check_n_devices
 
@@ -118,6 +118,18 @@ def _checked(convert, ok, rule: str):
             raise ConfigError(f"{path} must be {rule}, got {value!r}")
         return value
     return convert_checked
+
+
+def _ruled(convert, check):
+    """``convert``, then a library range rule; its ``ValueError`` names the key path."""
+    def convert_ruled(value, path):
+        value = convert(value, path)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        return value
+    return convert_ruled
 
 
 _count = _checked(_int, lambda v: v >= 1, ">= 1")
@@ -204,9 +216,10 @@ _SCHEMA = _section({
         **_RETENTION,
     }, required=("n_devices", "i_cc_uA", "p_on", "duration_s", "n_a", "n_b")),
     "sweep": _section({
-        "durations_s": _list_of(_number),
+        # Checked per entry, so an error names the entry, not only the section.
+        "durations_s": _list_of(_ruled(_number, check_duration)),
         "ratios": _list_of(_row(_int, _int)),
-        "device_counts": _list_of(_int),
+        "device_counts": _list_of(_ruled(_int, check_trial_devices)),
         "i_cc_values_uA": _list_of(_number),
         "p_on_values": _list_of(_probability),
         "trials": _int,

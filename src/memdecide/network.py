@@ -30,7 +30,19 @@ import numpy as np
 from .device import DeviceParams, RetentionDistribution, check_p_on
 from .stream import StreamSpec, random_times
 
-__all__ = ["TwoAfcConfig", "TrialBatch", "decide", "on_probability", "run_trials"]
+__all__ = [
+    "TwoAfcConfig", "check_trial_devices", "TrialBatch", "decide", "on_probability", "run_trials",
+]
+
+
+def check_trial_devices(n_devices: int) -> None:
+    """Reject a synapse size outside ``[1, 2**63 - 1]``.
+
+    A trial allocates nothing per cell; its N only has to fit the int64 ``n``
+    of ``rng.binomial``.
+    """
+    if not 1 <= n_devices <= 2**63 - 1:
+        raise ValueError(f"n_devices must lie in [1, 2**63 - 1], got {n_devices}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +56,7 @@ class TwoAfcConfig:
     spec_b: StreamSpec
 
     def __post_init__(self):
-        # A trial allocates nothing per cell; its N only has to fit the int64
-        # ``n`` of ``rng.binomial``.
-        if not 1 <= self.n_devices <= 2**63 - 1:
-            raise ValueError(f"n_devices must lie in [1, 2**63 - 1], got {self.n_devices}")
+        check_trial_devices(self.n_devices)
         check_p_on(self.p_on)
         if self.spec_a.duration_s != self.spec_b.duration_s:
             raise ValueError(

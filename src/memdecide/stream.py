@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "StreamSpec",
+    "check_duration",
     "PulseStream",
     "generate_random",
     "random_times",
@@ -23,6 +24,16 @@ __all__ = [
     "read_stream_csv",
     "parse_finite",
 ]
+
+
+def check_duration(duration_s: float) -> None:
+    """Reject a trial window shorter than the smallest normal float, NaN included.
+
+    A subnormal window holds too few representable times for random_times to
+    keep a row strictly sorted inside it.
+    """
+    if not (duration_s >= sys.float_info.min):
+        raise ValueError(f"duration_s must be >= {sys.float_info.min}, got {duration_s}")
 
 
 @dataclass(frozen=True)
@@ -35,10 +46,7 @@ class StreamSpec:
     def __post_init__(self):
         if self.n_pulses < 0:
             raise ValueError(f"n_pulses must be >= 0, got {self.n_pulses}")
-        # A subnormal window holds too few representable times for random_times
-        # to keep a row strictly sorted inside it.
-        if not (self.duration_s >= sys.float_info.min):
-            raise ValueError(f"duration_s must be >= {sys.float_info.min}, got {self.duration_s}")
+        check_duration(self.duration_s)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Parameter fitting: probit round-trips, retention fits, deck files."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from memdecide import (
     DegenerateDataError,
@@ -24,13 +26,26 @@ from memdecide import (
     read_switching_csv,
     write_deck,
 )
-from memdecide.calibration import _probit_nll_grad
 
 
 def _synthetic_switching(curve, n, rng, lo=0.4, hi=0.8):
     v = rng.uniform(lo, hi, n)
     switched = rng.random(n) < curve.probability(v)
     return [SwitchingRecord(float(a), bool(b)) for a, b in zip(v, switched)]
+
+
+def _arrays(records):
+    return np.array([r.v_pulse_V for r in records]), np.array([r.switched for r in records])
+
+
+def _probit_nll(mu, log_sigma, v, y):
+    """Oracle: probit negative log-likelihood in (median, log spread)."""
+    z = (v - mu) / math.exp(log_sigma)
+    return -float(np.sum(np.where(y, log_ndtr(z), log_ndtr(-z))))
+
+
+def _grid_best_log_likelihood(v, y, mus, spreads):
+    return max(-_probit_nll(mu, math.log(s), v, y) for mu in mus for s in spreads)
 
 
 class TestSwitchingFit:
@@ -50,13 +65,12 @@ class TestSwitchingFit:
         # good as every point of a 50x50 grid over a box around it.
         records = _synthetic_switching(SwitchingCurve(0.6, 0.05), 2_000, rng)
         fitted, diag = fit_switching_curve(records)
-        v = np.array([r.v_pulse_V for r in records])
-        y = np.array([r.switched for r in records])
-        best = -math.inf
-        for mu in np.linspace(fitted.v_median - 0.02, fitted.v_median + 0.02, 50):
-            for spread in np.linspace(fitted.v_spread * 0.5, fitted.v_spread * 2.0, 50):
-                nll, _ = _probit_nll_grad(np.array([mu, math.log(spread)]), v, y)
-                best = max(best, -nll)
+        v, y = _arrays(records)
+        best = _grid_best_log_likelihood(
+            v, y,
+            np.linspace(fitted.v_median - 0.02, fitted.v_median + 0.02, 50),
+            np.linspace(fitted.v_spread * 0.5, fitted.v_spread * 2.0, 50),
+        )
         assert diag.log_likelihood >= best - 1e-9
 
     def test_interleaved_bands_place_median_between(self, rng):
@@ -67,15 +81,74 @@ class TestSwitchingFit:
         fitted, _ = fit_switching_curve(low + high)
         assert 0.58 < fitted.v_median < 0.62
         # Brute-force oracle over the identifiable region agrees.
-        v = np.array([r.v_pulse_V for r in low + high])
-        y = np.array([r.switched for r in low + high])
+        v, y = _arrays(low + high)
         grid_best, grid_arg = -math.inf, None
         for mu in np.linspace(0.55, 0.65, 101):
             for spread in np.geomspace(0.005, 0.1, 60):
-                nll, _ = _probit_nll_grad(np.array([mu, math.log(spread)]), v, y)
+                nll = _probit_nll(mu, math.log(spread), v, y)
                 if -nll > grid_best:
                     grid_best, grid_arg = -nll, mu
         assert fitted.v_median == pytest.approx(grid_arg, abs=0.002)
+
+    def test_standard_errors_match_numeric_hessian(self, rng):
+        # The SEs of the round trip above, against the inverse of a central-
+        # difference Hessian of the oracle NLL in (median, spread).
+        records = _synthetic_switching(SwitchingCurve(0.6, 0.05), 10_000, rng)
+        fitted, diag = fit_switching_curve(records)
+        v, y = _arrays(records)
+        theta = np.array([fitted.v_median, fitted.v_spread])
+        h = 1e-4 * theta[1]
+        nll = lambda t: _probit_nll(t[0], math.log(t[1]), v, y)
+        hess = np.empty((2, 2))
+        for i, j in np.ndindex(2, 2):
+            ei, ej = h * np.eye(2)[i], h * np.eye(2)[j]
+            hess[i, j] = (nll(theta + ei + ej) - nll(theta + ei - ej)
+                          - nll(theta - ei + ej) + nll(theta - ei - ej)) / (4 * h * h)
+        se = np.sqrt(np.diag(np.linalg.inv(hess)))
+        assert diag.se_v_median == pytest.approx(se[0], rel=1e-6)
+        assert diag.se_v_spread == pytest.approx(se[1], rel=1e-6)
+
+    def test_small_sample_reaches_maximum(self):
+        # 30 records whose narrow likelihood ridge can stall a fit short of the
+        # maximum (at -4.1402) when it steps in (median, log spread).
+        records = _synthetic_switching(SwitchingCurve(0.6, 0.05), 30, np.random.default_rng(245))
+        fitted, diag = fit_switching_curve(records)
+        assert diag.converged
+        v, y = _arrays(records)
+        best = _grid_best_log_likelihood(
+            v, y, np.linspace(0.55, 0.68, 131), np.geomspace(0.01, 0.05, 161)
+        )
+        assert best > -4.09
+        assert diag.log_likelihood >= best - 1e-9
+
+    @staticmethod
+    def _separated():
+        v = np.sort(np.random.default_rng(3).uniform(0.4, 0.8, 20))
+        return [SwitchingRecord(float(a), bool(a > 0.6)) for a in v]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["separated", "quasi-separated"])
+    def test_separated_outcomes_rejected(self, shared):
+        # No finite maximum: the likelihood keeps rising as the curve steepens.
+        records = self._separated()
+        if shared:
+            # One miss at the lowest hit's amplitude: the only overlap.
+            lowest_hit = min(r.v_pulse_V for r in records if r.switched)
+            records.append(SwitchingRecord(lowest_hit, False))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match="separated"):
+                fit_switching_curve(records)
+
+    def test_decreasing_outcomes_rejected(self, rng):
+        # Overlapping outcomes whose switching falls with amplitude.
+        curve = SwitchingCurve(0.6, 0.05)
+        v = rng.uniform(0.4, 0.8, 500)
+        switched = rng.random(500) < 1.0 - curve.probability(v)
+        records = [SwitchingRecord(float(a), bool(b)) for a, b in zip(v, switched)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match="does not rise"):
+                fit_switching_curve(records)
 
     def test_one_sided_outcomes_rejected(self):
         records = [SwitchingRecord(0.5 + 0.01 * i, True) for i in range(20)]

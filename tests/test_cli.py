@@ -319,6 +319,18 @@ class TestCalibrate:
         assert "switching_v_median_V" in diag
         assert "retention_median_s@10uA" in diag
 
+    def test_separated_outcomes_exit_one(self, tmp_path, capsys):
+        # Every miss below every hit: no finite curve fits, so nothing is written.
+        v = np.sort(np.random.default_rng(3).uniform(0.4, 0.8, 20))
+        sw = tmp_path / "sw.csv"
+        sw.write_text("v_pulse_V,switched\n" + "".join(f"{float(a)!r},{int(a > 0.6)}\n" for a in v))
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path / "c.cfg",
+                            {"seed": 5, "out_dir": str(out), "calibrate": {"switching_csv": str(sw)}})
+        assert main(["calibrate", "--config", cfg]) == 1
+        assert "separated by pulse amplitude" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deck_feeds_other_commands(self, tmp_path, rng):
         sw, ret = _calibration_fixtures(tmp_path, rng)
         cal_cfg = _write_config(
@@ -516,24 +528,26 @@ class TestConfigErrors:
         assert f"{replay}:{line}:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,path,value", [("sweep", "sweep.device_counts", [5, 2**63]),
-                                                    ("trial", "trial.n_devices", 2**63)],
+    @pytest.mark.parametrize("command,path,value,where",
+                             [("sweep", "sweep.device_counts", [5, 2**63], "sweep.device_counts[1]"),
+                              ("trial", "trial.n_devices", 2**63, "trial")],
                              ids=["sweep", "trial"])
     def test_device_count_beyond_binomial_range_exits_two(self, tmp_path, capsys,
-                                                          command, path, value):
+                                                          command, path, value, where):
         # rng.binomial takes an int64 count; 2**63 would overflow at run time.
         out = tmp_path / "out"
         payload = _CONFIGS[command](out)
         _set(payload, path, value)
         cfg = _write_config(tmp_path / "c.cfg", payload)
         assert main([command, "--config", cfg]) == 2
-        assert f"{command}: n_devices must lie in [1, 2**63 - 1]" in capsys.readouterr().err
+        assert f"{where}: n_devices must lie in [1, 2**63 - 1]" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,path,value", [("trial", "trial.duration_s", 5e-324),
-                                                    ("sweep", "sweep.durations_s", [2.0, 5e-324])],
+    @pytest.mark.parametrize("command,path,value,where",
+                             [("trial", "trial.duration_s", 5e-324, "trial"),
+                              ("sweep", "sweep.durations_s", [2.0, 5e-324], "sweep.durations_s[1]")],
                              ids=["trial", "sweep"])
-    def test_subnormal_window_exits_two(self, tmp_path, capsys, command, path, value):
+    def test_subnormal_window_exits_two(self, tmp_path, capsys, command, path, value, where):
         # A subnormal window holds too few representable pulse times: the
         # one-ulp nudges of duplicate times would carry pulses past its end.
         out = tmp_path / "out"
@@ -541,7 +555,7 @@ class TestConfigErrors:
         _set(payload, path, value)
         cfg = _write_config(tmp_path / "c.cfg", payload)
         assert main([command, "--config", cfg]) == 2
-        assert f"{command}: duration_s must be >= {sys.float_info.min}" in capsys.readouterr().err
+        assert f"{where}: duration_s must be >= {sys.float_info.min}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,path", [("trial", "trial.duration_s"),
