@@ -92,9 +92,8 @@ class ParamDeck:
             raise ValueError("retention_table must not be empty")
         medians = [dist.median_s for _, dist in table]
         if any(b < a for a, b in zip(medians, medians[1:])):
-            warnings.warn(
-                "retention medians are not monotone in i_cc", stacklevel=2
-            )
+            # stacklevel 3 names the caller, past the generated __init__.
+            warnings.warn("retention medians are not monotone in i_cc", stacklevel=3)
 
 
 # --- switching-curve fit (probit MLE) ---------------------------------------
@@ -198,6 +197,7 @@ def fit_retention(records, min_per_group: int = 5) -> RetentionTable:
 
     Median = sample median; sigma_log = sample standard deviation of the log
     values. Every distinct current needs at least ``min_per_group`` records.
+    Non-monotone medians pass; the :class:`ParamDeck` built from them warns.
     """
     groups: dict[float, list[float]] = {}
     for r in records:
@@ -218,10 +218,6 @@ def fit_retention(records, min_per_group: int = 5) -> RetentionTable:
         median = float(np.median(values))
         sigma_log = float(np.std(np.log(values), ddof=1))
         table.append((i_cc, RetentionDistribution(median_s=median, sigma_log=sigma_log)))
-
-    medians = [dist.median_s for _, dist in table]
-    if any(b < a for a, b in zip(medians, medians[1:])):
-        warnings.warn("retention medians are not monotone in i_cc", stacklevel=2)
     return table
 
 

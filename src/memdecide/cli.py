@@ -50,7 +50,7 @@ from .calibration import (
     read_switching_csv,
     write_deck,
 )
-from .device import DeviceParams, RetentionDistribution, SwitchingCurve
+from .device import DeviceParams, RetentionDistribution, SwitchingCurve, check_i_cc
 from .errors import ConfigError
 from .experiment import RNG_LAYOUT, SweepGrid, run_trace_experiment, sample_count, sweep, sweep_cells
 from .network import TwoAfcConfig, check_trial_devices, run_trials
@@ -65,7 +65,8 @@ from .reports import (
     write_csv,
 )
 from .seeding import derive_seed, spawn_rng
-from .stream import StreamSpec, check_duration, generate_periodic, generate_random, read_stream_csv
+from .stream import (StreamSpec, check_duration, check_n_pulses, generate_periodic,
+                     generate_random, read_stream_csv)
 from .svgplot import line_chart
 from .synapse import check_n_devices
 
@@ -174,6 +175,8 @@ def _section(fields: dict, required: tuple = ()):
     return convert_section
 
 
+_pulse_count = _ruled(_int, check_n_pulses)
+
 _RETENTION = {"retention_median_s": _number, "sigma_log": _number}
 
 _SCHEMA = _section({
@@ -218,9 +221,9 @@ _SCHEMA = _section({
     "sweep": _section({
         # Checked per entry, so an error names the entry, not only the section.
         "durations_s": _list_of(_ruled(_number, check_duration)),
-        "ratios": _list_of(_row(_int, _int)),
+        "ratios": _list_of(_row(_pulse_count, _pulse_count)),
         "device_counts": _list_of(_ruled(_int, check_trial_devices)),
-        "i_cc_values_uA": _list_of(_number),
+        "i_cc_values_uA": _list_of(_ruled(_number, check_i_cc)),
         "p_on_values": _list_of(_probability),
         "trials": _int,
         **_RETENTION,
@@ -389,6 +392,18 @@ class RunConfig:
             raise ConfigError("calibrate: need switching_csv and/or retention_csv")
 
 
+def _write_outputs(cfg: RunConfig, name: str, header, rows, *chart) -> None:
+    """Write ``<name>.csv``, and with ``svg`` on ``<name>.svg``, a ``line_chart(*chart)``."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    path = cfg.out_dir / f"{name}.csv"
+    write_csv(path, header, rows, cfg.header_comments())
+    print(f"wrote {path}", file=sys.stderr)
+    if cfg.svg and chart:
+        path = path.with_suffix(".svg")
+        line_chart(*chart, path)
+        print(f"wrote {path}", file=sys.stderr)
+
+
 # --- trace -------------------------------------------------------------------
 
 
@@ -405,15 +420,8 @@ def cmd_trace(cfg: RunConfig) -> int:
         )
         rows.extend(trace_rows(label, p_on, i_cc, trace, section["repeats"]))
         chart_series.append((label, trace.times, trace.count_on))
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out_csv = cfg.out_dir / "trace.csv"
-    write_csv(out_csv, TRACE_HEADER, rows, cfg.header_comments())
-    print(f"wrote {out_csv}", file=sys.stderr)
-    if cfg.svg:
-        out_svg = cfg.out_dir / "trace.svg"
-        line_chart(chart_series, "synapse integration", "time (s)", "mean devices ON", out_svg)
-        print(f"wrote {out_svg}", file=sys.stderr)
+    _write_outputs(cfg, "trace", TRACE_HEADER, rows,
+                   chart_series, "synapse integration", "time (s)", "mean devices ON")
     return 0
 
 
@@ -422,74 +430,53 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 def cmd_trial(cfg: RunConfig) -> int:
     row = trial_row(0, run_trials(cfg.trial, 1, spawn_rng(cfg.seed, "trial", 0)))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out_csv = cfg.out_dir / "trial.csv"
-    write_csv(out_csv, TRIAL_HEADER, [row], cfg.header_comments())
+    _write_outputs(cfg, "trial", TRIAL_HEADER, [row])
     print(",".join(TRIAL_HEADER))
     print(row)
-    print(f"wrote {out_csv}", file=sys.stderr)
     return 0
 
 
 # --- sweep -------------------------------------------------------------------
 
+# One row per sweep axis, in grid order: the AccuracyPoint field a chart
+# plots it as, the SweepGrid field of its values, and its series label.
+_SWEEP_AXES = (
+    ("duration_s", "durations_s", lambda p: f"T={p.duration_s:g}s"),
+    ("n_a", "ratios", lambda p: f"{p.n_a}/{p.n_b}"),
+    ("n_devices", "device_counts", lambda p: f"N={p.n_devices}"),
+    ("i_cc_uA", "i_cc_values_uA", lambda p: f"Icc={p.i_cc_uA:g}"),
+    ("p_on", "p_on_values", lambda p: f"p={p.p_on:g}"),
+)
+
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    grid = cfg.grid
-    points = sweep(cfg.cells, grid.trials_per_point, max_workers=cfg.threads)
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out_csv = cfg.out_dir / "report.csv"
-    write_csv(out_csv, REPORT_HEADER, report_rows(points), cfg.header_comments())
-    print(f"wrote {out_csv}", file=sys.stderr)
-
-    if cfg.svg:
-        axis, x_of = _chart_axis(grid)
-        groups: dict[str, list] = {}
-        for p in points:
-            label_bits = []
-            if axis != "duration_s" and len(grid.durations_s) > 1:
-                label_bits.append(f"T={p.duration_s:g}s")
-            if axis != "ratio" and len(grid.ratios) > 1:
-                label_bits.append(f"{p.n_a}/{p.n_b}")
-            if axis != "n_devices" and len(grid.device_counts) > 1:
-                label_bits.append(f"N={p.n_devices}")
-            if axis != "i_cc_uA" and len(grid.i_cc_values_uA) > 1:
-                label_bits.append(f"Icc={p.i_cc_uA:g}")
-            if axis != "p_on" and len(grid.p_on_values) > 1:
-                label_bits.append(f"p={p.p_on:g}")
-            groups.setdefault(", ".join(label_bits) or "accuracy", []).append((x_of(p), p.accuracy))
-        series = [
-            (label, [x for x, _ in pts], [y for _, y in pts])
-            for label, pts in groups.items()
-        ]
-        out_svg = cfg.out_dir / "report.svg"
-        line_chart(series, "decision accuracy", axis, "accuracy", out_svg)
-        print(f"wrote {out_svg}", file=sys.stderr)
+    points = sweep(cfg.cells, cfg.grid.trials_per_point, max_workers=cfg.threads)
+    # The x axis is the first varying axis other than the ratio, else the
+    # ratio at n_a; every other varying axis labels the series.
+    varying = [axis for axis in _SWEEP_AXES if len(getattr(cfg.grid, axis[1])) > 1]
+    x_field = next((field for field, _, _ in varying if field != "n_a"), "n_a")
+    groups: dict[str, tuple[list, list]] = {}
+    for p in points:
+        label = ", ".join(label_of(p) for field, _, label_of in varying if field != x_field)
+        xs, ys = groups.setdefault(label or "accuracy", ([], []))
+        xs.append(getattr(p, x_field))
+        ys.append(p.accuracy)
+    series = [(label, xs, ys) for label, (xs, ys) in groups.items()]
+    _write_outputs(cfg, "report", REPORT_HEADER, report_rows(points),
+                   series, "decision accuracy", x_field, "accuracy")
     return 0
-
-
-def _chart_axis(grid: SweepGrid):
-    if len(grid.durations_s) > 1:
-        return "duration_s", lambda p: p.duration_s
-    if len(grid.device_counts) > 1:
-        return "n_devices", lambda p: p.n_devices
-    if len(grid.i_cc_values_uA) > 1:
-        return "i_cc_uA", lambda p: p.i_cc_uA
-    if len(grid.p_on_values) > 1:
-        return "p_on", lambda p: p.p_on
-    return "n_a", lambda p: p.n_a
 
 
 # --- calibrate ---------------------------------------------------------------
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
-    defaults = default_deck()
+    """Fit what the inputs give; the rest comes from the configured deck."""
+    source = cfg.deck.provenance if cfg.effective.keys() & {"deck", "device"} else "built-in default"
     diag_rows = []
     provenance_bits = []
 
-    switching = defaults.switching
+    switching = cfg.deck.switching
     if "switching_csv" in cfg.inputs:
         path = cfg.inputs["switching_csv"]
         records = read_switching_csv(path)
@@ -500,9 +487,9 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         diag_rows.append(("switching_log_likelihood", float(diag.log_likelihood), 0.0))
         diag_rows.append(("switching_converged", 1.0 if diag.converged else 0.0, 0.0))
     else:
-        provenance_bits.append("switching curve: built-in default")
+        provenance_bits.append(f"switching curve: {source}")
 
-    table = defaults.retention_table
+    table = cfg.deck.retention_table
     if "retention_csv" in cfg.inputs:
         path = cfg.inputs["retention_csv"]
         records = read_retention_csv(path)
@@ -512,19 +499,15 @@ def cmd_calibrate(cfg: RunConfig) -> int:
             diag_rows.append((f"retention_median_s@{i_cc:g}uA", float(dist.median_s), 0.0))
             diag_rows.append((f"retention_sigma_log@{i_cc:g}uA", float(dist.sigma_log), 0.0))
     else:
-        provenance_bits.append("retention table: built-in default")
+        provenance_bits.append(f"retention table: {source}")
 
     provenance = cfg.section.get("provenance", "; ".join(provenance_bits))
     deck = ParamDeck(switching=switching, retention_table=table, provenance=provenance)
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_outputs(cfg, "calibration", ["quantity", "value", "stderr"], format_rows(*zip(*diag_rows)))
     deck_path = cfg.out_dir / "deck.json"
     write_deck(deck, deck_path)
-    diag_path = cfg.out_dir / "calibration.csv"
-    write_csv(diag_path, ["quantity", "value", "stderr"], format_rows(*zip(*diag_rows)),
-              cfg.header_comments())
     print(f"wrote {deck_path}", file=sys.stderr)
-    print(f"wrote {diag_path}", file=sys.stderr)
     return 0
 
 

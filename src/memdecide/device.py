@@ -35,7 +35,7 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 
-__all__ = ["SwitchingCurve", "RetentionDistribution", "DeviceParams", "check_p_on"]
+__all__ = ["SwitchingCurve", "RetentionDistribution", "DeviceParams", "check_p_on", "check_i_cc"]
 
 
 def _require_finite(obj, *fields) -> None:
@@ -49,6 +49,12 @@ def check_p_on(p_on: float) -> None:
     """Reject a per-pulse switching probability outside [0, 1], NaN included."""
     if not 0.0 <= p_on <= 1.0:
         raise ValueError(f"p_on must lie in [0, 1], got {p_on}")
+
+
+def check_i_cc(i_cc_uA: float) -> None:
+    """Reject a compliance current that is not positive, NaN included."""
+    if not (i_cc_uA > 0.0):
+        raise ValueError(f"i_cc_uA must be > 0, got {i_cc_uA}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +147,7 @@ class DeviceParams:
     i_off_uA: float = 0.0
 
     def __post_init__(self):
-        if not (self.i_cc_uA > 0.0):
-            raise ValueError(f"i_cc_uA must be > 0, got {self.i_cc_uA}")
+        check_i_cc(self.i_cc_uA)
         if self.i_on_uA is None:
             object.__setattr__(self, "i_on_uA", float(self.i_cc_uA))
         _require_finite(self, "i_cc_uA", "i_on_uA", "i_off_uA")

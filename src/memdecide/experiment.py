@@ -40,7 +40,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,9 +112,11 @@ class SweepGrid:
             raise ValueError("trials_per_point must be >= 1")
 
 
-@dataclass(frozen=True)
-class AccuracyPoint:
-    """One sweep cell: its grid coordinates and the accuracy estimate."""
+class AccuracyPoint(NamedTuple):
+    """One sweep cell: its grid coordinates and the accuracy estimate.
+
+    The fields are the columns of a sweep report, in order.
+    """
 
     duration_s: float
     n_a: int
@@ -145,20 +147,10 @@ def estimate_accuracy(cfg: TwoAfcConfig, trials: int, master_seed: int) -> Accur
         )
         n_correct += int(np.count_nonzero(batch.correct))
         n_ties += int(np.count_nonzero(batch.tie))
-    accuracy = n_correct / trials
-    ci_low, ci_high = wilson_interval(n_correct, trials)
     return AccuracyPoint(
-        duration_s=cfg.duration_s,
-        n_a=cfg.spec_a.n_pulses,
-        n_b=cfg.spec_b.n_pulses,
-        n_devices=cfg.n_devices,
-        i_cc_uA=cfg.params.i_cc_uA,
-        p_on=cfg.p_on,
-        accuracy=accuracy,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        n_trials=trials,
-        n_ties=n_ties,
+        float(cfg.duration_s), cfg.spec_a.n_pulses, cfg.spec_b.n_pulses, cfg.n_devices,
+        float(cfg.params.i_cc_uA), float(cfg.p_on),
+        n_correct / trials, *wilson_interval(n_correct, trials), trials, n_ties,
     )
 
 

@@ -31,10 +31,7 @@ __all__ = [
 
 TRACE_HEADER = ["series", "p_on", "i_cc_uA", "t_s", "count_on", "current_uA", "repeat_mean"]
 TRIAL_HEADER = ["trial", "decision", "correct", "i1_uA", "i2_uA", "count1", "count2", "tie"]
-REPORT_HEADER = [
-    "duration_s", "n_a", "n_b", "n_devices", "i_cc_uA", "p_on",
-    "accuracy", "ci_low", "ci_high", "n_trials", "n_ties",
-]
+REPORT_HEADER = list(AccuracyPoint._fields)
 
 
 def _format(values: np.ndarray) -> list[str]:
@@ -88,13 +85,5 @@ def trial_row(index: int, batch: TrialBatch) -> str:
 
 
 def report_rows(points: Iterable[AccuracyPoint]) -> list[str]:
-    rows = [
-        (
-            float(p.duration_s), p.n_a, p.n_b, p.n_devices,
-            float(p.i_cc_uA), float(p.p_on),
-            float(p.accuracy), float(p.ci_low), float(p.ci_high),
-            p.n_trials, p.n_ties,
-        )
-        for p in points
-    ]
-    return format_rows(*zip(*rows))
+    """One row per point, its fields in ``REPORT_HEADER`` order."""
+    return format_rows(*zip(*points))

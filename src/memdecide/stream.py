@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "StreamSpec",
+    "check_n_pulses",
     "check_duration",
     "PulseStream",
     "generate_random",
@@ -24,6 +25,12 @@ __all__ = [
     "read_stream_csv",
     "parse_finite",
 ]
+
+
+def check_n_pulses(n_pulses: int) -> None:
+    """Reject a negative pulse count."""
+    if n_pulses < 0:
+        raise ValueError(f"n_pulses must be >= 0, got {n_pulses}")
 
 
 def check_duration(duration_s: float) -> None:
@@ -44,8 +51,7 @@ class StreamSpec:
     duration_s: float
 
     def __post_init__(self):
-        if self.n_pulses < 0:
-            raise ValueError(f"n_pulses must be >= 0, got {self.n_pulses}")
+        check_n_pulses(self.n_pulses)
         check_duration(self.duration_s)
 
 
@@ -107,8 +113,7 @@ def generate_periodic(n_pulses: int, rate_hz: float, start_s: float = 0.0) -> Pu
     """
     if not (rate_hz > 0.0):
         raise ValueError(f"rate_hz must be > 0, got {rate_hz}")
-    if n_pulses < 0:
-        raise ValueError(f"n_pulses must be >= 0, got {n_pulses}")
+    check_n_pulses(n_pulses)
     times = start_s + np.arange(n_pulses, dtype=float) / rate_hz
     duration = start_s + n_pulses / rate_hz
     if duration <= 0.0:

@@ -194,10 +194,15 @@ class TestRetentionFit:
         assert table[0][1].median_s < table[1][1].median_s
 
     def test_non_monotone_medians_warn_not_fail(self):
+        # The fit passes the table on; the deck built from it warns once and
+        # names its caller, not the dataclass's generated __init__.
         records = [RetentionRecord(10.0, 1.0)] * 5 + [RetentionRecord(300.0, 0.01)] * 5
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             table = fit_retention(records)
+            ParamDeck(SwitchingCurve(0.6, 0.05), table)
         assert len(table) == 2
+        assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
     def test_small_group_rejected(self):
         records = [RetentionRecord(10.0, 0.01)] * 5 + [RetentionRecord(300.0, 1.0)] * 4

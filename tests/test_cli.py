@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -290,6 +291,19 @@ class TestSweep:
         rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
         assert [row[3] for row in rows] == [str(10**17)] * 2
 
+    def test_ratio_only_chart_draws_one_line(self, tmp_path):
+        # With nothing else varying, the ratio is the x axis (at n_a), so the
+        # chart has one series through every cell, not one per cell.
+        payload = _sweep_config(tmp_path / "out", trials=10)
+        payload["sweep"]["durations_s"] = [2.0]
+        payload["sweep"]["ratios"] = [[2, 1], [4, 2], [8, 4]]
+        cfg = _write_config(tmp_path / "s.cfg", payload)
+        assert main(["sweep", "--config", cfg, "--svg"]) == 0
+        svg = (tmp_path / "out" / "report.svg").read_text()
+        (points,) = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert len(points.split()) == 3
+        assert ">accuracy</text>" in svg and ">n_a</text>" in svg
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = _write_config(tmp_path / "s.cfg", _sweep_config(tmp_path / "o1"))
         assert main(["sweep", "--config", cfg]) == 0
@@ -318,6 +332,20 @@ class TestCalibrate:
         diag = (tmp_path / "out" / "calibration.csv").read_text()
         assert "switching_v_median_V" in diag
         assert "retention_median_s@10uA" in diag
+
+    def test_device_section_supplies_what_is_not_fitted(self, tmp_path, rng):
+        # Only retention is fitted, so the switching curve is the device section's.
+        _, ret = _calibration_fixtures(tmp_path, rng)
+        cfg = _write_config(
+            tmp_path / "c.cfg",
+            {"seed": 5, "out_dir": str(tmp_path / "out"),
+             "device": {"v_median_V": 0.9, "v_spread_V": 0.1},
+             "calibrate": {"retention_csv": str(ret)}},
+        )
+        assert main(["calibrate", "--config", cfg]) == 0
+        deck = read_deck(tmp_path / "out" / "deck.json")
+        assert deck.switching == SwitchingCurve(0.9, 0.1)
+        assert "switching curve: inline device section" in deck.provenance
 
     def test_separated_outcomes_exit_one(self, tmp_path, capsys):
         # Every miss below every hit: no finite curve fits, so nothing is written.
@@ -541,6 +569,28 @@ class TestConfigErrors:
         cfg = _write_config(tmp_path / "c.cfg", payload)
         assert main([command, "--config", cfg]) == 2
         assert f"{where}: n_devices must lie in [1, 2**63 - 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,path,value,message",
+        [("sweep", "sweep.ratios", [[2, 1], [-2, 1]],
+          "sweep.ratios[1][0]: n_pulses must be >= 0, got -2"),
+         ("sweep", "sweep.i_cc_values_uA", [270.0, -5],
+          "sweep.i_cc_values_uA[1]: i_cc_uA must be > 0, got -5.0"),
+         # Trial and trace range errors name the section.
+         ("trial", "trial.n_b", -2, "trial: n_pulses must be >= 0, got -2"),
+         ("trial", "trial.i_cc_uA", -5, "trial: i_cc_uA must be > 0, got -5.0"),
+         ("trace", "trace.pulses.n_pulses", -2, "trace: n_pulses must be >= 0, got -2")],
+        ids=["sweep.ratios", "sweep.i_cc_values_uA", "trial.n_b", "trial.i_cc_uA",
+             "trace.pulses.n_pulses"],
+    )
+    def test_range_error_names_its_entry(self, tmp_path, capsys, command, path, value, message):
+        out = tmp_path / "out"
+        payload = _CONFIGS[command](out)
+        _set(payload, path, value)
+        cfg = _write_config(tmp_path / "c.cfg", payload)
+        assert main([command, "--config", cfg]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,path,value,where",
