@@ -1,17 +1,20 @@
 """One two-alternative forced-choice trial, step by step, then many at once.
 
-Two channels emit random pulse streams, 40 pulses against 20, into two
-20-cell synapses. At the end of the window the synaptic currents are
-compared; the larger one names the winning channel. Single trials are noisy;
-accuracy emerges over many seeded repetitions.
+Two channels emit random pulse streams, 40 pulses against 20 over one 2 s
+window, into two 20-cell synapses. At the end of the window the larger
+synaptic current names the winning channel. Both synapses have the same cells
+and currents, so that is the synapse with more cells ON: the comparator reads
+the two ON counts. Single trials are noisy; accuracy emerges over many seeded
+repetitions.
 """
+
+import dataclasses
 
 import numpy as np
 
 from memdecide import (
     DeviceParams,
     RetentionDistribution,
-    StreamSpec,
     SwitchingCurve,
     TwoAfcConfig,
     estimate_accuracy,
@@ -23,19 +26,21 @@ cfg = TwoAfcConfig(
     n_devices=20,
     params=DeviceParams(270.0, RetentionDistribution(2.0, 0.5)),
     p_on=0.05,  # every pulse switches an OFF cell with probability 5%
-    spec_a=StreamSpec(n_pulses=40, duration_s=2.0),
-    spec_b=StreamSpec(n_pulses=20, duration_s=2.0),
+    n_a=40,
+    n_b=20,
+    duration_s=2.0,
 )
 print(f"pulse amplitude for 5% switching: {curve.quantile(cfg.p_on):.4f} V")
 
 # A handful of individual trials. Channel A fires twice as often, so it is
-# the ground truth; each trial reads both currents at t = 2 s and compares.
+# the ground truth; each trial reads both synapses at t = 2 s and compares.
 print("\nten single trials:")
 for i in range(10):
     r = run_trials(cfg, 1, np.random.default_rng(i))  # a batch of one trial
+    i1, i2 = (cfg.params.current_uA(count, cfg.n_devices) for count in (r.count1[0], r.count2[0]))
     print(
         f"  trial {i}: counts {r.count1[0]:2d} vs {r.count2[0]:2d}, "
-        f"currents {r.i1_uA[0]:6.0f} vs {r.i2_uA[0]:6.0f} uA -> {'A' if r.choose_a[0] else 'B'} "
+        f"currents {i1:6.0f} vs {i2:6.0f} uA -> {'A' if r.choose_a[0] else 'B'} "
         f"({'correct' if r.correct[0] else 'wrong'}{', tie' if r.tie[0] else ''})"
     )
 
@@ -49,10 +54,7 @@ print(
 # Take the evidence away and the system falls back to guessing: at p_on = 0
 # (a pulse amplitude far below threshold) nothing switches and every trial is
 # a tie.
-blind = TwoAfcConfig(
-    n_devices=20, params=cfg.params, p_on=0.0,
-    spec_a=cfg.spec_a, spec_b=cfg.spec_b,
-)
+blind = dataclasses.replace(cfg, p_on=0.0)
 chance = estimate_accuracy(blind, trials=500, master_seed=7)
 print(
     f"no-evidence baseline: {chance.accuracy:.3f} "

@@ -5,8 +5,8 @@ decision network, with a Monte Carlo harness and a calibration pipeline.
 The short-term memory of the system lives in the devices themselves: an ON
 cell holds a dissolving filament whose expiry time is the hidden state. Pulse
 streams integrate onto parallel synapses; the decaying ON counts are the
-evidence traces; a sign comparator on the two synaptic currents makes the
-choice at the end of the trial window.
+evidence traces; a sign comparator on the two ON counts, which order the two
+synaptic currents, makes the choice at the end of the trial window.
 """
 
 from .calibration import (
@@ -43,7 +43,6 @@ from .network import TrialBatch, TwoAfcConfig, decide, run_trials
 from .seeding import derive_seed, spawn_rng
 from .stream import (
     PulseStream,
-    StreamSpec,
     generate_periodic,
     generate_random,
     read_stream_csv,
@@ -63,7 +62,6 @@ __all__ = [
     "PulseStream",
     "RetentionDistribution",
     "RetentionRecord",
-    "StreamSpec",
     "SweepGrid",
     "SwitchingCurve",
     "SwitchingFitDiagnostics",

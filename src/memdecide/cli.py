@@ -65,8 +65,7 @@ from .reports import (
     write_csv,
 )
 from .seeding import derive_seed, spawn_rng
-from .stream import (StreamSpec, check_duration, check_n_pulses, generate_periodic,
-                     generate_random, read_stream_csv)
+from .stream import check_duration, check_n_pulses, generate_periodic, generate_random, read_stream_csv
 from .svgplot import line_chart
 from .synapse import check_n_devices
 
@@ -225,7 +224,7 @@ _SCHEMA = _section({
         "device_counts": _list_of(_ruled(_int, check_trial_devices)),
         "i_cc_values_uA": _list_of(_ruled(_number, check_i_cc)),
         "p_on_values": _list_of(_probability),
-        "trials": _int,
+        "trials": _count,
         **_RETENTION,
     }, required=("durations_s", "ratios", "device_counts", "i_cc_values_uA", "p_on_values")),
     "calibrate": _section({"switching_csv": _string, "retention_csv": _string, "provenance": _string}),
@@ -276,12 +275,15 @@ class RunConfig:
 
         self.deck = default_deck()
         self.i_off_uA = 0.0
+        # Where each part of the deck comes from; calibrate names it for what it does not fit.
+        self.sources = dict.fromkeys(("switching curve", "retention table"), "built-in default")
         if "deck" in conf:
             deck_path = self._input("deck", conf["deck"])
             try:
                 self.deck = read_deck(deck_path)
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"config: invalid deck {deck_path}: {exc!r}") from exc
+            self.sources = dict.fromkeys(self.sources, self.deck.provenance)
         try:
             if "device" in conf:
                 self._build_device(conf["device"])
@@ -314,7 +316,9 @@ class RunConfig:
     def _build_device(self, device: dict) -> None:
         self.i_off_uA = device.get("i_off_uA", 0.0)
         table = self.deck.retention_table
+        self.sources["switching curve"] = "inline device section"
         if "retention_table" in device:
+            self.sources["retention table"] = "inline device section"
             table = [(i_cc, RetentionDistribution(median, sigma))
                      for i_cc, median, sigma in device["retention_table"]]
         self.deck = ParamDeck(
@@ -341,8 +345,7 @@ class RunConfig:
         if "replay_csv" in pulses:
             self.stream = read_stream_csv(self._input("trace.pulses.replay_csv", pulses["replay_csv"]))
         elif "random" in pulses:
-            spec = StreamSpec(pulses["random"]["n_pulses"], pulses["random"]["duration_s"])
-            self.stream = generate_random(spec, spawn_rng(self.seed, "trace-stream"))
+            self.stream = generate_random(**pulses["random"], rng=spawn_rng(self.seed, "trace-stream"))
         elif not {"n_pulses", "rate_hz"} <= periodic:
             raise ConfigError("trace.pulses: a periodic train needs n_pulses and rate_hz")
         else:
@@ -367,8 +370,7 @@ class RunConfig:
             n_devices=section["n_devices"],
             params=self.params_at(section["i_cc_uA"], self._retention(section.get("retention_median_s"))),
             p_on=section["p_on"],
-            spec_a=StreamSpec(section["n_a"], section["duration_s"]),
-            spec_b=StreamSpec(section["n_b"], section["duration_s"]),
+            n_a=section["n_a"], n_b=section["n_b"], duration_s=section["duration_s"],
         )
 
     def _build_sweep(self, section: dict) -> None:
@@ -429,7 +431,7 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def cmd_trial(cfg: RunConfig) -> int:
-    row = trial_row(0, run_trials(cfg.trial, 1, spawn_rng(cfg.seed, "trial", 0)))
+    row = trial_row(0, cfg.trial, run_trials(cfg.trial, 1, spawn_rng(cfg.seed, "trial", 0)))
     _write_outputs(cfg, "trial", TRIAL_HEADER, [row])
     print(",".join(TRIAL_HEADER))
     print(row)
@@ -472,7 +474,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     """Fit what the inputs give; the rest comes from the configured deck."""
-    source = cfg.deck.provenance if cfg.effective.keys() & {"deck", "device"} else "built-in default"
     diag_rows = []
     provenance_bits = []
 
@@ -487,7 +488,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         diag_rows.append(("switching_log_likelihood", float(diag.log_likelihood), 0.0))
         diag_rows.append(("switching_converged", 1.0 if diag.converged else 0.0, 0.0))
     else:
-        provenance_bits.append(f"switching curve: {source}")
+        provenance_bits.append(f"switching curve: {cfg.sources['switching curve']}")
 
     table = cfg.deck.retention_table
     if "retention_csv" in cfg.inputs:
@@ -499,7 +500,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
             diag_rows.append((f"retention_median_s@{i_cc:g}uA", float(dist.median_s), 0.0))
             diag_rows.append((f"retention_sigma_log@{i_cc:g}uA", float(dist.sigma_log), 0.0))
     else:
-        provenance_bits.append(f"retention table: {source}")
+        provenance_bits.append(f"retention table: {cfg.sources['retention table']}")
 
     provenance = cfg.section.get("provenance", "; ".join(provenance_bits))
     deck = ParamDeck(switching=switching, retention_table=table, provenance=provenance)

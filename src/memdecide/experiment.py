@@ -48,7 +48,7 @@ from .calibration import ParamDeck, default_deck, device_params
 from .device import DeviceParams, RetentionDistribution, check_p_on
 from .network import TwoAfcConfig, run_trials
 from .seeding import derive_seed, spawn_rng
-from .stream import PulseStream, StreamSpec
+from .stream import PulseStream
 from .synapse import TRIAL_CHUNK, Trace, check_n_devices, trace_counts
 
 __all__ = [
@@ -148,7 +148,7 @@ def estimate_accuracy(cfg: TwoAfcConfig, trials: int, master_seed: int) -> Accur
         n_correct += int(np.count_nonzero(batch.correct))
         n_ties += int(np.count_nonzero(batch.tie))
     return AccuracyPoint(
-        float(cfg.duration_s), cfg.spec_a.n_pulses, cfg.spec_b.n_pulses, cfg.n_devices,
+        float(cfg.duration_s), cfg.n_a, cfg.n_b, cfg.n_devices,
         float(cfg.params.i_cc_uA), float(cfg.p_on),
         n_correct / trials, *wilson_interval(n_correct, trials), trials, n_ties,
     )
@@ -188,8 +188,7 @@ def sweep_cells(
             # memdecide._normal, bit-identical to scipy. Dropping it changes
             # those files, so it waits for a refresh of perfbench/golden/.
             p_on=float(deck.switching.probability(deck.switching.quantile(p_on))),
-            spec_a=StreamSpec(n_pulses=n_a, duration_s=duration_s),
-            spec_b=StreamSpec(n_pulses=n_b, duration_s=duration_s),
+            n_a=n_a, n_b=n_b, duration_s=duration_s,
         )
         seed = derive_seed(grid.master_seed, duration_s, n_a, n_b, n_devices, i_cc_uA, p_on)
         cells.append((cfg, seed))

@@ -1,15 +1,18 @@
 """Two-alternative forced-choice decision network.
 
-Two input channels drive two equally sized synapses. Each channel emits a
-random pulse stream with a fixed pulse count, every pulse switching with the
-same ``p_on``; the channel with strictly more pulses is the ground-truth
-answer. At the end of the trial window both
-synaptic currents are read and an ideal sign comparator picks the larger one.
+Two input channels drive two equally sized synapses. Over one trial window,
+channel A emits ``n_a`` and channel B ``n_b`` randomly placed pulses, every
+pulse switching with the same ``p_on``; the channel with strictly more
+pulses is the ground-truth answer. At the end of the window an ideal sign
+comparator picks the synapse with the larger current. Both synapses have the
+same ``N`` cells and currents, and a synapse's current ``N*i_off + c*(i_on -
+i_off)`` rises strictly with its ON count ``c``, so the comparator decides on
+the two ON counts: in integers the comparison stays exact at any ``N``,
+where float64 currents of adjacent counts coincide from ``N`` near ``2**55``.
 An exact tie is broken uniformly at random and flagged, which keeps the
 no-evidence baseline at chance level.
 
-:func:`run_trials` runs ``m`` trials of one configuration at once. The
-comparator sees only the two ON counts at the end of the window, and once a
+:func:`run_trials` runs ``m`` trials of one configuration at once. Once a
 stream's pulse times are drawn the ``N`` cells of its synapse are
 independent and identically distributed, so each count is exactly
 ``Binomial(N, pi)``, ``pi`` being one cell's chance to be ON at the end
@@ -28,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .device import DeviceParams, RetentionDistribution, check_p_on
-from .stream import StreamSpec, random_times
+from .stream import check_duration, check_n_pulses, random_times
 
 __all__ = [
     "TwoAfcConfig", "check_trial_devices", "TrialBatch", "decide", "on_probability", "run_trials",
@@ -47,26 +50,21 @@ def check_trial_devices(n_devices: int) -> None:
 
 @dataclass(frozen=True)
 class TwoAfcConfig:
-    """One trial's configuration: two stream specs over a common window, pulses at ``p_on``."""
+    """One trial: ``n_a`` against ``n_b`` pulses at ``p_on`` over one window, N cells per synapse."""
 
     n_devices: int
     params: DeviceParams
     p_on: float
-    spec_a: StreamSpec
-    spec_b: StreamSpec
+    n_a: int
+    n_b: int
+    duration_s: float
 
     def __post_init__(self):
+        check_n_pulses(self.n_a)
+        check_n_pulses(self.n_b)
+        check_duration(self.duration_s)
         check_trial_devices(self.n_devices)
         check_p_on(self.p_on)
-        if self.spec_a.duration_s != self.spec_b.duration_s:
-            raise ValueError(
-                "both streams must share one trial window: "
-                f"{self.spec_a.duration_s} != {self.spec_b.duration_s}"
-            )
-
-    @property
-    def duration_s(self) -> float:
-        return self.spec_a.duration_s
 
 
 class TrialBatch(NamedTuple):
@@ -74,28 +72,28 @@ class TrialBatch(NamedTuple):
 
     ``correct`` is defined against the stream with strictly more pulses; when
     the pulse counts are equal either choice counts as correct (the task has
-    no ground truth at ratio 1).
+    no ground truth at ratio 1). A trial's currents follow from its counts
+    through :meth:`memdecide.device.DeviceParams.current_uA`.
     """
 
     choose_a: np.ndarray
     correct: np.ndarray
-    i1_uA: np.ndarray
-    i2_uA: np.ndarray
     count1: np.ndarray
     count2: np.ndarray
     tie: np.ndarray
 
 
-def decide(i1, i2, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sign comparator on current pairs; returns ``(choose_a, tie)`` arrays.
+def decide(count1, count2, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sign comparator on ON-count pairs; returns ``(choose_a, tie)`` arrays.
 
-    An exact tie goes to A when its uniform is below 0.5. One uniform is
-    drawn per pair, tie or not, so the draws never depend on the outcome.
+    The counts are compared as given, integers exactly. An exact tie goes to
+    A when its uniform is below 0.5. One uniform is drawn per pair, tie or
+    not, so the draws never depend on the outcome.
     """
-    i1, i2 = np.asarray(i1, dtype=float), np.asarray(i2, dtype=float)
-    u = rng.random(i1.shape)
-    tie = i1 == i2
-    return np.where(tie, u < 0.5, i1 > i2), tie
+    count1, count2 = np.asarray(count1), np.asarray(count2)
+    u = rng.random(count1.shape)
+    tie = count1 == count2
+    return np.where(tie, u < 0.5, count1 > count2), tie
 
 
 def on_probability(
@@ -132,15 +130,11 @@ def run_trials(cfg: TwoAfcConfig, m: int, rng: np.random.Generator) -> TrialBatc
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    params = cfg.params
-    stream_times = (random_times(cfg.spec_a, m, rng), random_times(cfg.spec_b, m, rng))
+    stream_times = [random_times(n, cfg.duration_s, m, rng) for n in (cfg.n_a, cfg.n_b)]
     count1, count2 = [
-        rng.binomial(cfg.n_devices, on_probability(times, cfg.duration_s, cfg.p_on, params.retention))
+        rng.binomial(cfg.n_devices, on_probability(times, cfg.duration_s, cfg.p_on, cfg.params.retention))
         for times in stream_times
     ]
-    i1, i2 = params.current_uA(count1, cfg.n_devices), params.current_uA(count2, cfg.n_devices)
-    choose_a, tie = decide(i1, i2, rng)
-
-    n_a, n_b = cfg.spec_a.n_pulses, cfg.spec_b.n_pulses
-    correct = np.full(m, True) if n_a == n_b else choose_a == (n_a > n_b)
-    return TrialBatch(choose_a, correct, i1, i2, count1, count2, tie)
+    choose_a, tie = decide(count1, count2, rng)
+    correct = np.full(m, True) if cfg.n_a == cfg.n_b else choose_a == (cfg.n_a > cfg.n_b)
+    return TrialBatch(choose_a, correct, count1, count2, tie)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .experiment import AccuracyPoint
-from .network import TrialBatch
+from .network import TrialBatch, TwoAfcConfig
 from .synapse import Trace
 
 __all__ = [
@@ -74,13 +74,12 @@ def trace_rows(series: str, p_on: float, i_cc_uA: float, trace: Trace, repeats: 
     return format_rows(series, float(p_on), float(i_cc_uA), *columns, repeats)
 
 
-def trial_row(index: int, batch: TrialBatch) -> str:
-    """Row 0 of ``batch``, with ``decision`` written as ``A`` or ``B``."""
-    (row,) = format_rows(
-        index, "A" if batch.choose_a[0] else "B", batch.correct[0],
-        float(batch.i1_uA[0]), float(batch.i2_uA[0]),
-        batch.count1[0], batch.count2[0], batch.tie[0],
-    )
+def trial_row(index: int, cfg: TwoAfcConfig, batch: TrialBatch) -> str:
+    """Row 0 of ``batch``, a trial of ``cfg``: ``decision`` as ``A`` or ``B``, currents from the counts."""
+    counts = batch.count1[0], batch.count2[0]
+    currents = (cfg.params.current_uA(count, cfg.n_devices) for count in counts)
+    (row,) = format_rows(index, "A" if batch.choose_a[0] else "B", batch.correct[0],
+                         *currents, *counts, batch.tie[0])
     return row
 
 

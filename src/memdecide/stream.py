@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "StreamSpec",
     "check_n_pulses",
     "check_duration",
     "PulseStream",
@@ -44,18 +43,6 @@ def check_duration(duration_s: float) -> None:
 
 
 @dataclass(frozen=True)
-class StreamSpec:
-    """Pulse count and trial window for one stimulus stream."""
-
-    n_pulses: int
-    duration_s: float
-
-    def __post_init__(self):
-        check_n_pulses(self.n_pulses)
-        check_duration(self.duration_s)
-
-
-@dataclass(frozen=True)
 class PulseStream:
     """Strictly sorted finite pulse times, each in [0, duration_s), a finite window."""
 
@@ -78,27 +65,29 @@ class PulseStream:
         return int(self.times.size)
 
 
-def generate_random(spec: StreamSpec, rng: np.random.Generator) -> PulseStream:
-    """``spec.n_pulses`` times drawn i.i.d. uniform on [0, duration), sorted.
+def generate_random(n_pulses: int, duration_s: float, rng: np.random.Generator) -> PulseStream:
+    """``n_pulses`` times drawn i.i.d. uniform on [0, duration_s), sorted.
 
     The pulse count is deterministic; only the placement is random. This is
     the one-row case of :func:`random_times` and draws the same numbers.
     """
-    return PulseStream(times=random_times(spec, 1, rng)[0], duration_s=spec.duration_s)
+    check_n_pulses(n_pulses)
+    check_duration(duration_s)
+    return PulseStream(times=random_times(n_pulses, duration_s, 1, rng)[0], duration_s=duration_s)
 
 
-def random_times(spec: StreamSpec, m: int, rng: np.random.Generator) -> np.ndarray:
-    """``m`` independent streams of ``spec`` as an ``(m, n_pulses)`` matrix.
+def random_times(n_pulses: int, duration_s: float, m: int, rng: np.random.Generator) -> np.ndarray:
+    """``m`` independent streams of :func:`generate_random` as an ``(m, n_pulses)`` matrix.
 
     All ``m * n_pulses`` uniforms are drawn at once, in C order, scaled to
-    the window and sorted per row.
+    the window and sorted per row. The caller applies the stream rules.
     """
-    times = np.sort(rng.random((m, spec.n_pulses)) * spec.duration_s, axis=1)
+    times = np.sort(rng.random((m, n_pulses)) * duration_s, axis=1)
     # Exact collisions of uniform draws are measure-zero but representable in
     # binary64; nudge duplicates up by one ulp so every row stays strict.
     # Column by column, so each row gets the same nudges as on its own.
-    if spec.n_pulses > 1 and np.any(np.diff(times, axis=1) <= 0.0):
-        for i in range(1, spec.n_pulses):
+    if n_pulses > 1 and np.any(np.diff(times, axis=1) <= 0.0):
+        for i in range(1, n_pulses):
             prev, cur = times[:, i - 1], times[:, i]
             dup = cur <= prev
             cur[dup] = np.nextafter(prev[dup], np.inf)

@@ -25,7 +25,6 @@ from scipy.stats import binom
 from memdecide import (
     DeviceParams,
     RetentionDistribution,
-    StreamSpec,
     SwitchingCurve,
     SwitchingRecord,
     RetentionRecord,
@@ -69,8 +68,9 @@ def _accuracy(n_a, n_b, n_devices, duration, retention, p_on, trials, label):
         n_devices=n_devices,
         params=_params(retention),
         p_on=p_on,
-        spec_a=StreamSpec(n_a, duration),
-        spec_b=StreamSpec(n_b, duration),
+        n_a=n_a,
+        n_b=n_b,
+        duration_s=duration,
     )
     from memdecide.seeding import derive_seed
 
@@ -436,8 +436,9 @@ def test_scale_invariance_of_decisions():
             n_devices=20,
             params=DeviceParams(270.0, REF_RETENTION, i_on_uA=i_on),
             p_on=REF_P_ON,
-            spec_a=StreamSpec(40, 2.0),
-            spec_b=StreamSpec(20, 2.0),
+            n_a=40,
+            n_b=20,
+            duration_s=2.0,
         )
         return [
             bool(run_trials(cfg, 1, spawn_rng(MASTER_SEED, "scale", i)).choose_a[0])

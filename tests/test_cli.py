@@ -347,6 +347,21 @@ class TestCalibrate:
         assert deck.switching == SwitchingCurve(0.9, 0.1)
         assert "switching curve: inline device section" in deck.provenance
 
+    def test_device_section_without_table_names_default_retention(self, tmp_path, rng):
+        # Only the switching curve is fitted, and the device section holds no
+        # retention table, so the table is the built-in default's.
+        sw, _ = _calibration_fixtures(tmp_path, rng)
+        cfg = _write_config(
+            tmp_path / "c.cfg",
+            {"seed": 5, "out_dir": str(tmp_path / "out"),
+             "device": {"v_median_V": 0.9, "v_spread_V": 0.1},
+             "calibrate": {"switching_csv": str(sw)}},
+        )
+        assert main(["calibrate", "--config", cfg]) == 0
+        deck = read_deck(tmp_path / "out" / "deck.json")
+        assert [i for i, _ in deck.retention_table] == [10.0, 100.0, 300.0]
+        assert deck.provenance.endswith("; retention table: built-in default")
+
     def test_separated_outcomes_exit_one(self, tmp_path, capsys):
         # Every miss below every hit: no finite curve fits, so nothing is written.
         v = np.sort(np.random.default_rng(3).uniform(0.4, 0.8, 20))
@@ -577,11 +592,12 @@ class TestConfigErrors:
           "sweep.ratios[1][0]: n_pulses must be >= 0, got -2"),
          ("sweep", "sweep.i_cc_values_uA", [270.0, -5],
           "sweep.i_cc_values_uA[1]: i_cc_uA must be > 0, got -5.0"),
+         ("sweep", "sweep.trials", 0, "sweep.trials must be >= 1, got 0"),
          # Trial and trace range errors name the section.
          ("trial", "trial.n_b", -2, "trial: n_pulses must be >= 0, got -2"),
          ("trial", "trial.i_cc_uA", -5, "trial: i_cc_uA must be > 0, got -5.0"),
          ("trace", "trace.pulses.n_pulses", -2, "trace: n_pulses must be >= 0, got -2")],
-        ids=["sweep.ratios", "sweep.i_cc_values_uA", "trial.n_b", "trial.i_cc_uA",
+        ids=["sweep.ratios", "sweep.i_cc_values_uA", "sweep.trials", "trial.n_b", "trial.i_cc_uA",
              "trace.pulses.n_pulses"],
     )
     def test_range_error_names_its_entry(self, tmp_path, capsys, command, path, value, message):

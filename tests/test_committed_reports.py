@@ -1,0 +1,76 @@
+"""The committed sweep reports against the exact conditional-binomial oracle.
+
+Every row of ``out/fig3c``-``fig3f`` is a Monte Carlo accuracy over
+``n_trials`` trials. ``exact_accuracy`` gives the cell's exact accuracy a*
+at 4000 stream pairs, with the retention the sweep used: the default deck's
+interpolated at the row's compliance current, or the config's fixed
+override (fig3f), read from the report's own ``# config=`` line.
+
+The rule, fixed before it was run: the two-sided exact binomial tail p-value
+``min(1, 2 * min(P(X <= k), P(X >= k)))`` of ``k = accuracy * n_trials``
+under ``X ~ Binomial(n_trials, a)``, maximised over a in a* +- 3 oracle
+standard errors, must be at least 0.01 / 67 (Bonferroni over the 67 rows).
+An exact tail, not a normal z: near saturation (a* = 0.9997 at fig3e 0.5 s
+20/10 N = 100) the normal approximation reads z = -5.1 on a row whose exact
+p-value is 0.006.
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.stats import binom
+
+from memdecide import RetentionDistribution, default_deck, interpolate_retention
+
+from exact_accuracy import exact_accuracy
+
+ROOT = Path(__file__).resolve().parent.parent
+REPORTS = ("fig3c", "fig3d", "fig3e", "fig3f")
+N_ROWS = 67
+ALPHA = 0.01 / N_ROWS
+PAIRS = 4000
+
+
+def _rows():
+    """``(id, row, retention)`` for every data row of the committed reports."""
+    rows = []
+    for name in REPORTS:
+        lines = (ROOT / "out" / name / "report.csv").read_text().splitlines()
+        config = next(line for line in lines if line.startswith("# config="))
+        sweep = json.loads(config.partition("=")[2])["sweep"]
+        for row in csv.DictReader(line for line in lines if not line.startswith("#")):
+            if "retention_median_s" in sweep:
+                retention = RetentionDistribution(sweep["retention_median_s"], sweep.get("sigma_log", 0.5))
+            else:
+                retention = interpolate_retention(default_deck().retention_table, float(row["i_cc_uA"]))
+            label = (f"{name}:T={row['duration_s']},{row['n_a']}/{row['n_b']},N={row['n_devices']},"
+                     f"Icc={row['i_cc_uA']},p={float(row['p_on']):g}")
+            rows.append((label, row, retention))
+    return rows
+
+
+ROWS = _rows()
+
+
+def test_every_report_row_is_checked():
+    assert len(ROWS) == N_ROWS
+
+
+@pytest.mark.parametrize("seed,row,retention", [(i, r[1], r[2]) for i, r in enumerate(ROWS)],
+                         ids=[r[0] for r in ROWS])
+def test_accuracy_matches_exact_oracle(seed, row, retention):
+    exact, se = exact_accuracy(
+        int(row["n_devices"]), int(row["n_a"]), int(row["n_b"]), float(row["duration_s"]),
+        float(row["p_on"]), retention.median_s, retention.sigma_log, pairs=PAIRS, seed=seed,
+    )
+    n = int(row["n_trials"])
+    k = round(float(row["accuracy"]) * n)
+    lo, hi = max(exact - 3.0 * se, 0.0), min(exact + 3.0 * se, 1.0)
+    # The p-value is unimodal in a with its peak near k / n: a grid of the
+    # interval plus the point of it nearest k / n finds the largest.
+    a = np.append(np.linspace(lo, hi, 201), np.clip(k / n, lo, hi))
+    p_value = np.max(np.minimum(1.0, 2.0 * np.minimum(binom.cdf(k, n, a), binom.sf(k - 1, n, a))))
+    assert p_value >= ALPHA, f"accuracy {k}/{n} against exact {exact:.6f} +- {se:.2g}: p = {p_value:.3g}"

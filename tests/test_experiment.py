@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from memdecide import (
     DeviceParams,
     RetentionDistribution,
-    StreamSpec,
     SweepGrid,
     SwitchingCurve,
     TwoAfcConfig,
@@ -54,8 +53,9 @@ def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05, median=2.0):
         n_devices=n_devices,
         params=DeviceParams(270.0, RetentionDistribution(median, 0.5)),
         p_on=p_on,
-        spec_a=StreamSpec(n_a, duration),
-        spec_b=StreamSpec(n_b, duration),
+        n_a=n_a,
+        n_b=n_b,
+        duration_s=duration,
     )
 
 
@@ -166,7 +166,7 @@ class TestEstimateAccuracy:
         )
         assert whole.n_ties == sum(int(np.count_nonzero(p.tie)) for p in parts)
         # Each chunk draws its own streams.
-        assert not np.array_equal(parts[0].i1_uA, parts[1].i1_uA)
+        assert not np.array_equal(parts[0].count1, parts[1].count1)
 
     @pytest.mark.parametrize(
         "median,label",
@@ -199,8 +199,9 @@ class TestSweep:
             params=DeviceParams(270.0, interpolate_retention(deck.retention_table, 270.0)),
             # A sweep cell's p_on is its grid value through the deck's curve and back.
             p_on=float(deck.switching.probability(deck.switching.quantile(0.05))),
-            spec_a=StreamSpec(40, 2.0),
-            spec_b=StreamSpec(20, 2.0),
+            n_a=40,
+            n_b=20,
+            duration_s=2.0,
         )
         assert points[0] == estimate_accuracy(cfg, 40, cell_seed)
 

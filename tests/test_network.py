@@ -1,6 +1,7 @@
 """Decision network: comparator, trial mechanics, symmetry, invariances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ import pytest
 from memdecide import (
     DeviceParams,
     RetentionDistribution,
-    StreamSpec,
     TwoAfcConfig,
     decide,
     run_trials,
     spawn_rng,
 )
 from memdecide.network import on_probability
+from memdecide.reports import trial_row
 from memdecide.stream import random_times
 from memdecide.synapse import pulse_update
 
@@ -33,35 +34,57 @@ def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05,
         n_devices=n_devices,
         params=params,
         p_on=p_on,
-        spec_a=StreamSpec(n_a, duration),
-        spec_b=StreamSpec(n_b, duration),
+        n_a=n_a,
+        n_b=n_b,
+        duration_s=duration,
     )
 
 
 class TestDecide:
     def test_sign_comparison(self, rng):
-        choose_a, tie = decide([900.0, 0.0], [300.0, 10.0], rng)
+        choose_a, tie = decide([9, 0], [3, 1], rng)
         assert choose_a.tolist() == [True, False]
         assert tie.tolist() == [False, False]
 
     def test_tie_is_uniform(self, rng):
         n = 10_000
-        choose_a, tie = decide(np.full(n, 5.0), np.full(n, 5.0), rng)
+        choose_a, tie = decide(np.full(n, 5), np.full(n, 5), rng)
         assert tie.all()
         a_rate = np.count_nonzero(choose_a) / n
         assert abs(a_rate - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
+    def test_adjacent_large_counts_are_not_a_tie(self, rng):
+        # Both counts give one float64 current (2**59 * 270 uA), but the
+        # comparator reads the counts, which differ.
+        params = DeviceParams(270.0, RetentionDistribution(1.0))
+        assert params.current_uA(2**59 + 1, 2**60) == params.current_uA(2**59, 2**60)
+        choose_a, tie = decide([2**59 + 1], [2**59], rng)
+        assert choose_a.tolist() == [True] and tie.tolist() == [False]
+
+    def test_trials_run_at_two_to_the_sixty_cells(self, rng):
+        batch = run_trials(_config(n_devices=2**60), 50, rng)
+        assert np.all((0 <= batch.count1) & (batch.count1 <= 2**60))
+        decided = ~batch.tie
+        assert np.array_equal(batch.choose_a[decided], (batch.count1 > batch.count2)[decided])
+
 
 class TestConfigValidation:
-    def test_window_mismatch(self):
-        params = DeviceParams(270.0, RetentionDistribution(1.0))
-        with pytest.raises(ValueError):
-            TwoAfcConfig(10, params, 0.6, StreamSpec(4, 1.0), StreamSpec(2, 2.0))
-
     def test_needs_devices(self):
         params = DeviceParams(270.0, RetentionDistribution(1.0))
         with pytest.raises(ValueError):
-            TwoAfcConfig(0, params, 0.6, StreamSpec(4, 1.0), StreamSpec(2, 1.0))
+            TwoAfcConfig(0, params, 0.6, 4, 2, 1.0)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("n_a", -1, "n_pulses must be >= 0, got -1"),
+         ("n_b", -2, "n_pulses must be >= 0, got -2"),
+         ("duration", 0.0, "duration_s must be >= "),
+         ("duration", 5e-324, "duration_s must be >= "),
+         ("duration", math.nan, "duration_s must be >= ")],
+    )
+    def test_rejects_bad_stream_settings(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _config(**{field: value})
 
     @pytest.mark.parametrize("p_on", [-0.1, 1.1, math.nan])
     def test_rejects_p_on_out_of_range(self, p_on):
@@ -76,13 +99,13 @@ class TestRunTrial:
         r = run_trials(cfg, 1, rng)
         assert r.choose_a[0] and r.correct[0] and not r.tie[0]
         assert r.count1[0] == 20 and r.count2[0] == 0
-        assert r.i1_uA[0] == 20 * 270.0 and r.i2_uA[0] == 0.0
+        assert trial_row(0, cfg, r) == "0,A,1,5400.0,0.0,20,0,0"
 
     def test_no_evidence_is_a_coin_flip(self):
         cfg = _config(p_on=0.0)
         n = 400
         results = [run_trials(cfg, 1, spawn_rng(5, i)) for i in range(n)]
-        assert all(r.tie[0] and r.i1_uA[0] == 0.0 and r.i2_uA[0] == 0.0 for r in results)
+        assert all(r.tie[0] and r.count1[0] == 0 and r.count2[0] == 0 for r in results)
         accuracy = sum(bool(r.correct[0]) for r in results) / n
         assert abs(accuracy - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
@@ -111,7 +134,8 @@ class TestRunTrial:
             r1 = run_trials(base, 1, spawn_rng(8, i))
             r2 = run_trials(scaled, 1, spawn_rng(8, i))
             assert r1.choose_a[0] == r2.choose_a[0]
-            assert r2.i1_uA[0] == pytest.approx(10.0 * r1.i1_uA[0])
+            assert scaled.params.current_uA(r2.count1[0], 20) == pytest.approx(
+                10.0 * base.params.current_uA(r1.count1[0], 20))
 
     def test_symmetry_under_stream_swap(self):
         # accuracy(40 vs 20) and accuracy(20 vs 40) agree within Monte Carlo
@@ -128,7 +152,7 @@ class TestRunTrial:
 
 def _streams(k, m=3, duration=2.0, seed=0):
     """A fixed ``(m, k)`` matrix of sorted pulse times on ``[0, duration)``."""
-    return random_times(StreamSpec(k, duration), m, np.random.default_rng(seed))
+    return random_times(k, duration, m, np.random.default_rng(seed))
 
 
 # (case, retention, p_on, (m, K) stream matrix, window). The sigma = 0 rows put

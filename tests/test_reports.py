@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from memdecide import DeviceParams, RetentionDistribution
 from memdecide.experiment import AccuracyPoint
-from memdecide.network import TrialBatch
+from memdecide.network import TrialBatch, TwoAfcConfig
 from memdecide.reports import (
     TRACE_HEADER,
     format_rows,
@@ -94,12 +95,14 @@ class TestProducers:
         assert len(rows[0].split(",")) == len(TRACE_HEADER)
 
     def test_trial_row(self):
+        # Currents come from the counts: c * i_on + (N - c) * i_off, N = 2.
+        params = DeviceParams(300.0, RetentionDistribution(1.0), i_off_uA=0.37)
+        cfg = TwoAfcConfig(n_devices=2, params=params, p_on=0.5, n_a=4, n_b=2, duration_s=1.0)
         batch = TrialBatch(
             choose_a=np.array([False]), correct=np.array([False]),
-            i1_uA=np.array([300.0]), i2_uA=np.array([600.0]),
             count1=np.array([1]), count2=np.array([2]), tie=np.array([True]),
         )
-        assert trial_row(4, batch) == "4,B,0,300.0,600.0,1,2,1"
+        assert trial_row(4, cfg, batch) == "4,B,0,300.37,600.0,1,2,1"
 
     def test_report_rows(self):
         point = AccuracyPoint(

@@ -9,7 +9,6 @@ import pytest
 
 from memdecide import (
     PulseStream,
-    StreamSpec,
     generate_periodic,
     generate_random,
     read_stream_csv,
@@ -19,11 +18,11 @@ from memdecide import (
 
 class TestGenerateRandom:
     def test_empty(self, rng):
-        stream = generate_random(StreamSpec(0, 1.0), rng)
+        stream = generate_random(0, 1.0, rng)
         assert stream.n_pulses == 0
 
     def test_count_window_and_order(self, rng):
-        stream = generate_random(StreamSpec(40, 2.0), rng)
+        stream = generate_random(40, 2.0, rng)
         assert stream.n_pulses == 40
         assert np.all(np.diff(stream.times) > 0.0)
         assert stream.times[0] >= 0.0 and stream.times[-1] < 2.0
@@ -33,9 +32,8 @@ class TestGenerateRandom:
         # errors of 0.5 (SE = 1/sqrt(12 * 1e7)).
         total = 0.0
         count = 0
-        spec = StreamSpec(10_000, 1.0)
         for _ in range(1_000):
-            times = generate_random(spec, rng).times
+            times = generate_random(10_000, 1.0, rng).times
             total += times.sum()
             count += times.size
         se = 1.0 / math.sqrt(12.0 * count)
@@ -44,24 +42,29 @@ class TestGenerateRandom:
     def test_uniformity_kolmogorov_smirnov(self, rng):
         # One-sample KS against U(0,1); 1% critical value is 1.63/sqrt(n).
         n = 10_000
-        times = generate_random(StreamSpec(n, 1.0), rng).times
+        times = generate_random(n, 1.0, rng).times
         ecdf_hi = np.arange(1, n + 1) / n
         ecdf_lo = np.arange(0, n) / n
         d_stat = max(np.max(ecdf_hi - times), np.max(times - ecdf_lo))
         assert d_stat < 1.63 / math.sqrt(n)
 
     def test_seed_determinism(self):
-        spec = StreamSpec(50, 3.0)
-        a = generate_random(spec, np.random.default_rng(9)).times
-        b = generate_random(spec, np.random.default_rng(9)).times
+        a = generate_random(50, 3.0, np.random.default_rng(9)).times
+        b = generate_random(50, 3.0, np.random.default_rng(9)).times
         assert np.array_equal(a, b)
+
+    def test_rejects_negative_count_and_empty_window(self, rng):
+        with pytest.raises(ValueError, match="n_pulses must be >= 0, got -1"):
+            generate_random(-1, 1.0, rng)
+        with pytest.raises(ValueError, match="duration_s must be >="):
+            generate_random(10, 0.0, rng)
 
     def test_exact_collisions_are_nudged(self):
         class StubRng:
             def random(self, size):
                 return np.array([0.5, 0.1, 0.5]).reshape(size)
 
-        stream = generate_random(StreamSpec(3, 1.0), StubRng())
+        stream = generate_random(3, 1.0, StubRng())
         assert np.all(np.diff(stream.times) > 0.0)
         assert stream.times[2] == np.nextafter(0.5, np.inf)
 
@@ -105,24 +108,18 @@ class TestPulseStream:
         with pytest.raises(ValueError, match="finite"):
             PulseStream(times=np.array(times), duration_s=duration)
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            StreamSpec(-1, 1.0)
-        with pytest.raises(ValueError):
-            StreamSpec(10, 0.0)
-
     def test_window_is_at_least_the_smallest_normal_float(self, rng):
         # In a 5e-324 window every uniform lands on 0.0 and the one-ulp nudges
         # of duplicates carry the pulses past the window's end.
         with pytest.raises(ValueError, match=re.escape(str(sys.float_info.min))):
-            StreamSpec(40, 5e-324)
-        times = generate_random(StreamSpec(40, sys.float_info.min), rng).times
+            generate_random(40, 5e-324, rng)
+        times = generate_random(40, sys.float_info.min, rng).times
         assert np.all(np.diff(times) > 0) and times[-1] < sys.float_info.min
 
 
 class TestReplayCsv:
     def test_round_trip(self, tmp_path, rng):
-        stream = generate_random(StreamSpec(25, 2.5), rng)
+        stream = generate_random(25, 2.5, rng)
         path = tmp_path / "stream.csv"
         write_stream_csv(stream, path)
         replayed = read_stream_csv(path)
@@ -130,7 +127,7 @@ class TestReplayCsv:
         assert np.array_equal(replayed.times, stream.times)
 
     def test_duration_override(self, tmp_path, rng):
-        stream = generate_random(StreamSpec(5, 1.0), rng)
+        stream = generate_random(5, 1.0, rng)
         path = tmp_path / "stream.csv"
         write_stream_csv(stream, path)
         replayed = read_stream_csv(path, duration_s=4.0)
