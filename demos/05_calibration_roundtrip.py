@@ -61,16 +61,16 @@ curve, diag = fit_switching_curve(
 print(
     f"\nswitching fit: median {curve.v_median:.4f} V (true 0.6), "
     f"spread {curve.v_spread:.4f} V (true 0.05), "
-    f"converged={diag.converged} in {diag.n_iterations} iterations"
+    f"converged={diag.converged}"
 )
 
-table = fit_retention(
+table, stderrs = fit_retention(
     [RetentionRecord(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows]
 )
 print("retention fits per compliance current:")
-for (i_cc, dist), (_, true_median) in zip(table, true_table):
-    print(f"   {i_cc:5.0f} uA: median {dist.median_s:.4f} s (true {true_median}), "
-          f"sigma_log {dist.sigma_log:.3f} (true 0.5)")
+for (i_cc, dist), (se_median, se_sigma), (_, true_median) in zip(table, stderrs, true_table):
+    print(f"   {i_cc:5.0f} uA: median {dist.median_s:.4f} +- {se_median:.4f} s (true {true_median}), "
+          f"sigma_log {dist.sigma_log:.3f} +- {se_sigma:.3f} (true 0.5)")
 
 # --- assemble, save, reload ---------------------------------------------------
 deck = ParamDeck(switching=curve, retention_table=table,

@@ -1,14 +1,19 @@
-"""Standard normal CDF and quantile on ``math`` alone, bit-identical to scipy.
+"""Standard normal CDF, its log and its quantile on ``math`` alone.
 
-A port of the Cephes Math Library (Stephen L. Moshier) as shipped in ``scipy.special``:
-``ndtri.c``, and ``ndtr.c`` with its own ``erf``/``erfc`` (``math.erf`` differs in the
-last bits). The coefficient tables and the order of every operation are Cephes's.
+``ndtr`` and ``ndtri`` port the Cephes Math Library (Stephen L. Moshier) as shipped in
+``scipy.special``: ``ndtri.c``, and ``ndtr.c`` with its own ``erf``/``erfc`` (``math.erf``
+differs in the last bits). The coefficient tables and the order of every operation are
+Cephes's, so both are bit-identical to scipy.
+
+``log_ndtr`` is not a port and not bit-identical: it evaluates scipy's formula on the
+Cephes ``erfc`` tables here, where scipy takes ``erfc``/``erfcx`` from the Faddeeva
+package, and stays within a few ulp of ``scipy.special.log_ndtr``.
 """
 
 import math
 from functools import reduce
 
-__all__ = ["ndtr", "ndtri"]
+__all__ = ["log_ndtr", "ndtr", "ndtri"]
 
 _SQRT1_2 = 0.70710678118654752440
 _S2PI = 2.50662827463100050242  # sqrt(2 pi)
@@ -83,6 +88,26 @@ def ndtr(a: float) -> float:
         return 0.5 + 0.5 * _erf(x)
     y = 0.5 * _erfc(abs(x))
     return 1.0 - y if x > 0 else y
+
+
+def _erfcx(y: float) -> float:
+    """``exp(y^2) erfc(y)`` for ``y > 0``; the Cephes rationals above 1 are this already."""
+    if y < 1.0:
+        return math.exp(y * y) * _erfc(y)
+    p, q = (_ERFC_P, _ERFC_Q) if y < 8.0 else (_ERFC_R, _ERFC_S)
+    return _polevl(y, p) / _polevl(y, q)
+
+
+def log_ndtr(a: float) -> float:
+    """Log of the standard normal CDF, finite far into the lower tail where ``ndtr`` underflows.
+
+    scipy's formula: ``log1p(-erfc(t)/2)`` for ``a >= -1``, else ``log(erfcx(-t)/2) - t^2``,
+    with ``t = a/sqrt(2)``. NaN below about ``-1e61``, where the rational's powers overflow.
+    """
+    t = a * _SQRT1_2
+    if a >= -1.0:
+        return math.log1p(-0.5 * _erfc(t))
+    return math.log(0.5 * _erfcx(-t)) - t * t
 
 
 def ndtri(y0: float) -> float:

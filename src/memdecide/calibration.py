@@ -10,8 +10,11 @@ Two kinds of records come in from CSV:
   :class:`DegenerateDataError`;
 * retention records ``(i_cc, retention_s)``: measured retention times grouped
   by compliance current, fitted per group to a lognormal via the sample median
-  and the standard deviation of log-values. The moment-free fit is robust to
-  the heavy tails that retention data shows.
+  and the standard deviation of log-values, with their asymptotic standard
+  errors. The moment-free fit is robust to the heavy tails that retention
+  data shows.
+
+Both fits run on numpy and :mod:`memdecide._normal`; no fit imports scipy.
 
 The output is a parameter deck: one switching curve plus a retention table
 mapping compliance current to a retention distribution, interpolable at any
@@ -29,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._normal import log_ndtr
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import DegenerateDataError, InsufficientDataError
 from .stream import parse_finite
@@ -51,6 +55,8 @@ __all__ = [
 
 RetentionTable = list[tuple[float, RetentionDistribution]]
 
+MIN_RETENTION_RECORDS = 5  # per compliance current
+
 
 class SwitchingRecord(NamedTuple):
     v_pulse_V: float
@@ -68,7 +74,6 @@ class SwitchingFitDiagnostics:
     se_v_median: float
     se_v_spread: float
     n_records: int
-    n_iterations: int
     converged: bool
 
 
@@ -107,11 +112,10 @@ def _probit_terms(theta: np.ndarray, v: np.ndarray, y: np.ndarray):
     ``(a, b)`` is ``-s*lam*(1, v)`` and its Hessian ``w*(1, v)(1, v)^T`` with
     ``w = lam*(lam + z) > 0``, so the NLL is convex (Pratt 1981).
     """
-    from scipy.special import log_ndtr  # lazily: traces and trials never import scipy
     sign = np.where(y, 1.0, -1.0)
     z = sign * (theta[0] + theta[1] * v)
     # log Phi stays finite far into the tails, where Phi itself underflows.
-    log_cdf = log_ndtr(z)
+    log_cdf = np.fromiter(map(log_ndtr, z.tolist()), float, z.size)
     lam = np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_cdf)
     w = lam * (lam + z)
     g = -sign * lam
@@ -155,7 +159,7 @@ def fit_switching_curve(records) -> tuple[SwitchingCurve, SwitchingFitDiagnostic
     theta = np.array([-mu0 / sigma0, 1.0 / sigma0])
     nll, grad, hess = _probit_terms(theta, v, y)
     converged = False
-    for iterations in range(1, 101):
+    for _ in range(100):
         step = np.linalg.solve(hess, -grad)
         while True:
             cand = theta + step
@@ -183,7 +187,6 @@ def fit_switching_curve(records) -> tuple[SwitchingCurve, SwitchingFitDiagnostic
         se_v_median=math.sqrt(jac_mu @ cov @ jac_mu),
         se_v_spread=math.sqrt(cov[1, 1]) / (b * b),
         n_records=len(records),
-        n_iterations=iterations,
         converged=converged,
     )
     return curve, diag
@@ -192,12 +195,15 @@ def fit_switching_curve(records) -> tuple[SwitchingCurve, SwitchingFitDiagnostic
 # --- retention fit -----------------------------------------------------------
 
 
-def fit_retention(records, min_per_group: int = 5) -> RetentionTable:
-    """Per-compliance-current lognormal fits, sorted by current.
+def fit_retention(records) -> tuple[RetentionTable, list[tuple[float, float]]]:
+    """Per-compliance-current lognormal fits, sorted by current, and their standard errors.
 
-    Median = sample median; sigma_log = sample standard deviation of the log
-    values. Every distinct current needs at least ``min_per_group`` records.
-    Non-monotone medians pass; the :class:`ParamDeck` built from them warns.
+    Median ``m`` = sample median; sigma_log = sample standard deviation of the
+    log values. Every distinct current needs at least ``MIN_RETENTION_RECORDS``
+    records. The second list holds ``(se_median_s, se_sigma_log)`` per table
+    row, asymptotic for ``n`` lognormal records: ``m*sigma*sqrt(pi/2)/sqrt(n)``
+    and ``sigma/sqrt(2(n - 1))``. Non-monotone medians pass; the
+    :class:`ParamDeck` built from them warns.
     """
     groups: dict[float, list[float]] = {}
     for r in records:
@@ -209,16 +215,20 @@ def fit_retention(records, min_per_group: int = 5) -> RetentionTable:
         raise InsufficientDataError("no retention records given")
 
     table: RetentionTable = []
+    stderrs = []
     for i_cc in sorted(groups):
         values = np.asarray(groups[i_cc], dtype=float)
-        if values.size < min_per_group:
+        n = values.size
+        if n < MIN_RETENTION_RECORDS:
             raise InsufficientDataError(
-                f"i_cc={i_cc} uA has {values.size} records, need >= {min_per_group}"
+                f"i_cc={i_cc} uA has {n} records, need >= {MIN_RETENTION_RECORDS}"
             )
         median = float(np.median(values))
         sigma_log = float(np.std(np.log(values), ddof=1))
         table.append((i_cc, RetentionDistribution(median_s=median, sigma_log=sigma_log)))
-    return table
+        stderrs.append((median * sigma_log * math.sqrt(math.pi / 2.0 / n),
+                        sigma_log / math.sqrt(2.0 * (n - 1))))
+    return table, stderrs
 
 
 def interpolate_retention(table: RetentionTable, i_cc_uA: float) -> RetentionDistribution:

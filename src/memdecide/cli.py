@@ -494,11 +494,11 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     if "retention_csv" in cfg.inputs:
         path = cfg.inputs["retention_csv"]
         records = read_retention_csv(path)
-        table = fit_retention(records)
+        table, stderrs = fit_retention(records)
         provenance_bits.append(f"retention fit from {path.name} ({len(records)} records)")
-        for i_cc, dist in table:
-            diag_rows.append((f"retention_median_s@{i_cc:g}uA", float(dist.median_s), 0.0))
-            diag_rows.append((f"retention_sigma_log@{i_cc:g}uA", float(dist.sigma_log), 0.0))
+        for (i_cc, dist), (se_median, se_sigma) in zip(table, stderrs):
+            diag_rows.append((f"retention_median_s@{i_cc:g}uA", float(dist.median_s), se_median))
+            diag_rows.append((f"retention_sigma_log@{i_cc:g}uA", float(dist.sigma_log), se_sigma))
     else:
         provenance_bits.append(f"retention table: {cfg.sources['retention table']}")
 

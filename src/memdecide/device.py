@@ -8,10 +8,11 @@ mechanisms drive the dynamics:
 * **Switching.** A pulse turns an OFF cell ON with probability ``p_on``, the
   only property of a pulse that the simulation sees. :class:`SwitchingCurve`
   maps a pulse amplitude to ``p_on`` (the normal CDF of the set voltage) for
-  calibration and decks, through :mod:`memdecide._normal`, a stdlib port of
-  Cephes that is bit-identical to ``scipy.special``. It is independent of the
-  compliance current: filament formation has no memory of the limit that
-  applies once it conducts.
+  calibration and decks, through :mod:`memdecide._normal`, the stdlib port of
+  Cephes ``ndtr``/``ndtri`` that is bit-identical to ``scipy.special``; no
+  module of the package imports scipy. It is independent of the compliance
+  current: filament formation has no memory of the limit that applies once
+  it conducts.
 
 * **Relaxation.** An ON cell spontaneously returns to OFF after a random
   retention time, lognormal with a given median and log-domain spread. The
@@ -66,7 +67,7 @@ class SwitchingCurve:
     distribution. Any object exposing the same ``probability``/``quantile``
     methods can stand in for this class, e.g. an empirical curve produced by
     calibration. Both methods run on :mod:`memdecide._normal`, bit-identical
-    to ``scipy.special.ndtr``/``ndtri``, so no simulation imports scipy.
+    to ``scipy.special.ndtr``/``ndtri``.
     """
 
     v_median: float

@@ -412,7 +412,7 @@ def test_calibration_round_trips():
 
     true_ret = RetentionDistribution(0.1, 0.5)
     samples = true_ret.sample(rng, 10_000)
-    table = fit_retention([RetentionRecord(100.0, float(s)) for s in samples])
+    table, _ = fit_retention([RetentionRecord(100.0, float(s)) for s in samples])
     (_, fitted_ret), = table
     ret_ok = (
         abs(fitted_ret.median_s - 0.1) <= 0.02 * 0.1

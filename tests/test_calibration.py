@@ -169,16 +169,32 @@ class TestSwitchingFit:
 class TestRetentionFit:
     def test_constant_samples(self):
         records = [RetentionRecord(100.0, 1.0) for _ in range(10)]
-        table = fit_retention(records)
+        table, stderrs = fit_retention(records)
         assert table == [(100.0, RetentionDistribution(1.0, 0.0))]
+        assert stderrs == [(0.0, 0.0)]
 
     def test_round_trip_recovers_generator(self, rng):
         true = RetentionDistribution(0.1, 0.5)
         samples = true.sample(rng, 10_000)
-        table = fit_retention([RetentionRecord(50.0, float(s)) for s in samples])
+        table, _ = fit_retention([RetentionRecord(50.0, float(s)) for s in samples])
         (_, fitted), = table
         assert fitted.median_s == pytest.approx(0.1, rel=0.02)
         assert fitted.sigma_log == pytest.approx(0.5, rel=0.05)
+
+    def test_standard_errors_match_replicate_spread(self, rng):
+        # The asymptotic SEs at the truth against the spread of 400 fits of
+        # 300 records each; the spread's own relative SE is about 1/sqrt(800).
+        true, n, reps = RetentionDistribution(0.1, 0.5), 300, 400
+        fits = [fit_retention([RetentionRecord(50.0, float(s)) for s in true.sample(rng, n)])
+                for _ in range(reps)]
+        medians = [table[0][1].median_s for table, _ in fits]
+        sigmas = [table[0][1].sigma_log for table, _ in fits]
+        se_median = np.median([se[0][0] for _, se in fits])
+        se_sigma = np.median([se[0][1] for _, se in fits])
+        assert se_median == pytest.approx(0.1 * 0.5 * math.sqrt(math.pi / 2 / n), rel=0.05)
+        assert se_sigma == pytest.approx(0.5 / math.sqrt(2 * (n - 1)), rel=0.05)
+        assert np.std(medians, ddof=1) == pytest.approx(se_median, rel=0.12)
+        assert np.std(sigmas, ddof=1) == pytest.approx(se_sigma, rel=0.12)
 
     def test_two_groups_sorted_and_monotone(self, rng):
         records = []
@@ -189,8 +205,9 @@ class TestRetentionFit:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no monotonicity warning expected
-            table = fit_retention(records)
+            table, stderrs = fit_retention(records)
         assert [i for i, _ in table] == [10.0, 300.0]
+        assert len(stderrs) == 2
         assert table[0][1].median_s < table[1][1].median_s
 
     def test_non_monotone_medians_warn_not_fail(self):
@@ -199,14 +216,14 @@ class TestRetentionFit:
         records = [RetentionRecord(10.0, 1.0)] * 5 + [RetentionRecord(300.0, 0.01)] * 5
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            table = fit_retention(records)
+            table, _ = fit_retention(records)
             ParamDeck(SwitchingCurve(0.6, 0.05), table)
         assert len(table) == 2
         assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
     def test_small_group_rejected(self):
         records = [RetentionRecord(10.0, 0.01)] * 5 + [RetentionRecord(300.0, 1.0)] * 4
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError, match=r"i_cc=300.0 uA has 4 records, need >= 5"):
             fit_retention(records)
 
 

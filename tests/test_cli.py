@@ -187,15 +187,16 @@ class TestTrial:
 
 
 def test_simulations_run_with_scipy_unimportable(tmp_path):
-    # scipy is needed only to fit a calibration; a trace or a trial gets p_on
-    # from its config, and a sweep maps it through the deck's curve on
-    # memdecide._normal. A None entry in sys.modules makes any scipy import
-    # raise ImportError.
+    # numpy is the only runtime dependency: a trace or a trial gets p_on from
+    # its config, a sweep maps it through the deck's curve, and calibrate fits
+    # its probit on log_ndtr, both on memdecide._normal. A None entry in
+    # sys.modules makes any scipy import raise ImportError.
     trace_cfg = _write_config(tmp_path / "trace.cfg", _trace_config(tmp_path / "trace"))
     trial_cfg = _write_config(tmp_path / "trial.cfg", _trial_config(tmp_path / "trial"))
     sweep_cfg = _write_config(tmp_path / "sweep.cfg", _sweep_config(tmp_path / "sweep"))
     deck_cfg = _write_config(tmp_path / "deck.cfg", {**_sweep_config(tmp_path / "deck"),
                                                      "deck": str(ROOT / "out/fixtures/deck.json")})
+    calibrate_cfg = str(ROOT / "configs/calibrate_example.cfg")
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -204,12 +205,14 @@ def test_simulations_run_with_scipy_unimportable(tmp_path):
         f"assert main(['trial', '--config', {trial_cfg!r}]) == 0\n"
         f"assert main(['sweep', '--config', {sweep_cfg!r}]) == 0\n"
         f"assert main(['sweep', '--config', {deck_cfg!r}]) == 0\n"
+        f"assert main(['calibrate', '--config', {calibrate_cfg!r}, '--out', {str(tmp_path / 'cal')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "['scipy']"
+    assert (tmp_path / "cal" / "calibration.csv").is_file()
 
 
 def test_commands_load_no_module_after_set_up(tmp_path):

@@ -1,4 +1,6 @@
-"""The committed sweep reports against the exact conditional-binomial oracle.
+"""The committed reports against independent oracles.
+
+Sweeps: the exact conditional-binomial oracle.
 
 Every row of ``out/fig3c``-``fig3f`` is a Monte Carlo accuracy over
 ``n_trials`` trials. ``exact_accuracy`` gives the cell's exact accuracy a*
@@ -13,6 +15,10 @@ standard errors, must be at least 0.01 / 67 (Bonferroni over the 67 rows).
 An exact tail, not a normal z: near saturation (a* = 0.9997 at fig3e 0.5 s
 20/10 N = 100) the normal approximation reads z = -5.1 on a row whose exact
 p-value is 0.006.
+
+Calibration: ``out/calibration`` fits the fixtures that demo 05 drew from a
+known ground truth. The rule, fixed before it was run: each of the eight
+fitted quantities lies within 3 times its ``stderr`` of that truth.
 """
 
 import csv
@@ -74,3 +80,29 @@ def test_accuracy_matches_exact_oracle(seed, row, retention):
     a = np.append(np.linspace(lo, hi, 201), np.clip(k / n, lo, hi))
     p_value = np.max(np.minimum(1.0, 2.0 * np.minimum(binom.cdf(k, n, a), binom.sf(k - 1, n, a))))
     assert p_value >= ALPHA, f"accuracy {k}/{n} against exact {exact:.6f} +- {se:.2g}: p = {p_value:.3g}"
+
+
+# Demo 05's ground truth, by calibration.csv quantity.
+CALIBRATION_TRUTH = {
+    "switching_v_median_V": 0.6,
+    "switching_v_spread_V": 0.05,
+    "retention_median_s@10uA": 0.01,
+    "retention_median_s@100uA": 0.1,
+    "retention_median_s@300uA": 1.0,
+    "retention_sigma_log@10uA": 0.5,
+    "retention_sigma_log@100uA": 0.5,
+    "retention_sigma_log@300uA": 0.5,
+}
+CALIBRATION = {
+    row["quantity"]: (float(row["value"]), float(row["stderr"]))
+    for row in csv.DictReader(line for line in (ROOT / "out/calibration/calibration.csv")
+                              .read_text().splitlines() if not line.startswith("#"))
+}
+
+
+@pytest.mark.parametrize("quantity", CALIBRATION_TRUTH)
+def test_calibration_recovers_ground_truth(quantity):
+    value, stderr = CALIBRATION[quantity]
+    assert stderr > 0.0
+    z = (value - CALIBRATION_TRUTH[quantity]) / stderr
+    assert abs(z) <= 3.0, f"{quantity} = {value} +- {stderr:.3g}: z = {z:+.2f}"

@@ -137,6 +137,25 @@ class TestRunTrial:
             assert scaled.params.current_uA(r2.count1[0], 20) == pytest.approx(
                 10.0 * base.params.current_uA(r1.count1[0], 20))
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("n_a,n_b,n_devices,duration,p_on,median", [
+        (40, 20, 20, 2.0, 0.05, 2.0), (40, 20, 20, 0.5, 0.2, 0.05),
+        (40, 20, 5, 0.5, 0.06, 0.08), (20, 10, 100, 0.5, 0.05, 2.0),
+    ])
+    def test_time_scale_invariance(self, n_a, n_b, n_devices, duration, p_on, median, sigma):
+        # Pulse times are uniforms times the window, and survival depends on a
+        # gap only through gap / median: scaling both by a power of two is
+        # exact in binary64, so no draw or count may move. An absolute time
+        # constant in the model would break this.
+        base = _config(n_a, n_b, n_devices, duration, p_on, median, sigma)
+        for k in (-2, 1, 10):
+            scaled = _config(n_a, n_b, n_devices, duration * 2.0**k, p_on, median * 2.0**k, sigma)
+            for seed in range(5):
+                expected = run_trials(base, 256, spawn_rng(10, seed))
+                got = run_trials(scaled, 256, spawn_rng(10, seed))
+                for name, a, b in zip(expected._fields, expected, got):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, seed, name)
+
     def test_symmetry_under_stream_swap(self):
         # accuracy(40 vs 20) and accuracy(20 vs 40) agree within Monte Carlo
         # noise; 3-sigma band on the difference of two 400-trial estimates.

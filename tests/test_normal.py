@@ -1,9 +1,13 @@
-"""The stdlib normal CDF and quantile against scipy.special, bit for bit.
+"""The stdlib normal CDF, quantile and log CDF against scipy.special.
 
 ``memdecide._normal`` ports the Cephes ``ndtr``/``ndtri`` that scipy runs, so
-every comparison here is ``==`` on the float64 bits, not a tolerance: the
+their comparisons are ``==`` on the float64 bits, not a tolerance: the
 sweep reports under ``out/`` record ``p_on`` realised through these
 functions, and CI pins the scipy build those rows came from.
+
+``log_ndtr`` is not a port and not bit-identical: it uses scipy's formula on
+the Cephes ``erfc`` where scipy uses the Faddeeva package's, so it is checked
+to within 8 ulp.
 """
 
 import json
@@ -16,7 +20,7 @@ import pytest
 from scipy import special
 
 from memdecide import SwitchingCurve, default_deck, read_deck
-from memdecide._normal import ndtr, ndtri
+from memdecide._normal import log_ndtr, ndtr, ndtri
 
 ROOT = Path(__file__).resolve().parent.parent
 MAXLOG_EDGE = math.sqrt(2.0 * 7.09782712893383996843e2)  # erfc underflows past a / sqrt(2) = sqrt(MAXLOG)
@@ -56,6 +60,21 @@ def test_ndtri_matches_scipy():
         [5e-324, sys.float_info.min, np.nextafter(1.0, 0.0), 0.0, 1.0],
     ])
     _assert_bits_equal([ndtri(v) for v in p.tolist()], special.ndtri(p))
+
+
+def test_log_ndtr_within_8_ulp_of_scipy():
+    rng = np.random.default_rng(20223)
+    # The branch edges: a = -1 (log1p form below it), y = -a / sqrt(2) = 1 and 8 (erfcx's).
+    edges = _around(-1.0, -math.sqrt(2.0), -8.0 * math.sqrt(2.0), 0.0, -60.0, 40.0, MAXLOG_EDGE)
+    a = np.concatenate([rng.uniform(-60.0, 40.0, 40_000), rng.uniform(-3.0, 3.0, 20_000), edges])
+    mine = np.array([log_ndtr(v) for v in a.tolist()])
+    theirs = special.log_ndtr(a)
+    # Relative to the value, until it underflows toward 0 (a above about 37):
+    # there the bound is 8 ulp of the smallest normal double.
+    ulp = np.spacing(np.maximum(np.abs(theirs), sys.float_info.min))
+    worst = np.argmax(np.abs(mine - theirs) / ulp)
+    assert np.all(np.abs(mine - theirs) <= 8 * ulp), (
+        f"a = {a[worst]!r}: {mine[worst]!r} against {theirs[worst]!r}")
 
 
 def _bundled_p_on_values():
