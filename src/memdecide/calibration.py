@@ -1,6 +1,6 @@
 """Fit device-model parameters from measured pulsed-characterization data.
 
-Two kinds of records come in from CSV:
+Two kinds of records come in from CSV, read by :func:`memdecide.reports.read_csv`:
 
 * switching records ``(v_pulse_V, switched)``: binary outcomes of programming
   pulses at various amplitudes, fitted by maximum likelihood to the normal-CDF
@@ -35,7 +35,7 @@ import numpy as np
 from ._normal import log_ndtr
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve
 from .errors import DegenerateDataError, InsufficientDataError
-from .stream import parse_finite
+from .reports import parse_finite, read_csv
 
 __all__ = [
     "SwitchingRecord",
@@ -223,7 +223,9 @@ def fit_retention(records) -> tuple[RetentionTable, list[tuple[float, float]]]:
             raise InsufficientDataError(
                 f"i_cc={i_cc} uA has {n} records, need >= {MIN_RETENTION_RECORDS}"
             )
-        median = float(np.median(values))
+        # The middle order statistic(s): np.median would load numpy.ma mid-run.
+        ordered = np.sort(values)
+        median = float(ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2)
         sigma_log = float(np.std(np.log(values), ddof=1))
         table.append((i_cc, RetentionDistribution(median_s=median, sigma_log=sigma_log)))
         stderrs.append((median * sigma_log * math.sqrt(math.pi / 2.0 / n),
@@ -297,20 +299,6 @@ def device_params(
 
 # --- file formats ------------------------------------------------------------
 
-_SWITCHING_HEADER = "v_pulse_V,switched"
-_RETENTION_HEADER = "i_cc_uA,retention_s"
-
-
-def _read_rows(path, expected_header: str):
-    """Rows after ``expected_header`` as ``(line number, fields)``; skips blank, ``#`` lines."""
-    with open(path) as fh:
-        lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, 1)
-                 if line.strip() and not line.startswith("#")]
-    if not lines or lines[0][1] != expected_header:
-        raise ValueError(f"{path}: expected header {expected_header!r}")
-    return [(lineno, line.split(",")) for lineno, line in lines[1:]]
-
-
 def read_switching_csv(path) -> list[SwitchingRecord]:
     """Read ``v_pulse_V,switched`` rows; ``switched`` must be 0 or 1.
 
@@ -318,21 +306,17 @@ def read_switching_csv(path) -> list[SwitchingRecord]:
     ``ValueError`` naming ``path:line``.
     """
     records = []
-    for lineno, row in _read_rows(path, _SWITCHING_HEADER):
-        if len(row) != 2 or row[1] not in ("0", "1"):
-            raise ValueError(f"{path}:{lineno}: bad switching row {','.join(row)!r}")
-        records.append(SwitchingRecord(parse_finite(row[0], path, lineno), row[1] == "1"))
+    for lineno, (v, switched) in read_csv(path, SwitchingRecord._fields)[1]:
+        if switched not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: switched must be 0 or 1, got {switched!r}")
+        records.append(SwitchingRecord(parse_finite(v, path, lineno), switched == "1"))
     return records
 
 
 def read_retention_csv(path) -> list[RetentionRecord]:
     """Read ``i_cc_uA,retention_s`` rows; a bad or non-finite one names ``path:line``."""
-    records = []
-    for lineno, row in _read_rows(path, _RETENTION_HEADER):
-        if len(row) != 2:
-            raise ValueError(f"{path}:{lineno}: bad retention row {','.join(row)!r}")
-        records.append(RetentionRecord(*(parse_finite(x, path, lineno) for x in row)))
-    return records
+    return [RetentionRecord(*(parse_finite(x, path, lineno) for x in row))
+            for lineno, row in read_csv(path, RetentionRecord._fields)[1]]
 
 
 def _deck_to_dict(deck: ParamDeck) -> dict:

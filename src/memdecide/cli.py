@@ -52,18 +52,10 @@ from .calibration import (
 )
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve, check_i_cc
 from .errors import ConfigError
-from .experiment import RNG_LAYOUT, SweepGrid, run_trace_experiment, sample_count, sweep, sweep_cells
+from .experiment import (RNG_LAYOUT, AccuracyPoint, SweepGrid, run_trace_experiment,
+                         sample_count, sweep, sweep_cells)
 from .network import TwoAfcConfig, check_trial_devices, run_trials
-from .reports import (
-    REPORT_HEADER,
-    TRACE_HEADER,
-    TRIAL_HEADER,
-    format_rows,
-    report_rows,
-    trace_rows,
-    trial_row,
-    write_csv,
-)
+from .reports import format_rows, write_csv
 from .seeding import derive_seed, spawn_rng
 from .stream import check_duration, check_n_pulses, generate_periodic, generate_random, read_stream_csv
 from .svgplot import line_chart
@@ -420,9 +412,10 @@ def cmd_trace(cfg: RunConfig) -> int:
             master_seed=derive_seed(cfg.seed, "trace", label),
             tail_s=section.get("tail_s", 0.0),
         )
-        rows.extend(trace_rows(label, p_on, i_cc, trace, section["repeats"]))
+        rows.extend(format_rows(label, p_on, i_cc, *trace, section["repeats"]))
         chart_series.append((label, trace.times, trace.count_on))
-    _write_outputs(cfg, "trace", TRACE_HEADER, rows,
+    header = ["series", "p_on", "i_cc_uA", "t_s", "count_on", "current_uA", "repeat_mean"]
+    _write_outputs(cfg, "trace", header, rows,
                    chart_series, "synapse integration", "time (s)", "mean devices ON")
     return 0
 
@@ -431,9 +424,14 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def cmd_trial(cfg: RunConfig) -> int:
-    row = trial_row(0, cfg.trial, run_trials(cfg.trial, 1, spawn_rng(cfg.seed, "trial", 0)))
-    _write_outputs(cfg, "trial", TRIAL_HEADER, [row])
-    print(",".join(TRIAL_HEADER))
+    batch = run_trials(cfg.trial, 1, spawn_rng(cfg.seed, "trial", 0))
+    counts = batch.count1[0], batch.count2[0]
+    currents = (cfg.trial.params.current_uA(count, cfg.trial.n_devices) for count in counts)
+    (row,) = format_rows(0, "A" if batch.choose_a[0] else "B", batch.correct[0],
+                         *currents, *counts, batch.tie[0])
+    header = ["trial", "decision", "correct", "i1_uA", "i2_uA", "count1", "count2", "tie"]
+    _write_outputs(cfg, "trial", header, [row])
+    print(",".join(header))
     print(row)
     return 0
 
@@ -464,7 +462,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         xs.append(getattr(p, x_field))
         ys.append(p.accuracy)
     series = [(label, xs, ys) for label, (xs, ys) in groups.items()]
-    _write_outputs(cfg, "report", REPORT_HEADER, report_rows(points),
+    _write_outputs(cfg, "report", AccuracyPoint._fields, format_rows(*zip(*points)),
                    series, "decision accuracy", x_field, "accuracy")
     return 0
 
@@ -485,8 +483,9 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         provenance_bits.append(f"switching fit from {path.name} ({diag.n_records} records)")
         diag_rows.append(("switching_v_median_V", float(switching.v_median), float(diag.se_v_median)))
         diag_rows.append(("switching_v_spread_V", float(switching.v_spread), float(diag.se_v_spread)))
-        diag_rows.append(("switching_log_likelihood", float(diag.log_likelihood), 0.0))
-        diag_rows.append(("switching_converged", 1.0 if diag.converged else 0.0, 0.0))
+        # Neither has a standard error.
+        diag_rows.append(("switching_log_likelihood", float(diag.log_likelihood), math.nan))
+        diag_rows.append(("switching_converged", 1.0 if diag.converged else 0.0, math.nan))
     else:
         provenance_bits.append(f"switching curve: {cfg.sources['switching curve']}")
 

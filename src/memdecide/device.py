@@ -136,29 +136,24 @@ class RetentionDistribution:
 class DeviceParams:
     """Full parameter set of one cell.
 
-    ``i_on_uA`` defaults to the compliance current ``i_cc_uA`` (the ON current
-    clamps at compliance); ``i_off_uA`` defaults to 0 because the OFF-state
-    resistance is several orders of magnitude above ON and is negligible at
-    microampere scale.
+    An ON cell carries the compliance current ``i_cc_uA``, where its current
+    clamps. ``i_off_uA`` defaults to 0 because the OFF-state resistance is
+    several orders of magnitude above ON and is negligible at microampere
+    scale.
     """
 
     i_cc_uA: float
     retention: RetentionDistribution
-    i_on_uA: float | None = None
     i_off_uA: float = 0.0
 
     def __post_init__(self):
         check_i_cc(self.i_cc_uA)
-        if self.i_on_uA is None:
-            object.__setattr__(self, "i_on_uA", float(self.i_cc_uA))
-        _require_finite(self, "i_cc_uA", "i_on_uA", "i_off_uA")
+        _require_finite(self, "i_cc_uA", "i_off_uA")
         if self.i_off_uA < 0.0:
             raise ValueError(f"i_off_uA must be >= 0, got {self.i_off_uA}")
-        if not (self.i_on_uA > self.i_off_uA):
-            raise ValueError(
-                f"i_on_uA ({self.i_on_uA}) must exceed i_off_uA ({self.i_off_uA})"
-            )
+        if not (self.i_cc_uA > self.i_off_uA):
+            raise ValueError(f"i_cc_uA ({self.i_cc_uA}) must exceed i_off_uA ({self.i_off_uA})")
 
     def current_uA(self, count_on, n: int):
         """Summed current of ``n`` cells of which ``count_on`` are ON (vectorizes over counts)."""
-        return count_on * self.i_on_uA + (n - count_on) * self.i_off_uA
+        return count_on * self.i_cc_uA + (n - count_on) * self.i_off_uA

@@ -73,8 +73,8 @@ _Z95 = 1.959963984540054
 RNG_LAYOUT = 4
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion.
 
     Always contains the point estimate and stays inside [0, 1].
     """
@@ -83,10 +83,10 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p_hat = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (p_hat + z2 / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
+    half = (_Z95 / denom) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials))
     # The interval brackets the point estimate in exact arithmetic; the
     # min/max guards only absorb float rounding at the 0 and 1 endpoints.
     return max(0.0, min(center - half, p_hat)), min(1.0, max(center + half, p_hat))

@@ -5,7 +5,7 @@ channel A emits ``n_a`` and channel B ``n_b`` randomly placed pulses, every
 pulse switching with the same ``p_on``; the channel with strictly more
 pulses is the ground-truth answer. At the end of the window an ideal sign
 comparator picks the synapse with the larger current. Both synapses have the
-same ``N`` cells and currents, and a synapse's current ``N*i_off + c*(i_on -
+same ``N`` cells and currents, and a synapse's current ``N*i_off + c*(i_cc -
 i_off)`` rises strictly with its ON count ``c``, so the comparator decides on
 the two ON counts: in integers the comparison stays exact at any ``N``,
 where float64 currents of adjacent counts coincide from ``N`` near ``2**55``.

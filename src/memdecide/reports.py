@@ -1,37 +1,23 @@
-"""Deterministic CSV emission for traces, trials, sweep reports and calibrations.
+"""The CSV format, both ways: every CSV file memdecide writes or reads.
 
 All files use '.' as the decimal separator, '\\n' newlines, a mandatory header
-row, and optional leading '#' comment lines carrying provenance (the effective
-run configuration). Every data row is made by :func:`format_rows`, which
-converts a table one column at a time: floats are rendered with ``repr``, the
-shortest exact round-trip form, bools as ``0``/``1`` and everything else with
-``str``, so identical runs produce byte-identical files.
+row, and optional leading ``# key=value`` comment lines carrying provenance
+(the effective run configuration, a replay stream's window). Every data row
+is made by :func:`format_rows`, which converts a table one column at a time:
+floats are rendered with ``repr``, the shortest exact round-trip form, bools
+as ``0``/``1`` and everything else with ``str``, so identical runs produce
+byte-identical files. :func:`read_csv` reads a file back. This module imports
+nothing else from memdecide.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .experiment import AccuracyPoint
-from .network import TrialBatch, TwoAfcConfig
-from .synapse import Trace
-
-__all__ = [
-    "format_rows",
-    "write_csv",
-    "trace_rows",
-    "trial_row",
-    "report_rows",
-    "TRACE_HEADER",
-    "TRIAL_HEADER",
-    "REPORT_HEADER",
-]
-
-TRACE_HEADER = ["series", "p_on", "i_cc_uA", "t_s", "count_on", "current_uA", "repeat_mean"]
-TRIAL_HEADER = ["trial", "decision", "correct", "i1_uA", "i2_uA", "count1", "count2", "tie"]
-REPORT_HEADER = list(AccuracyPoint._fields)
+__all__ = ["format_rows", "write_csv", "read_csv", "parse_finite"]
 
 
 def _format(values: np.ndarray) -> list[str]:
@@ -64,25 +50,37 @@ def write_csv(path, header: Sequence[str], rows: Iterable[str], comments: Sequen
         fh.write("\n".join(lines) + "\n")
 
 
-def trace_rows(series: str, p_on: float, i_cc_uA: float, trace: Trace, repeats: int) -> list[str]:
-    """Rows for one trace series; ``repeat_mean`` records the averaging depth.
+def read_csv(path, header: Sequence[str]):
+    """``(comments, rows)`` of a CSV file whose header is ``header``.
 
-    Every ``Trace`` column is written as floats, so an integer count prints
-    as ``5.0``.
+    ``comments`` maps each ``# key=value`` line's key to ``(line number,
+    value)``; ``rows`` holds each line after the header as ``(line number,
+    fields)``. Blank lines are skipped. A missing header, or a row whose field
+    count differs from the header's, is a ``ValueError`` naming ``path``.
     """
-    columns = (np.asarray(column, dtype=float) for column in trace)
-    return format_rows(series, float(p_on), float(i_cc_uA), *columns, repeats)
+    comments, lines = {}, []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                comments[key.strip()] = (lineno, value.strip())
+            elif line:
+                lines.append((lineno, line.split(",")))
+    if not lines or lines[0][1] != list(header):
+        raise ValueError(f"{path}: expected header {','.join(header)!r}")
+    for lineno, fields in lines[1:]:
+        if len(fields) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {','.join(fields)!r}")
+    return comments, lines[1:]
 
 
-def trial_row(index: int, cfg: TwoAfcConfig, batch: TrialBatch) -> str:
-    """Row 0 of ``batch``, a trial of ``cfg``: ``decision`` as ``A`` or ``B``, currents from the counts."""
-    counts = batch.count1[0], batch.count2[0]
-    currents = (cfg.params.current_uA(count, cfg.n_devices) for count in counts)
-    (row,) = format_rows(index, "A" if batch.choose_a[0] else "B", batch.correct[0],
-                         *currents, *counts, batch.tie[0])
-    return row
-
-
-def report_rows(points: Iterable[AccuracyPoint]) -> list[str]:
-    """One row per point, its fields in ``REPORT_HEADER`` order."""
-    return format_rows(*zip(*points))
+def parse_finite(text: str, path, lineno: int) -> float:
+    """``text`` as a finite float; anything else is a ``ValueError`` naming ``path:lineno``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: not a finite number: {text.strip()!r}")
+    return value

@@ -1,4 +1,4 @@
-"""Stimulus generators: random pulse streams and periodic trains.
+"""Stimulus generators: random pulse streams and periodic trains, and replay files.
 
 A pulse stream is a sorted list of event times inside a trial window. Pulses
 are instantaneous events; the synapse gives each the same switching
@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reports import format_rows, parse_finite, read_csv, write_csv
+
 __all__ = [
     "check_n_pulses",
     "check_duration",
@@ -22,7 +24,6 @@ __all__ = [
     "generate_periodic",
     "write_stream_csv",
     "read_stream_csv",
-    "parse_finite",
 ]
 
 
@@ -111,45 +112,23 @@ def generate_periodic(n_pulses: int, rate_hz: float, start_s: float = 0.0) -> Pu
 
 
 def write_stream_csv(stream: PulseStream, path) -> None:
-    """Serialize a stream for replay: one ``t_s`` column plus the window."""
-    lines = [f"# duration_s={stream.duration_s!r}", "t_s"]
-    lines.extend(repr(float(t)) for t in stream.times)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Serialize a stream for replay: its window as a comment, then one ``t_s`` column."""
+    write_csv(path, ["t_s"], format_rows(stream.times), [f"duration_s={stream.duration_s!r}"])
 
 
-def parse_finite(text: str, path, lineno: int) -> float:
-    """``text`` as a finite float; anything else is a ``ValueError`` naming ``path:lineno``."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"{path}:{lineno}: not a finite number: {text.strip()!r}")
-    return value
-
-
-def read_stream_csv(path, duration_s: float | None = None) -> PulseStream:
+def read_stream_csv(path) -> PulseStream:
     """Read a replay file written by :func:`write_stream_csv`.
 
-    The window comes from the ``# duration_s=`` comment unless overridden. A
-    row or ``duration_s`` value that is not a finite number is a
+    The file needs the ``t_s`` header and a ``# duration_s=`` comment, the
+    window. A row or ``duration_s`` value that is not a finite number is a
     ``ValueError`` naming ``path:line``.
     """
-    times = []
-    file_duration = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                if key.strip() == "duration_s":
-                    file_duration = parse_finite(value, path, lineno)
-            elif line not in ("", "t_s"):
-                times.append(parse_finite(line, path, lineno))
-    duration = duration_s if duration_s is not None else file_duration
-    if duration is None:
-        raise ValueError(f"{path}: no duration_s comment and no override given")
+    comments, rows = read_csv(path, ["t_s"])
+    times = [parse_finite(t, path, lineno) for lineno, (t,) in rows]
+    if "duration_s" not in comments:
+        raise ValueError(f"{path}: no duration_s comment")
+    lineno, text = comments["duration_s"]
+    duration = parse_finite(text, path, lineno)
     try:
         return PulseStream(times=np.asarray(times, dtype=float), duration_s=duration)
     except ValueError as exc:

@@ -4,7 +4,7 @@ N cells share their electrodes, so every pulse reaches all of them at once
 and each OFF cell switches independently with the pulse's switching
 probability ``p_on``, the only property of a pulse that a synapse sees. The
 synaptic weight is the number of cells currently ON; the summed current is
-``count_on * i_on + (N - count_on) * i_off``
+``count_on * i_cc + (N - count_on) * i_off``
 (:meth:`memdecide.device.DeviceParams.current_uA`). Between pulses the
 weight only decays, as individual filaments dissolve.
 

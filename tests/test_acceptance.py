@@ -429,12 +429,13 @@ def test_calibration_round_trips():
 
 
 def test_scale_invariance_of_decisions():
-    """Scaling the ON current by 10 leaves every seeded decision unchanged:
-    with zero leakage the comparator depends only on the count difference."""
-    def decisions(i_on):
+    """Scaling the compliance (ON) current by 10 at a fixed retention leaves
+    every seeded decision unchanged: with zero leakage the comparator depends
+    only on the count difference."""
+    def decisions(i_cc):
         cfg = TwoAfcConfig(
             n_devices=20,
-            params=DeviceParams(270.0, REF_RETENTION, i_on_uA=i_on),
+            params=DeviceParams(i_cc, REF_RETENTION),
             p_on=REF_P_ON,
             n_a=40,
             n_b=20,

@@ -277,7 +277,7 @@ class TestDeck:
     def test_device_params_at_current(self):
         deck = default_deck()
         params = device_params(deck, 270.0)
-        assert params.i_on_uA == 270.0
+        assert params.current_uA(1, 1) == 270.0  # the ON current clamps at compliance
         assert params == DeviceParams(270.0, interpolate_retention(deck.retention_table, 270.0))
 
 

@@ -177,6 +177,16 @@ class TestTrial:
         assert proc.stdout.startswith("trial,decision,")
         assert (tmp_path / "out" / "trial.csv").is_file()
 
+    def test_currents_follow_the_counts(self, tmp_path, capsys):
+        # c ON cells carry i_cc each and the other N - c leak i_off each.
+        payload = _trial_config(tmp_path / "out")
+        payload["device"] = {"v_median_V": 0.6, "v_spread_V": 0.05, "i_off_uA": 0.37}
+        cfg = _write_config(tmp_path / "t.cfg", payload)
+        assert main(["trial", "--config", cfg]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        counts = int(row[5]), int(row[6])
+        assert row[3:5] == [repr(c * 270.0 + (20 - c) * 0.37) for c in counts]
+
     def test_no_evidence_row_is_tie(self, tmp_path, capsys):
         payload = _trial_config(tmp_path / "out")
         payload["trial"]["p_on"] = 1e-15  # effectively zero switching
@@ -222,6 +232,7 @@ def test_commands_load_no_module_after_set_up(tmp_path):
     trace_cfg = _write_config(tmp_path / "trace.cfg", _trace_config(tmp_path / "trace"))
     trial_cfg = _write_config(tmp_path / "trial.cfg", _trial_config(tmp_path / "trial"))
     sweep_cfg = _write_config(tmp_path / "sweep.cfg", _sweep_config(tmp_path / "sweep"))
+    calibrate_cfg = str(ROOT / "configs" / "calibrate_example.cfg")
     code = (
         "import sys\n"
         "from memdecide import cli\n"
@@ -239,6 +250,7 @@ def test_commands_load_no_module_after_set_up(tmp_path):
         f"assert cli.main(['trial', '--config', {trial_cfg!r}]) == 0\n"
         f"assert cli.main(['sweep', '--config', {sweep_cfg!r}, '--threads', '1']) == 0\n"
         f"assert cli.main(['sweep', '--config', {sweep_cfg!r}, '--threads', '2']) == 0\n"
+        f"assert cli.main(['calibrate', '--config', {calibrate_cfg!r}, '--out', {str(tmp_path / 'cal')!r}]) == 0\n"
         "print(sorted(loaded))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
@@ -572,6 +584,17 @@ class TestConfigErrors:
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main(["trace", "--config", cfg]) == 2
         assert f"{replay}:{line}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_csv_without_header_exits_two(self, tmp_path, capsys):
+        replay = tmp_path / "pulses.csv"
+        replay.write_text("# duration_s=1.0\n0.1\n0.5\n")
+        out = tmp_path / "out"
+        payload = _trace_config(out)
+        payload["trace"]["pulses"] = {"replay_csv": str(replay)}
+        cfg = _write_config(tmp_path / "t.cfg", payload)
+        assert main(["trace", "--config", cfg]) == 2
+        assert f"{replay}: expected header 't_s'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,path,value,where",

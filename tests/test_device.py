@@ -177,12 +177,15 @@ class TestRetentionSurvival:
 
 
 class TestDeviceParams:
-    def test_i_on_defaults_to_compliance(self):
-        assert _params(i_cc=270.0).i_on_uA == 270.0
+    def test_on_current_is_the_compliance_current(self):
+        # c ON cells carry i_cc each, the other N - c leak i_off each.
+        params = _params(i_cc=270.0, i_off_uA=0.5)
+        assert params.current_uA(3, 10) == 3 * 270.0 + 7 * 0.5
+        assert params.current_uA(np.array([0, 10]), 10).tolist() == [5.0, 2700.0]
 
-    def test_on_current_must_exceed_leakage(self):
-        with pytest.raises(ValueError):
-            _params(i_on_uA=1.0, i_off_uA=2.0)
+    def test_compliance_current_must_exceed_leakage(self):
+        with pytest.raises(ValueError, match=r"i_cc_uA \(1.0\) must exceed i_off_uA \(2.0\)"):
+            _params(i_cc=1.0, i_off_uA=2.0)
 
     def test_invalid_compliance(self):
         with pytest.raises(ValueError):
@@ -190,9 +193,8 @@ class TestDeviceParams:
 
     @pytest.mark.parametrize(
         "kw",
-        [{"i_cc": math.inf}, {"i_cc": math.nan}, {"i_on_uA": math.inf},
-         {"i_on_uA": math.nan}, {"i_off_uA": math.nan}],
-        ids=["i_cc=inf", "i_cc=nan", "i_on=inf", "i_on=nan", "i_off=nan"],
+        [{"i_cc": math.inf}, {"i_cc": math.nan}, {"i_off_uA": math.inf}, {"i_off_uA": math.nan}],
+        ids=["i_cc=inf", "i_cc=nan", "i_off=inf", "i_off=nan"],
     )
     def test_non_finite_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -286,9 +288,9 @@ class TestRelax:
 
 
 class TestReadCurrent:
-    @pytest.mark.parametrize("i_on", [300.0, 10.0])
-    def test_on_reads_on_current(self, i_on, rng):
-        assert _read(*_cell_on_until(9.0, rng, i_cc=i_on), 1.0) == (1, i_on)
+    @pytest.mark.parametrize("i_cc", [300.0, 10.0])
+    def test_on_reads_on_current(self, i_cc, rng):
+        assert _read(*_cell_on_until(9.0, rng, i_cc=i_cc), 1.0) == (1, i_cc)
 
     def test_off_reads_leakage(self):
         params = _params(i_off_uA=2.0)

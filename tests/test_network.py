@@ -15,7 +15,6 @@ from memdecide import (
     spawn_rng,
 )
 from memdecide.network import on_probability
-from memdecide.reports import trial_row
 from memdecide.stream import random_times
 from memdecide.synapse import pulse_update
 
@@ -23,11 +22,10 @@ from exact_accuracy import _on_probability as exact_on_probability
 
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05,
-            median=2.0, sigma=0.5, i_on=None, i_off=0.0):
+            median=2.0, sigma=0.5, i_cc=270.0, i_off=0.0):
     params = DeviceParams(
-        i_cc_uA=270.0,
+        i_cc_uA=i_cc,
         retention=RetentionDistribution(median, sigma),
-        i_on_uA=i_on,
         i_off_uA=i_off,
     )
     return TwoAfcConfig(
@@ -99,7 +97,8 @@ class TestRunTrial:
         r = run_trials(cfg, 1, rng)
         assert r.choose_a[0] and r.correct[0] and not r.tie[0]
         assert r.count1[0] == 20 and r.count2[0] == 0
-        assert trial_row(0, cfg, r) == "0,A,1,5400.0,0.0,20,0,0"
+        assert cfg.params.current_uA(r.count1[0], 20) == 5400.0
+        assert cfg.params.current_uA(r.count2[0], 20) == 0.0
 
     def test_no_evidence_is_a_coin_flip(self):
         cfg = _config(p_on=0.0)
@@ -127,9 +126,10 @@ class TestRunTrial:
 
     def test_decision_scale_invariance(self):
         # With zero leakage the comparator sees only the ON-count difference,
-        # so scaling the ON current must not flip any seeded decision.
-        base = _config(i_on=270.0)
-        scaled = _config(i_on=2700.0)
+        # so scaling the compliance (ON) current at a fixed retention must not
+        # flip any seeded decision.
+        base = _config(i_cc=270.0)
+        scaled = _config(i_cc=2700.0)
         for i in range(50):
             r1 = run_trials(base, 1, spawn_rng(8, i))
             r2 = run_trials(scaled, 1, spawn_rng(8, i))

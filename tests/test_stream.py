@@ -126,12 +126,32 @@ class TestReplayCsv:
         assert replayed.duration_s == stream.duration_s
         assert np.array_equal(replayed.times, stream.times)
 
-    def test_duration_override(self, tmp_path, rng):
-        stream = generate_random(5, 1.0, rng)
+    def test_written_bytes(self, tmp_path):
         path = tmp_path / "stream.csv"
-        write_stream_csv(stream, path)
-        replayed = read_stream_csv(path, duration_s=4.0)
-        assert replayed.duration_s == 4.0
+        write_stream_csv(PulseStream(times=np.array([0.0, 0.1 + 0.2, 1.5]), duration_s=2.5), path)
+        assert path.read_bytes() == b"# duration_s=2.5\nt_s\n0.0\n0.30000000000000004\n1.5\n"
+
+    def test_empty_stream(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        write_stream_csv(generate_periodic(0, 4.0), path)
+        assert path.read_bytes() == b"# duration_s=0.25\nt_s\n"
+        replayed = read_stream_csv(path)
+        assert replayed.n_pulses == 0 and replayed.duration_s == 0.25
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("# duration_s=1.0\n0.1\n0.5\n", ": expected header 't_s'"),
+         ("# duration_s=1.0\n", ": expected header 't_s'"),
+         ("# duration_s=1.0\n0.1\nt_s\n", ": expected header 't_s'"),
+         ("t_s\n0.1\n", ": no duration_s comment"),
+         ("# duration_s=1.0\nt_s\n0.1,0.2\n", ":3: expected 1 fields")],
+        ids=["no-header", "empty", "header-after-row", "no-duration", "two-fields"],
+    )
+    def test_needs_header_and_window(self, tmp_path, text, message):
+        path = tmp_path / "stream.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            read_stream_csv(path)
 
     @pytest.mark.parametrize(
         "text,where",

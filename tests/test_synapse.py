@@ -136,7 +136,7 @@ class TestRead:
         assert all(current == count * 300.0 for count, current in reads)
 
     def test_leakage_included(self, rng):
-        params = _params(i_on_uA=300.0, i_off_uA=2.0)
+        params = _params(i_off_uA=2.0)
         expiry = np.full(10, -np.inf)
         pulse_update(expiry, 0.0, P_CERTAIN, params.retention, rng)
         count, current = _read(expiry, params, 0.0)
@@ -232,7 +232,7 @@ class TestTrace:
         assert np.all(np.diff(counts) <= 0)
 
     def test_current_identity_at_every_sample(self, rng):
-        params = _params(i_on_uA=300.0, i_off_uA=1.5, retention=RetentionDistribution(0.2, 0.5))
+        params = _params(i_off_uA=1.5, retention=RetentionDistribution(0.2, 0.5))
         stream = generate_periodic(20, 10.0)
         counts = _trace(20, stream, 0.3, params.retention, np.linspace(0.0, 3.0, 61), rng)
         expected = counts * 300.0 + (20 - counts) * 1.5
