@@ -17,7 +17,6 @@ from memdecide import (
     RetentionRecord,
     SwitchingCurve,
     SwitchingRecord,
-    SweepGrid,
     fit_retention,
     fit_switching_curve,
     interpolate_retention,
@@ -87,11 +86,11 @@ print(f"interpolated retention at 170 uA: median {mid.median_s:.3f} s")
 
 # The fitted deck drives a sweep directly: each cell takes its retention from
 # the deck at the cell's compliance current.
-grid = SweepGrid(durations_s=[2.0], ratios=[(40, 20)], device_counts=[20],
-                 i_cc_values_uA=[10.0, 300.0], p_on_values=[0.05],
-                 trials_per_point=300, master_seed=5)
+cells = sweep_cells(durations_s=[2.0], ratios=[(40, 20)], device_counts=[20],
+                    i_cc_values_uA=[10.0, 300.0], p_on_values=[0.05],
+                    master_seed=5, deck=reloaded)
 print("\naccuracy with the fitted deck, 40-vs-20 pulses in 2 s, 20 cells:")
-for point in sweep(sweep_cells(grid, reloaded), grid.trials_per_point):
+for point in sweep(cells, trials=300):
     print(f"   {point.i_cc_uA:5.0f} uA: {point.accuracy:.3f}")
 print("\nThe same pipeline end to end through the command line:")
 print("  memdecide calibrate --config configs/calibrate_example.cfg")

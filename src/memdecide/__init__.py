@@ -32,7 +32,6 @@ from .errors import (
 )
 from .experiment import (
     AccuracyPoint,
-    SweepGrid,
     estimate_accuracy,
     run_trace_experiment,
     sweep,
@@ -62,7 +61,6 @@ __all__ = [
     "PulseStream",
     "RetentionDistribution",
     "RetentionRecord",
-    "SweepGrid",
     "SwitchingCurve",
     "SwitchingFitDiagnostics",
     "SwitchingRecord",

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._normal import log_ndtr
-from .device import DeviceParams, RetentionDistribution, SwitchingCurve
+from .device import DeviceParams, RetentionDistribution, SwitchingCurve, check_i_cc
 from .errors import DegenerateDataError, InsufficientDataError
 from .reports import parse_finite, read_csv
 
@@ -81,7 +81,8 @@ class SwitchingFitDiagnostics:
 class ParamDeck:
     """Switching curve + retention table + provenance note.
 
-    The retention table is kept sorted by compliance current. Non-monotone
+    The retention table is kept sorted by compliance current, and every
+    current must be > 0 (the table is interpolated on its log). Non-monotone
     medians are reported as a warning rather than an error: measured box plots
     carry noise and a strict check would reject real data.
     """
@@ -95,6 +96,8 @@ class ParamDeck:
         object.__setattr__(self, "retention_table", table)
         if not table:
             raise ValueError("retention_table must not be empty")
+        for i_cc, _ in table:
+            check_i_cc(i_cc)
         medians = [dist.median_s for _, dist in table]
         if any(b < a for a, b in zip(medians, medians[1:])):
             # stacklevel 3 names the caller, past the generated __init__.

@@ -50,10 +50,9 @@ from .calibration import (
     read_switching_csv,
     write_deck,
 )
-from .device import DeviceParams, RetentionDistribution, SwitchingCurve, check_i_cc
+from .device import DeviceParams, RetentionDistribution, SwitchingCurve, check_i_cc, check_i_off
 from .errors import ConfigError
-from .experiment import (RNG_LAYOUT, AccuracyPoint, SweepGrid, run_trace_experiment,
-                         sample_count, sweep, sweep_cells)
+from .experiment import RNG_LAYOUT, AccuracyPoint, run_trace_experiment, sample_count, sweep, sweep_cells
 from .network import TwoAfcConfig, check_trial_devices, run_trials
 from .reports import format_rows, write_csv
 from .seeding import derive_seed, spawn_rng
@@ -113,7 +112,7 @@ def _checked(convert, ok, rule: str):
 
 
 def _ruled(convert, check):
-    """``convert``, then a library range rule; its ``ValueError`` names the key path."""
+    """``convert``, then a library rule or constructor; its ``ValueError`` names the key path."""
     def convert_ruled(value, path):
         value = convert(value, path)
         try:
@@ -179,14 +178,16 @@ _SCHEMA = _section({
     "device": _section({
         "v_median_V": _number,
         "v_spread_V": _number,
-        "retention_table": _list_of(_row(_number, _number, _number)),
-        "i_off_uA": _number,
+        # (i_cc_uA, median_s, sigma_log); the deck checks the currents.
+        "retention_table": _list_of(_ruled(_row(_number, _number, _number),
+                                           lambda row: RetentionDistribution(*row[1:]))),
+        "i_off_uA": _ruled(_number, check_i_off),
     }, required=("v_median_V", "v_spread_V")),
     "trace": _section({
         "n_devices": _count,
         "p_on": _one_or_list(_probability),
-        "i_cc_uA": _one_or_list(_number),
-        "retention_median_s": _one_or_list(_number),
+        "i_cc_uA": _one_or_list(_ruled(_number, check_i_cc)),
+        "retention_median_s": _one_or_list(_ruled(_number, RetentionDistribution)),
         "sigma_log": _number,
         "pulses": _section({
             "n_pulses": _int,
@@ -276,9 +277,12 @@ class RunConfig:
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"config: invalid deck {deck_path}: {exc!r}") from exc
             self.sources = dict.fromkeys(self.sources, self.deck.provenance)
-        try:
-            if "device" in conf:
+        if "device" in conf:
+            try:
                 self._build_device(conf["device"])
+            except ValueError as exc:
+                raise ConfigError(f"device: {exc}") from exc
+        try:
             getattr(self, f"_build_{command}")(section)
         except ConfigError:
             raise
@@ -366,17 +370,9 @@ class RunConfig:
         )
 
     def _build_sweep(self, section: dict) -> None:
-        self.grid = SweepGrid(
-            durations_s=section["durations_s"],
-            ratios=section["ratios"],
-            device_counts=section["device_counts"],
-            i_cc_values_uA=section["i_cc_values_uA"],
-            p_on_values=section["p_on_values"],
-            trials_per_point=section.get("trials", 1000),
-            master_seed=self.seed,
-        )
         # Every cell is built here, so a bad value in the last one exits 2 up front.
-        self.cells = sweep_cells(self.grid, deck=self.deck, i_off_uA=self.i_off_uA,
+        self.cells = sweep_cells(**{key: section[key] for _, key, _ in _SWEEP_AXES},
+                                 master_seed=self.seed, deck=self.deck, i_off_uA=self.i_off_uA,
                                  retention=self._retention(section.get("retention_median_s")))
 
     def _build_calibrate(self, section: dict) -> None:
@@ -439,7 +435,7 @@ def cmd_trial(cfg: RunConfig) -> int:
 # --- sweep -------------------------------------------------------------------
 
 # One row per sweep axis, in grid order: the AccuracyPoint field a chart
-# plots it as, the SweepGrid field of its values, and its series label.
+# plots it as, the config key of its values, and its series label.
 _SWEEP_AXES = (
     ("duration_s", "durations_s", lambda p: f"T={p.duration_s:g}s"),
     ("n_a", "ratios", lambda p: f"{p.n_a}/{p.n_b}"),
@@ -450,10 +446,10 @@ _SWEEP_AXES = (
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    points = sweep(cfg.cells, cfg.grid.trials_per_point, max_workers=cfg.threads)
+    points = sweep(cfg.cells, cfg.section.get("trials", 1000), max_workers=cfg.threads)
     # The x axis is the first varying axis other than the ratio, else the
     # ratio at n_a; every other varying axis labels the series.
-    varying = [axis for axis in _SWEEP_AXES if len(getattr(cfg.grid, axis[1])) > 1]
+    varying = [axis for axis in _SWEEP_AXES if len(cfg.section[axis[1]]) > 1]
     x_field = next((field for field, _, _ in varying if field != "n_a"), "n_a")
     groups: dict[str, tuple[list, list]] = {}
     for p in points:

@@ -36,7 +36,8 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 
-__all__ = ["SwitchingCurve", "RetentionDistribution", "DeviceParams", "check_p_on", "check_i_cc"]
+__all__ = ["SwitchingCurve", "RetentionDistribution", "DeviceParams", "check_p_on", "check_i_cc",
+           "check_i_off"]
 
 
 def _require_finite(obj, *fields) -> None:
@@ -56,6 +57,12 @@ def check_i_cc(i_cc_uA: float) -> None:
     """Reject a compliance current that is not positive, NaN included."""
     if not (i_cc_uA > 0.0):
         raise ValueError(f"i_cc_uA must be > 0, got {i_cc_uA}")
+
+
+def check_i_off(i_off_uA: float) -> None:
+    """Reject a leakage current that is negative, NaN included."""
+    if not (i_off_uA >= 0.0):
+        raise ValueError(f"i_off_uA must be >= 0, got {i_off_uA}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +156,7 @@ class DeviceParams:
     def __post_init__(self):
         check_i_cc(self.i_cc_uA)
         _require_finite(self, "i_cc_uA", "i_off_uA")
-        if self.i_off_uA < 0.0:
-            raise ValueError(f"i_off_uA must be >= 0, got {self.i_off_uA}")
+        check_i_off(self.i_off_uA)
         if not (self.i_cc_uA > self.i_off_uA):
             raise ValueError(f"i_cc_uA ({self.i_cc_uA}) must exceed i_off_uA ({self.i_off_uA})")
 

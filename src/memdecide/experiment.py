@@ -39,7 +39,6 @@ import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,7 +53,6 @@ from .synapse import TRIAL_CHUNK, Trace, check_n_devices, trace_counts
 __all__ = [
     "RNG_LAYOUT",
     "TRIAL_CHUNK",
-    "SweepGrid",
     "AccuracyPoint",
     "wilson_interval",
     "estimate_accuracy",
@@ -90,26 +88,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     # The interval brackets the point estimate in exact arithmetic; the
     # min/max guards only absorb float rounding at the 0 and 1 endpoints.
     return max(0.0, min(center - half, p_hat)), min(1.0, max(center + half, p_hat))
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Cartesian sweep axes plus the Monte Carlo budget and master seed."""
-
-    durations_s: Sequence[float]
-    ratios: Sequence[tuple[int, int]]
-    device_counts: Sequence[int]
-    i_cc_values_uA: Sequence[float]
-    p_on_values: Sequence[float]
-    trials_per_point: int = 1000
-    master_seed: int = 0
-
-    def __post_init__(self):
-        for name in ("durations_s", "ratios", "device_counts", "i_cc_values_uA", "p_on_values"):
-            if not list(getattr(self, name)):
-                raise ValueError(f"{name} must not be empty")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
 
 
 class AccuracyPoint(NamedTuple):
@@ -155,26 +133,35 @@ def estimate_accuracy(cfg: TwoAfcConfig, trials: int, master_seed: int) -> Accur
 
 
 def sweep_cells(
-    grid: SweepGrid,
+    *,
+    durations_s: Sequence[float],
+    ratios: Sequence[tuple[int, int]],
+    device_counts: Sequence[int],
+    i_cc_values_uA: Sequence[float],
+    p_on_values: Sequence[float],
+    master_seed: int,
     deck: ParamDeck | None = None,
     retention: RetentionDistribution | None = None,
     i_off_uA: float = 0.0,
 ) -> list[tuple[TwoAfcConfig, int]]:
-    """Every cell's ``(config, seed)`` in the product order of the grid's axes.
+    """Every cell's ``(config, seed)`` in the product order of the five axes.
 
+    The axes are named like the sweep config's keys, and none may be empty.
     Device parameters at each cell come from the deck (retention interpolated
     at the cell's compliance current) unless a fixed ``retention`` override is
-    given. The seed derives from the master seed and the cell's coordinates.
+    given. The seed derives from ``master_seed`` and the cell's coordinates.
     All cells are built before any is run, so an invalid value anywhere in
     the grid raises ``ValueError`` up front.
     """
+    axes = {"durations_s": durations_s, "ratios": ratios, "device_counts": device_counts,
+            "i_cc_values_uA": i_cc_values_uA, "p_on_values": p_on_values}
+    for name, values in axes.items():
+        if len(values) == 0:
+            raise ValueError(f"{name} must not be empty")
     if deck is None:
         deck = default_deck()
     cells = []
-    for duration_s, ratio, n_devices, i_cc_uA, p_on in itertools.product(
-        grid.durations_s, grid.ratios, grid.device_counts,
-        grid.i_cc_values_uA, grid.p_on_values,
-    ):
+    for duration_s, ratio, n_devices, i_cc_uA, p_on in itertools.product(*axes.values()):
         duration_s, n_devices, i_cc_uA, p_on = (
             float(duration_s), int(n_devices), float(i_cc_uA), float(p_on)
         )
@@ -190,7 +177,7 @@ def sweep_cells(
             p_on=float(deck.switching.probability(deck.switching.quantile(p_on))),
             n_a=n_a, n_b=n_b, duration_s=duration_s,
         )
-        seed = derive_seed(grid.master_seed, duration_s, n_a, n_b, n_devices, i_cc_uA, p_on)
+        seed = derive_seed(master_seed, duration_s, n_a, n_b, n_devices, i_cc_uA, p_on)
         cells.append((cfg, seed))
     return cells
 

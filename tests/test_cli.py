@@ -481,20 +481,24 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "broken",
-        ["nan_field", "missing_key"],
+        ["nan_field", "missing_key", "nonpositive_current"],
     )
-    def test_invalid_deck_exits_two(self, tmp_path, broken):
+    def test_invalid_deck_exits_two(self, tmp_path, capsys, broken):
         deck = json.loads((ROOT / "out" / "calibration" / "deck.json").read_text())
         if broken == "nan_field":
             deck["switching"]["v_spread_V"] = math.nan
-        else:
+        elif broken == "missing_key":
             del deck["switching"]["v_median_V"]
+        else:
+            # Interpolation takes the log of every tabulated current.
+            deck["retention_table"][0]["i_cc_uA"] = -10.0
         (tmp_path / "deck.json").write_text(json.dumps(deck))
         out = tmp_path / "out"
         payload = _trial_config(out)
         payload["deck"] = "deck.json"
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main(["trial", "--config", cfg]) == 2
+        assert "config error: config: invalid deck" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -622,13 +626,32 @@ class TestConfigErrors:
          # Trial and trace range errors name the section.
          ("trial", "trial.n_b", -2, "trial: n_pulses must be >= 0, got -2"),
          ("trial", "trial.i_cc_uA", -5, "trial: i_cc_uA must be > 0, got -5.0"),
-         ("trace", "trace.pulses.n_pulses", -2, "trace: n_pulses must be >= 0, got -2")],
+         ("trace", "trace.pulses.n_pulses", -2, "trace: n_pulses must be >= 0, got -2"),
+         # A list-valued trace axis names the entry, as a sweep axis does.
+         ("trace", "trace.i_cc_uA", [100.0, -5.0], "trace.i_cc_uA[1]: i_cc_uA must be > 0, got -5.0"),
+         ("trace", "trace.retention_median_s", [1.0, -2.0],
+          "trace.retention_median_s[1]: median_s must be > 0, got -2.0"),
+         # Device errors name the device section, whatever the command.
+         ("trial", "device", {"v_median_V": 0.6, "v_spread_V": -1.0},
+          "device: v_spread must be > 0, got -1.0"),
+         ("trial", "device", {"v_median_V": 0.6, "v_spread_V": 0.05,
+                              "retention_table": [[10.0, 0.05, 0.5], [300.0, -0.1, 0.5]]},
+          "device.retention_table[1]: median_s must be > 0, got -0.1"),
+         ("sweep", "device", {"v_median_V": 0.6, "v_spread_V": 0.05,
+                              "retention_table": [[-5.0, 0.05, 0.5], [300.0, 2.0, 0.5]]},
+          "device: i_cc_uA must be > 0, got -5.0"),
+         ("trace", "device", {"v_median_V": 0.6, "v_spread_V": 0.05, "i_off_uA": -1.0},
+          "device.i_off_uA: i_off_uA must be >= 0, got -1.0")],
         ids=["sweep.ratios", "sweep.i_cc_values_uA", "sweep.trials", "trial.n_b", "trial.i_cc_uA",
-             "trace.pulses.n_pulses"],
+             "trace.pulses.n_pulses", "trace.i_cc_uA", "trace.retention_median_s",
+             "device.v_spread_V", "device.retention_table.median_s",
+             "device.retention_table.i_cc_uA", "device.i_off_uA"],
     )
     def test_range_error_names_its_entry(self, tmp_path, capsys, command, path, value, message):
         out = tmp_path / "out"
         payload = _CONFIGS[command](out)
+        if path in ("trace.i_cc_uA", "trace.retention_median_s"):
+            payload["trace"]["p_on"] = 0.1  # the one list axis
         _set(payload, path, value)
         cfg = _write_config(tmp_path / "c.cfg", payload)
         assert main([command, "--config", cfg]) == 2

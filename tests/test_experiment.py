@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from memdecide import (
     DeviceParams,
     RetentionDistribution,
-    SweepGrid,
     SwitchingCurve,
     TwoAfcConfig,
     default_deck,
@@ -43,9 +42,8 @@ def _exact_bound(point, exact, se_exact):
     return 3.0 * math.sqrt(se_mc ** 2 + se_exact ** 2)
 
 
-def _fixed_retention_sweep(grid, median):
-    cells = sweep_cells(grid, retention=RetentionDistribution(median, 0.5))
-    return sweep(cells, grid.trials_per_point)
+def _fixed_retention_sweep(trials, median, **axes):
+    return sweep(sweep_cells(**axes, retention=RetentionDistribution(median, 0.5)), trials)
 
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05, median=2.0):
@@ -185,12 +183,11 @@ class TestEstimateAccuracy:
 
 class TestSweep:
     def test_single_cell_equals_estimate(self):
-        grid = SweepGrid(
+        cells = sweep_cells(
             durations_s=[2.0], ratios=[(40, 20)], device_counts=[10],
-            i_cc_values_uA=[270.0], p_on_values=[0.05],
-            trials_per_point=40, master_seed=17,
+            i_cc_values_uA=[270.0], p_on_values=[0.05], master_seed=17,
         )
-        points = sweep(sweep_cells(grid), grid.trials_per_point)
+        points = sweep(cells, 40)
         assert len(points) == 1
         cell_seed = derive_seed(17, 2.0, 40, 20, 10, 270.0, 0.05)
         deck = default_deck()
@@ -206,38 +203,33 @@ class TestSweep:
         assert points[0] == estimate_accuracy(cfg, 40, cell_seed)
 
     def test_deterministic_and_parallel_safe(self):
-        grid = SweepGrid(
+        axes = dict(
             durations_s=[0.5, 2.0], ratios=[(4, 2), (2, 1)], device_counts=[5],
-            i_cc_values_uA=[270.0], p_on_values=[0.2],
-            trials_per_point=25, master_seed=21,
+            i_cc_values_uA=[270.0], p_on_values=[0.2], master_seed=21,
         )
-        serial = sweep(sweep_cells(grid), grid.trials_per_point)
-        again = sweep(sweep_cells(grid), grid.trials_per_point)
-        threaded = sweep(sweep_cells(grid), grid.trials_per_point, max_workers=4)
+        serial = sweep(sweep_cells(**axes), 25)
+        again = sweep(sweep_cells(**axes), 25)
+        threaded = sweep(sweep_cells(**axes), 25, max_workers=4)
         assert serial == again == threaded
         assert len(serial) == 4
 
     def test_ratio_ordering_trend(self):
         # Larger streams at the same 2:1 ratio integrate more evidence; point
         # estimates must be ordered up to CI overlap.
-        grid = SweepGrid(
-            durations_s=[2.0], ratios=[(40, 20), (20, 10), (2, 1)],
-            device_counts=[20], i_cc_values_uA=[270.0], p_on_values=[0.05],
-            trials_per_point=300, master_seed=23,
+        big, mid, small = _fixed_retention_sweep(
+            300, 2.0, durations_s=[2.0], ratios=[(40, 20), (20, 10), (2, 1)],
+            device_counts=[20], i_cc_values_uA=[270.0], p_on_values=[0.05], master_seed=23,
         )
-        big, mid, small = _fixed_retention_sweep(grid, 2.0)
         assert big.accuracy >= mid.accuracy - 0.05
         assert mid.accuracy > small.accuracy
 
     def test_saturation_hurts_accuracy(self):
         # Very high switching probability saturates both synapses: everything
         # is ON at the readout and the comparator mostly sees ties.
-        grid = SweepGrid(
-            durations_s=[2.0], ratios=[(40, 20)], device_counts=[20],
-            i_cc_values_uA=[270.0], p_on_values=[0.01, 0.20],
-            trials_per_point=300, master_seed=29,
+        moderate, saturated = _fixed_retention_sweep(
+            300, 2.0, durations_s=[2.0], ratios=[(40, 20)], device_counts=[20],
+            i_cc_values_uA=[270.0], p_on_values=[0.01, 0.20], master_seed=29,
         )
-        moderate, saturated = _fixed_retention_sweep(grid, 2.0)
         assert moderate.accuracy > saturated.accuracy
         assert saturated.n_ties > moderate.n_ties
 
@@ -249,12 +241,10 @@ class TestSweep:
         # 1 s to 5 s (about 0.958 -> 0.979) before it falls at 20 s (about
         # 0.79). Every point must match its exact conditional-binomial value,
         # and the 5 s -> 20 s loss must show beyond the CIs.
-        grid = SweepGrid(
-            durations_s=[1.0, 5.0, 20.0], ratios=[(40, 20)], device_counts=[20],
-            i_cc_values_uA=[270.0], p_on_values=[0.05],
-            trials_per_point=400, master_seed=31,
+        points = _fixed_retention_sweep(
+            400, 1.0, durations_s=[1.0, 5.0, 20.0], ratios=[(40, 20)], device_counts=[20],
+            i_cc_values_uA=[270.0], p_on_values=[0.05], master_seed=31,
         )
-        points = _fixed_retention_sweep(grid, 1.0)
         for point in points:
             exact, se_exact = exact_accuracy(
                 20, 40, 20, point.duration_s, point.p_on, 1.0, 0.5, pairs=4000, seed=47
@@ -263,11 +253,11 @@ class TestSweep:
         assert points[1].ci_low > points[2].ci_high
 
     def test_rejects_empty_axis(self):
-        with pytest.raises(ValueError):
-            SweepGrid(
-                durations_s=[], ratios=[(2, 1)], device_counts=[5],
-                i_cc_values_uA=[270.0], p_on_values=[0.1],
-            )
+        axes = dict(durations_s=[0.5], ratios=[(2, 1)], device_counts=[5],
+                    i_cc_values_uA=[270.0], p_on_values=[0.1])
+        for name in axes:
+            with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+                sweep_cells(**{**axes, name: []}, master_seed=0)
 
 
 class TestSampleCount:

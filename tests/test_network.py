@@ -11,6 +11,8 @@ from memdecide import (
     RetentionDistribution,
     TwoAfcConfig,
     decide,
+    generate_periodic,
+    run_trace_experiment,
     run_trials,
     spawn_rng,
 )
@@ -155,6 +157,26 @@ class TestRunTrial:
                 got = run_trials(scaled, 256, spawn_rng(10, seed))
                 for name, a, b in zip(expected._fields, expected, got):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, seed, name)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("median", [0.05, 1.0, 3.0])
+    @pytest.mark.parametrize("p_on", [0.02, 0.1, 0.5])
+    def test_trace_time_scale_invariance(self, p_on, median, sigma):
+        # The trace variant: dividing the pulse and sample rates by 2**k and
+        # multiplying the tail and the median by 2**k scales every pulse,
+        # sample and expiry time exactly, so no count may move.
+        def trace(scale, seed):
+            params = DeviceParams(270.0, RetentionDistribution(median * scale, sigma))
+            return run_trace_experiment(50, generate_periodic(50, 10.0 / scale), p_on, params,
+                                        sample_rate_hz=20.0 / scale, repeats=200,
+                                        master_seed=seed, tail_s=2.0 * scale)
+        for seed in range(3):
+            base = trace(1.0, seed)
+            for k in (-2, 1, 10):
+                got = trace(2.0**k, seed)
+                assert got.count_on.tobytes() == base.count_on.tobytes(), (k, seed)
+                assert got.current_uA.tobytes() == base.current_uA.tobytes(), (k, seed)
+                assert got.times.tobytes() == (base.times * 2.0**k).tobytes(), (k, seed)
 
     def test_symmetry_under_stream_swap(self):
         # accuracy(40 vs 20) and accuracy(20 vs 40) agree within Monte Carlo
