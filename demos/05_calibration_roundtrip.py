@@ -19,7 +19,6 @@ from memdecide import (
     SwitchingRecord,
     fit_retention,
     fit_switching_curve,
-    interpolate_retention,
     read_deck,
     sweep,
     sweep_cells,
@@ -81,7 +80,7 @@ assert reloaded == deck
 print(f"\ndeck saved to {deck_path} and reloaded identically")
 
 # The deck interpolates between measured currents on a log-log axis.
-mid = interpolate_retention(reloaded.retention_table, 170.0)
+mid = reloaded.retention_at(170.0)
 print(f"interpolated retention at 170 uA: median {mid.median_s:.3f} s")
 
 # The fitted deck drives a sweep directly: each cell takes its retention from

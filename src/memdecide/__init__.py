@@ -15,10 +15,8 @@ from .calibration import (
     SwitchingFitDiagnostics,
     SwitchingRecord,
     default_deck,
-    device_params,
     fit_retention,
     fit_switching_curve,
-    interpolate_retention,
     read_deck,
     read_retention_csv,
     read_switching_csv,
@@ -70,13 +68,11 @@ __all__ = [
     "decide",
     "default_deck",
     "derive_seed",
-    "device_params",
     "estimate_accuracy",
     "fit_retention",
     "fit_switching_curve",
     "generate_periodic",
     "generate_random",
-    "interpolate_retention",
     "read_deck",
     "read_retention_csv",
     "read_stream_csv",

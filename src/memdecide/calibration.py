@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._normal import log_ndtr
-from .device import DeviceParams, RetentionDistribution, SwitchingCurve, check_i_cc
+from .device import RetentionDistribution, SwitchingCurve, check_i_cc
 from .errors import DegenerateDataError, InsufficientDataError
 from .reports import parse_finite, read_csv
 
@@ -44,9 +44,7 @@ __all__ = [
     "ParamDeck",
     "fit_switching_curve",
     "fit_retention",
-    "interpolate_retention",
     "default_deck",
-    "device_params",
     "read_switching_csv",
     "read_retention_csv",
     "write_deck",
@@ -81,10 +79,11 @@ class SwitchingFitDiagnostics:
 class ParamDeck:
     """Switching curve + retention table + provenance note.
 
-    The retention table is kept sorted by compliance current, and every
-    current must be > 0 (the table is interpolated on its log). Non-monotone
-    medians are reported as a warning rather than an error: measured box plots
-    carry noise and a strict check would reject real data.
+    The retention table is kept sorted by compliance current, and its
+    currents must be > 0 (the table is interpolated on their log) and
+    distinct. Non-monotone medians are reported as a warning rather than an
+    error: measured box plots carry noise and a strict check would reject
+    real data.
     """
 
     switching: SwitchingCurve
@@ -98,10 +97,36 @@ class ParamDeck:
             raise ValueError("retention_table must not be empty")
         for i_cc, _ in table:
             check_i_cc(i_cc)
+        for (i_cc, _), (next_i_cc, _) in zip(table, table[1:]):
+            if i_cc == next_i_cc:
+                raise ValueError(f"retention_table has two rows at i_cc_uA {i_cc}")
         medians = [dist.median_s for _, dist in table]
         if any(b < a for a, b in zip(medians, medians[1:])):
             # stacklevel 3 names the caller, past the generated __init__.
             warnings.warn("retention medians are not monotone in i_cc", stacklevel=3)
+
+    def retention_at(self, i_cc_uA: float) -> RetentionDistribution:
+        """Retention law at an arbitrary compliance current.
+
+        The log of the median is interpolated linearly against the log of the
+        current (retention spans decades across the current range); sigma_log
+        is interpolated linearly on the same axis. A tabulated current returns
+        its row verbatim, and a current outside the table clamps to the
+        nearest end, so a one-row table gives its row at every current.
+        """
+        table = self.retention_table
+        if i_cc_uA <= table[0][0]:
+            return table[0][1]
+        if i_cc_uA >= table[-1][0]:
+            return table[-1][1]
+        for i_cc, dist in table:
+            if i_cc == i_cc_uA:
+                return dist
+        log_i = np.log([i_cc for i_cc, _ in table])
+        x = math.log(i_cc_uA)
+        median = float(np.exp(np.interp(x, log_i, np.log([d.median_s for _, d in table]))))
+        sigma = float(np.interp(x, log_i, [d.sigma_log for _, d in table]))
+        return RetentionDistribution(median_s=median, sigma_log=sigma)
 
 
 # --- switching-curve fit (probit MLE) ---------------------------------------
@@ -236,34 +261,6 @@ def fit_retention(records) -> tuple[RetentionTable, list[tuple[float, float]]]:
     return table, stderrs
 
 
-def interpolate_retention(table: RetentionTable, i_cc_uA: float) -> RetentionDistribution:
-    """Retention law at an arbitrary compliance current.
-
-    The log of the median is interpolated linearly against the log of the
-    current (retention spans decades across the current range); sigma_log is
-    interpolated linearly on the same axis. Queries at a tabulated current
-    return that entry verbatim, and queries outside the table clamp to the
-    nearest end.
-    """
-    if not table:
-        raise ValueError("retention table is empty")
-    table = sorted(table, key=lambda row: row[0])
-    for i_cc, dist in table:
-        if i_cc == i_cc_uA:
-            return dist
-    if i_cc_uA <= table[0][0]:
-        return table[0][1]
-    if i_cc_uA >= table[-1][0]:
-        return table[-1][1]
-    log_i = np.log([row[0] for row in table])
-    log_med = np.log([row[1].median_s for row in table])
-    sigmas = np.array([row[1].sigma_log for row in table])
-    x = math.log(i_cc_uA)
-    median = float(np.exp(np.interp(x, log_i, log_med)))
-    sigma = float(np.interp(x, log_i, sigmas))
-    return RetentionDistribution(median_s=median, sigma_log=sigma)
-
-
 def default_deck() -> ParamDeck:
     """Built-in placeholder deck used when no measured data is supplied.
 
@@ -284,22 +281,6 @@ def default_deck() -> ParamDeck:
     )
 
 
-def device_params(
-    deck: ParamDeck,
-    i_cc_uA: float,
-    i_off_uA: float = 0.0,
-    retention: RetentionDistribution | None = None,
-) -> DeviceParams:
-    """Device parameters at a given compliance current.
-
-    Retention comes from the deck's table unless an explicit distribution is
-    given; the ON current clamps at compliance.
-    """
-    if retention is None:
-        retention = interpolate_retention(deck.retention_table, i_cc_uA)
-    return DeviceParams(i_cc_uA=i_cc_uA, retention=retention, i_off_uA=i_off_uA)
-
-
 # --- file formats ------------------------------------------------------------
 
 def read_switching_csv(path) -> list[SwitchingRecord]:
@@ -317,9 +298,23 @@ def read_switching_csv(path) -> list[SwitchingRecord]:
 
 
 def read_retention_csv(path) -> list[RetentionRecord]:
-    """Read ``i_cc_uA,retention_s`` rows; a bad or non-finite one names ``path:line``."""
-    return [RetentionRecord(*(parse_finite(x, path, lineno) for x in row))
-            for lineno, row in read_csv(path, RetentionRecord._fields)[1]]
+    """Read ``i_cc_uA,retention_s`` rows.
+
+    A bad row, a value that is not a finite number, a current that is not
+    > 0 or a retention time that is not > 0 is a ``ValueError`` naming
+    ``path:line``.
+    """
+    records = []
+    for lineno, row in read_csv(path, RetentionRecord._fields)[1]:
+        i_cc, retention = (parse_finite(x, path, lineno) for x in row)
+        try:
+            check_i_cc(i_cc)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not retention > 0.0:
+            raise ValueError(f"{path}:{lineno}: retention_s must be > 0, got {retention}")
+        records.append(RetentionRecord(i_cc, retention))
+    return records
 
 
 def _deck_to_dict(deck: ParamDeck) -> dict:

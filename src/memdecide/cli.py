@@ -42,7 +42,6 @@ from pathlib import Path
 from .calibration import (
     ParamDeck,
     default_deck,
-    device_params,
     fit_retention,
     fit_switching_curve,
     read_deck,
@@ -190,11 +189,11 @@ _SCHEMA = _section({
         "retention_median_s": _one_or_list(_ruled(_number, RetentionDistribution)),
         "sigma_log": _number,
         "pulses": _section({
-            "n_pulses": _int,
+            "n_pulses": _pulse_count,
             "rate_hz": _number,
             "start_s": _number,
             "replay_csv": _string,
-            "random": _section({"n_pulses": _int, "duration_s": _number},
+            "random": _section({"n_pulses": _pulse_count, "duration_s": _number},
                                required=("n_pulses", "duration_s")),
         }),
         "sample_rate_hz": _number,
@@ -206,8 +205,8 @@ _SCHEMA = _section({
         "i_cc_uA": _number,
         "p_on": _probability,
         "duration_s": _number,
-        "n_a": _int,
-        "n_b": _int,
+        "n_a": _pulse_count,
+        "n_b": _pulse_count,
         **_RETENTION,
     }, required=("n_devices", "i_cc_uA", "p_on", "duration_s", "n_a", "n_b")),
     "sweep": _section({
@@ -297,13 +296,15 @@ class RunConfig:
             raise ConfigError(f"{key}: file not found: {path}")
         return path
 
-    def _retention(self, median_s: float | None) -> RetentionDistribution | None:
-        if median_s is None:
-            return None
-        return RetentionDistribution(median_s, self.section.get("sigma_log", 0.5))
+    def _deck(self, knobs: dict) -> ParamDeck:
+        """The deck, or with ``retention_median_s`` one retention law at every current.
 
-    def params_at(self, i_cc_uA: float, retention: RetentionDistribution | None = None) -> DeviceParams:
-        return device_params(self.deck, i_cc_uA, i_off_uA=self.i_off_uA, retention=retention)
+        That law is a one-row table, which clamps to its row at any current.
+        """
+        if "retention_median_s" not in knobs:
+            return self.deck
+        retention = RetentionDistribution(knobs["retention_median_s"], knobs.get("sigma_log", 0.5))
+        return ParamDeck(self.deck.switching, [(1.0, retention)])
 
     def header_comments(self) -> list[str]:
         canonical = json.dumps(self.effective, sort_keys=True, separators=(",", ":"))
@@ -357,14 +358,15 @@ class RunConfig:
         self.series = []
         for value, label in zip(values, labels):
             knobs = {**section, key: value}
-            retention = self._retention(knobs.get("retention_median_s"))
-            params = self.params_at(knobs["i_cc_uA"], retention)
-            self.series.append((f"{key}={label}", knobs["p_on"], knobs["i_cc_uA"], params))
+            i_cc = knobs["i_cc_uA"]
+            params = DeviceParams(i_cc, self._deck(knobs).retention_at(i_cc), self.i_off_uA)
+            self.series.append((f"{key}={label}", knobs["p_on"], i_cc, params))
 
     def _build_trial(self, section: dict) -> None:
+        i_cc = section["i_cc_uA"]
         self.trial = TwoAfcConfig(
             n_devices=section["n_devices"],
-            params=self.params_at(section["i_cc_uA"], self._retention(section.get("retention_median_s"))),
+            params=DeviceParams(i_cc, self._deck(section).retention_at(i_cc), self.i_off_uA),
             p_on=section["p_on"],
             n_a=section["n_a"], n_b=section["n_b"], duration_s=section["duration_s"],
         )
@@ -372,8 +374,8 @@ class RunConfig:
     def _build_sweep(self, section: dict) -> None:
         # Every cell is built here, so a bad value in the last one exits 2 up front.
         self.cells = sweep_cells(**{key: section[key] for _, key, _ in _SWEEP_AXES},
-                                 master_seed=self.seed, deck=self.deck, i_off_uA=self.i_off_uA,
-                                 retention=self._retention(section.get("retention_median_s")))
+                                 master_seed=self.seed, i_off_uA=self.i_off_uA,
+                                 deck=self._deck(section))
 
     def _build_calibrate(self, section: dict) -> None:
         self.inputs = {key: self._input(f"calibrate.{key}", section[key])

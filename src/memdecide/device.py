@@ -71,9 +71,7 @@ class SwitchingCurve:
 
     ``v_median`` is the pulse amplitude at which switching probability is 0.5;
     ``v_spread`` (> 0) is the standard deviation of the underlying set-voltage
-    distribution. Any object exposing the same ``probability``/``quantile``
-    methods can stand in for this class, e.g. an empirical curve produced by
-    calibration. Both methods run on :mod:`memdecide._normal`, bit-identical
+    distribution. Both methods run on :mod:`memdecide._normal`, bit-identical
     to ``scipy.special.ndtr``/``ndtri``.
     """
 

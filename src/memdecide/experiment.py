@@ -43,8 +43,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .calibration import ParamDeck, default_deck, device_params
-from .device import DeviceParams, RetentionDistribution, check_p_on
+from .calibration import ParamDeck, default_deck
+from .device import DeviceParams, check_p_on
 from .network import TwoAfcConfig, run_trials
 from .seeding import derive_seed, spawn_rng
 from .stream import PulseStream
@@ -141,15 +141,13 @@ def sweep_cells(
     p_on_values: Sequence[float],
     master_seed: int,
     deck: ParamDeck | None = None,
-    retention: RetentionDistribution | None = None,
     i_off_uA: float = 0.0,
 ) -> list[tuple[TwoAfcConfig, int]]:
     """Every cell's ``(config, seed)`` in the product order of the five axes.
 
     The axes are named like the sweep config's keys, and none may be empty.
-    Device parameters at each cell come from the deck (retention interpolated
-    at the cell's compliance current) unless a fixed ``retention`` override is
-    given. The seed derives from ``master_seed`` and the cell's coordinates.
+    Each cell's retention is ``deck.retention_at`` its compliance current. The
+    seed derives from ``master_seed`` and the cell's coordinates.
     All cells are built before any is run, so an invalid value anywhere in
     the grid raises ``ValueError`` up front.
     """
@@ -168,7 +166,7 @@ def sweep_cells(
         n_a, n_b = int(ratio[0]), int(ratio[1])
         cfg = TwoAfcConfig(
             n_devices=n_devices,
-            params=device_params(deck, i_cc_uA, i_off_uA=i_off_uA, retention=retention),
+            params=DeviceParams(i_cc_uA, deck.retention_at(i_cc_uA), i_off_uA),
             # The p_on column of the committed reports (out/, perfbench/golden/)
             # records p_on realised through the deck's curve, 0.010000000000000016
             # for 0.01, and the trials draw against it. The round trip runs on

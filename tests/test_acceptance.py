@@ -34,7 +34,6 @@ from memdecide import (
     fit_retention,
     fit_switching_curve,
     generate_periodic,
-    interpolate_retention,
     run_trials,
     spawn_rng,
 )
@@ -306,7 +305,7 @@ def test_accuracy_band_across_durations():
     """30 or 50 cells hold accuracy above 0.60 across 0.5 s to 20 s windows
     at the deck's reference compliance current."""
     deck = default_deck()
-    retention = interpolate_retention(deck.retention_table, 270.0)
+    retention = deck.retention_at(270.0)
     results = []
     all_ok = True
     for n_devices in (30, 50):

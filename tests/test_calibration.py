@@ -9,7 +9,6 @@ from scipy.special import log_ndtr
 
 from memdecide import (
     DegenerateDataError,
-    DeviceParams,
     InsufficientDataError,
     ParamDeck,
     RetentionDistribution,
@@ -17,10 +16,8 @@ from memdecide import (
     SwitchingCurve,
     SwitchingRecord,
     default_deck,
-    device_params,
     fit_retention,
     fit_switching_curve,
-    interpolate_retention,
     read_deck,
     read_retention_csv,
     read_switching_csv,
@@ -232,23 +229,30 @@ class TestInterpolation:
         (10.0, RetentionDistribution(0.01, 0.4)),
         (1000.0, RetentionDistribution(1.0, 0.6)),
     ]
+    DECK = ParamDeck(SwitchingCurve(0.6, 0.05), TABLE)
 
     def test_exact_entry_verbatim(self):
-        assert interpolate_retention(self.TABLE, 10.0) is self.TABLE[0][1]
+        assert self.DECK.retention_at(10.0) is self.TABLE[0][1]
+        assert self.DECK.retention_at(1000.0) is self.TABLE[1][1]
 
     def test_log_midpoint(self):
         # Hand computation: 10^((log10 0.01 + log10 1.0) / 2) = 0.1.
-        dist = interpolate_retention(self.TABLE, 100.0)
+        dist = self.DECK.retention_at(100.0)
         assert dist.median_s == pytest.approx(0.1, rel=1e-12)
         assert dist.sigma_log == pytest.approx(0.5, abs=1e-12)
 
     def test_clamped_extrapolation(self):
-        assert interpolate_retention(self.TABLE, 1.0) is self.TABLE[0][1]
-        assert interpolate_retention(self.TABLE, 5000.0) is self.TABLE[1][1]
+        assert self.DECK.retention_at(1.0) is self.TABLE[0][1]
+        assert self.DECK.retention_at(5000.0) is self.TABLE[1][1]
+
+    def test_one_row_table_holds_at_every_current(self):
+        row = RetentionDistribution(2.0, 0.5)
+        deck = ParamDeck(SwitchingCurve(0.6, 0.05), [(1.0, row)])
+        assert all(deck.retention_at(i_cc) is row for i_cc in (1e-3, 1.0, 270.0, 1e6))
 
     def test_empty_table_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate_retention([], 100.0)
+        with pytest.raises(ValueError, match="retention_table must not be empty"):
+            ParamDeck(SwitchingCurve(0.6, 0.05), [])
 
 
 class TestDeck:
@@ -274,11 +278,11 @@ class TestDeck:
         write_deck(read_deck(path), path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_device_params_at_current(self):
-        deck = default_deck()
-        params = device_params(deck, 270.0)
-        assert params.current_uA(1, 1) == 270.0  # the ON current clamps at compliance
-        assert params == DeviceParams(270.0, interpolate_retention(deck.retention_table, 270.0))
+    def test_retention_at_interpolates_default_deck(self):
+        # 270 uA lies between the 100 uA (0.1 s) and 300 uA (1 s) rows.
+        dist = default_deck().retention_at(270.0)
+        assert dist.median_s == pytest.approx(0.1 * 10.0 ** (math.log(2.7) / math.log(3.0)), rel=1e-12)
+        assert dist.sigma_log == 0.5
 
 
 class TestCsvIngestion:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memdecide import RetentionDistribution, SwitchingCurve, SwitchingRecord, experiment, read_deck
+from memdecide import ParamDeck, RetentionDistribution, SwitchingCurve, read_deck
 from memdecide.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -263,9 +263,9 @@ class TestSweep:
     def test_builds_each_cell_once(self, tmp_path, monkeypatch):
         # RunConfig builds the cells and the sweep runs those same cells.
         calls = []
-        build = experiment.device_params
-        monkeypatch.setattr(experiment, "device_params",
-                            lambda *args, **kwargs: calls.append(args) or build(*args, **kwargs))
+        retention_at = ParamDeck.retention_at
+        monkeypatch.setattr(ParamDeck, "retention_at",
+                            lambda deck, i_cc: calls.append(i_cc) or retention_at(deck, i_cc))
         payload = _sweep_config(tmp_path / "out")
         payload["sweep"]["device_counts"] = [5, 8]
         cfg = _write_config(tmp_path / "s.cfg", payload)
@@ -389,6 +389,23 @@ class TestCalibrate:
         assert "separated by pulse amplitude" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row,message",
+                             [("300.0,-0.5", "retention_s must be > 0, got -0.5"),
+                              ("-10.0,0.5", "i_cc_uA must be > 0, got -10.0")],
+                             ids=["retention_s", "i_cc_uA"])
+    def test_out_of_range_retention_row_names_its_line(self, tmp_path, capsys, rng, row, message):
+        # The values parse, so only the model's range rules can reject them.
+        _, ret = _calibration_fixtures(tmp_path, rng)
+        lines = ret.read_text().splitlines()
+        lines.insert(3, row)
+        ret.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path / "c.cfg",
+                            {"seed": 5, "out_dir": str(out), "calibrate": {"retention_csv": str(ret)}})
+        assert main(["calibrate", "--config", cfg]) == 1
+        assert f"error: {ret}:4: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deck_feeds_other_commands(self, tmp_path, rng):
         sw, ret = _calibration_fixtures(tmp_path, rng)
         cal_cfg = _write_config(
@@ -481,7 +498,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "broken",
-        ["nan_field", "missing_key", "nonpositive_current"],
+        ["nan_field", "missing_key", "nonpositive_current", "repeated_current"],
     )
     def test_invalid_deck_exits_two(self, tmp_path, capsys, broken):
         deck = json.loads((ROOT / "out" / "calibration" / "deck.json").read_text())
@@ -489,6 +506,8 @@ class TestConfigErrors:
             deck["switching"]["v_spread_V"] = math.nan
         elif broken == "missing_key":
             del deck["switching"]["v_median_V"]
+        elif broken == "repeated_current":
+            deck["retention_table"][1]["i_cc_uA"] = deck["retention_table"][0]["i_cc_uA"]
         else:
             # Interpolation takes the log of every tabulated current.
             deck["retention_table"][0]["i_cc_uA"] = -10.0
@@ -623,10 +642,11 @@ class TestConfigErrors:
          ("sweep", "sweep.i_cc_values_uA", [270.0, -5],
           "sweep.i_cc_values_uA[1]: i_cc_uA must be > 0, got -5.0"),
          ("sweep", "sweep.trials", 0, "sweep.trials must be >= 1, got 0"),
-         # Trial and trace range errors name the section.
-         ("trial", "trial.n_b", -2, "trial: n_pulses must be >= 0, got -2"),
+         # A pulse count names its stream; other trial range errors name the section.
+         ("trial", "trial.n_a", -3, "trial.n_a: n_pulses must be >= 0, got -3"),
+         ("trial", "trial.n_b", -2, "trial.n_b: n_pulses must be >= 0, got -2"),
          ("trial", "trial.i_cc_uA", -5, "trial: i_cc_uA must be > 0, got -5.0"),
-         ("trace", "trace.pulses.n_pulses", -2, "trace: n_pulses must be >= 0, got -2"),
+         ("trace", "trace.pulses.n_pulses", -2, "trace.pulses.n_pulses: n_pulses must be >= 0, got -2"),
          # A list-valued trace axis names the entry, as a sweep axis does.
          ("trace", "trace.i_cc_uA", [100.0, -5.0], "trace.i_cc_uA[1]: i_cc_uA must be > 0, got -5.0"),
          ("trace", "trace.retention_median_s", [1.0, -2.0],
@@ -640,12 +660,17 @@ class TestConfigErrors:
          ("sweep", "device", {"v_median_V": 0.6, "v_spread_V": 0.05,
                               "retention_table": [[-5.0, 0.05, 0.5], [300.0, 2.0, 0.5]]},
           "device: i_cc_uA must be > 0, got -5.0"),
+         ("trial", "device", {"v_median_V": 0.6, "v_spread_V": 0.05,
+                              "retention_table": [[100.0, 0.1, 0.5], [100.0, 0.2, 0.5],
+                                                  [300.0, 1.0, 0.5]]},
+          "device: retention_table has two rows at i_cc_uA 100.0"),
          ("trace", "device", {"v_median_V": 0.6, "v_spread_V": 0.05, "i_off_uA": -1.0},
           "device.i_off_uA: i_off_uA must be >= 0, got -1.0")],
-        ids=["sweep.ratios", "sweep.i_cc_values_uA", "sweep.trials", "trial.n_b", "trial.i_cc_uA",
-             "trace.pulses.n_pulses", "trace.i_cc_uA", "trace.retention_median_s",
+        ids=["sweep.ratios", "sweep.i_cc_values_uA", "sweep.trials", "trial.n_a", "trial.n_b",
+             "trial.i_cc_uA", "trace.pulses.n_pulses", "trace.i_cc_uA", "trace.retention_median_s",
              "device.v_spread_V", "device.retention_table.median_s",
-             "device.retention_table.i_cc_uA", "device.i_off_uA"],
+             "device.retention_table.i_cc_uA", "device.retention_table.repeated_i_cc",
+             "device.i_off_uA"],
     )
     def test_range_error_names_its_entry(self, tmp_path, capsys, command, path, value, message):
         out = tmp_path / "out"

@@ -43,7 +43,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from memdecide import RetentionDistribution, default_deck, interpolate_retention
+from memdecide import RetentionDistribution, default_deck
 
 from exact_accuracy import exact_accuracy, exact_trace_mean
 
@@ -72,7 +72,7 @@ def _rows():
             if "retention_median_s" in sweep:
                 retention = RetentionDistribution(sweep["retention_median_s"], sweep.get("sigma_log", 0.5))
             else:
-                retention = interpolate_retention(default_deck().retention_table, float(row["i_cc_uA"]))
+                retention = default_deck().retention_at(float(row["i_cc_uA"]))
             label = (f"{name}:T={row['duration_s']},{row['n_a']}/{row['n_b']},N={row['n_devices']},"
                      f"Icc={row['i_cc_uA']},p={float(row['p_on']):g}")
             rows.append((label, row, retention))
@@ -113,7 +113,7 @@ def test_trace_matches_exact_oracle(name):
     worst = []
     for series, group in itertools.groupby(rows, key=lambda row: row["series"]):
         group = list(group)
-        retention = interpolate_retention(default_deck().retention_table, float(group[0]["i_cc_uA"]))
+        retention = default_deck().retention_at(float(group[0]["i_cc_uA"]))
         t = np.array([float(row["t_s"]) for row in group])
         summed = np.array([float(row["count_on"]) for row in group]) * trace["repeats"]
         k = np.round(summed)

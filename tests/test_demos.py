@@ -26,6 +26,11 @@ def test_demo_runs(tmp_path, monkeypatch, capsys, script, expected):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert expected in capsys.readouterr().out
+    if script == "05_calibration_roundtrip.py":
+        # Its fixtures are the committed inputs of configs/calibrate_example.cfg.
+        for name in ("switching.csv", "retention.csv", "deck.json"):
+            written = tmp_path / "out" / "fixtures" / name
+            assert written.read_bytes() == (ROOT / "out" / "fixtures" / name).read_bytes(), name
 
 
 def test_readme_library_tour_runs(tmp_path, monkeypatch, capsys):

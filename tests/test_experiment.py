@@ -8,15 +8,14 @@ from hypothesis import given, strategies as st
 
 from memdecide import (
     DeviceParams,
+    ParamDeck,
     RetentionDistribution,
     SwitchingCurve,
     TwoAfcConfig,
     default_deck,
     derive_seed,
-    device_params,
     estimate_accuracy,
     generate_periodic,
-    interpolate_retention,
     run_trace_experiment,
     run_trials,
     spawn_rng,
@@ -43,7 +42,9 @@ def _exact_bound(point, exact, se_exact):
 
 
 def _fixed_retention_sweep(trials, median, **axes):
-    return sweep(sweep_cells(**axes, retention=RetentionDistribution(median, 0.5)), trials)
+    # A one-row retention table gives that row at every compliance current.
+    deck = ParamDeck(default_deck().switching, [(1.0, RetentionDistribution(median, 0.5))])
+    return sweep(sweep_cells(**axes, deck=deck), trials)
 
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05, median=2.0):
@@ -193,7 +194,7 @@ class TestSweep:
         deck = default_deck()
         cfg = TwoAfcConfig(
             n_devices=10,
-            params=DeviceParams(270.0, interpolate_retention(deck.retention_table, 270.0)),
+            params=DeviceParams(270.0, deck.retention_at(270.0)),
             # A sweep cell's p_on is its grid value through the deck's curve and back.
             p_on=float(deck.switching.probability(deck.switching.quantile(0.05))),
             n_a=40,
@@ -325,7 +326,7 @@ class TestTraceExperiment:
         # repeat's count is Binomial(50, pi) at a fixed time, so the bound is
         # 4 * sqrt(50 * pi * (1 - pi) / 200).
         n, repeats = 50, 200
-        params = device_params(default_deck(), i_cc)
+        params = DeviceParams(i_cc, default_deck().retention_at(i_cc))
         trace = run_trace_experiment(
             n, generate_periodic(50, 10.0), p_on, params, sample_rate_hz=100.0,
             repeats=repeats, master_seed=derive_seed(53, p_on, i_cc), tail_s=2.0,

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The flags each command's committed outputs were made with, as their headers
 # record them ("svg":true, "threads":4).
-FLAGS = {"trace": ["--svg"], "sweep": ["--svg", "--threads", "4"], "calibrate": []}
+FLAGS = {"trace": ["--svg"], "trial": [], "sweep": ["--svg", "--threads", "4"], "calibrate": []}
 
 
 def _assert_reproduces(tmp_path, monkeypatch, command: str, config: str, out_name: str) -> None:
@@ -36,6 +36,7 @@ def _assert_reproduces(tmp_path, monkeypatch, command: str, config: str, out_nam
     [
         ("trace", "fig2b", "trace.csv"),
         ("trace", "fig2c", "trace.csv"),
+        ("trial", "trial_example", "trial.csv"),
         ("sweep", "fig3c", "report.csv"),
         ("sweep", "fig3d", "report.csv"),
         ("sweep", "fig3e", "report.csv"),
