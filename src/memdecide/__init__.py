@@ -41,7 +41,6 @@ from .seeding import derive_seed, spawn_rng
 from .stream import (
     PulseStream,
     generate_periodic,
-    generate_random,
     read_stream_csv,
     write_stream_csv,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "fit_retention",
     "fit_switching_curve",
     "generate_periodic",
-    "generate_random",
     "read_deck",
     "read_retention_csv",
     "read_stream_csv",

@@ -338,17 +338,22 @@ def write_deck(deck: ParamDeck, path) -> None:
         fh.write("\n")
 
 
+def _numbers(node: dict, path: str, *keys: str) -> list:
+    """``node``'s values at ``keys``, each a JSON number, not a bool; an error names ``path.key``."""
+    for key in keys:
+        if isinstance(node[key], bool) or not isinstance(node[key], (int, float)):
+            raise ValueError(f"{path}.{key} must be a number, got {node[key]!r}")
+    return [node[key] for key in keys]
+
+
 def read_deck(path) -> ParamDeck:
+    """Read a deck written by :func:`write_deck`; every numeric field must be a JSON number."""
     with open(path) as fh:
         data = json.load(fh)
+    rows = [_numbers(row, f"retention_table[{i}]", "i_cc_uA", "median_s", "sigma_log")
+            for i, row in enumerate(data["retention_table"])]
     return ParamDeck(
-        switching=SwitchingCurve(
-            v_median=data["switching"]["v_median_V"],
-            v_spread=data["switching"]["v_spread_V"],
-        ),
-        retention_table=[
-            (row["i_cc_uA"], RetentionDistribution(row["median_s"], row["sigma_log"]))
-            for row in data["retention_table"]
-        ],
+        switching=SwitchingCurve(*_numbers(data["switching"], "switching", "v_median_V", "v_spread_V")),
+        retention_table=[(i_cc, RetentionDistribution(median, sigma)) for i_cc, median, sigma in rows],
         provenance=data["provenance"],
     )

@@ -37,6 +37,8 @@ import argparse
 import json
 import math
 import sys
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 from .calibration import (
@@ -55,7 +57,8 @@ from .experiment import RNG_LAYOUT, AccuracyPoint, run_trace_experiment, sample_
 from .network import TwoAfcConfig, check_trial_devices, run_trials
 from .reports import format_rows, write_csv
 from .seeding import derive_seed, spawn_rng
-from .stream import check_duration, check_n_pulses, generate_periodic, generate_random, read_stream_csv
+from .stream import (PulseStream, check_duration, check_n_pulses, generate_periodic, random_times,
+                     read_stream_csv)
 from .svgplot import line_chart
 from .synapse import check_n_devices
 
@@ -110,14 +113,30 @@ def _checked(convert, ok, rule: str):
     return convert_checked
 
 
+@contextmanager
+def _named(source: str):
+    """Prefix ``<source>: `` to each ``ValueError`` (as a ConfigError) and warning raised inside."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
+    for w in caught:
+        try:
+            warnings.warn(f"{source}: {w.message}", w.category)
+        except Warning as exc:  # an error filter raised it
+            raise ConfigError(str(exc)) from exc
+
+
 def _ruled(convert, check):
-    """``convert``, then a library rule or constructor; its ``ValueError`` names the key path."""
+    """``convert``, then a library rule or constructor, :func:`_named` after the key path."""
     def convert_ruled(value, path):
         value = convert(value, path)
-        try:
+        with _named(path):
             check(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
         return value
     return convert_ruled
 
@@ -183,7 +202,7 @@ _SCHEMA = _section({
         "i_off_uA": _ruled(_number, check_i_off),
     }, required=("v_median_V", "v_spread_V")),
     "trace": _section({
-        "n_devices": _count,
+        "n_devices": _ruled(_int, check_n_devices),
         "p_on": _one_or_list(_probability),
         "i_cc_uA": _one_or_list(_ruled(_number, check_i_cc)),
         "retention_median_s": _one_or_list(_ruled(_number, RetentionDistribution)),
@@ -193,7 +212,7 @@ _SCHEMA = _section({
             "rate_hz": _number,
             "start_s": _number,
             "replay_csv": _string,
-            "random": _section({"n_pulses": _pulse_count, "duration_s": _number},
+            "random": _section({"n_pulses": _pulse_count, "duration_s": _ruled(_number, check_duration)},
                                required=("n_pulses", "duration_s")),
         }),
         "sample_rate_hz": _number,
@@ -230,8 +249,9 @@ class RunConfig:
 
     Construction is the whole validation: every key goes through
     :data:`_SCHEMA`, then everything the command runs is built, so range
-    checks come from the library constructors and any ``ValueError`` they
-    raise becomes a :class:`ConfigError`. Nothing is simulated or written.
+    checks come from the library constructors: any ``ValueError`` they raise
+    becomes a :class:`ConfigError`, and any warning names its key or section
+    (see :func:`_named`). Nothing is simulated or written.
     """
 
     def __init__(self, command: str, raw: dict, config_dir: Path, args):
@@ -271,22 +291,17 @@ class RunConfig:
         self.sources = dict.fromkeys(("switching curve", "retention table"), "built-in default")
         if "deck" in conf:
             deck_path = self._input("deck", conf["deck"])
-            try:
-                self.deck = read_deck(deck_path)
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"config: invalid deck {deck_path}: {exc!r}") from exc
+            with _named(f"config: deck {deck_path}"):
+                try:
+                    self.deck = read_deck(deck_path)
+                except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+                    raise ConfigError(f"config: invalid deck {deck_path}: {exc!r}") from exc
             self.sources = dict.fromkeys(self.sources, self.deck.provenance)
         if "device" in conf:
-            try:
+            with _named("device"):
                 self._build_device(conf["device"])
-            except ValueError as exc:
-                raise ConfigError(f"device: {exc}") from exc
-        try:
+        with _named(command):
             getattr(self, f"_build_{command}")(section)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{command}: {exc}") from exc
 
     def _input(self, key: str, name: str) -> Path:
         """An input file, relative to the config's directory; it must exist."""
@@ -333,7 +348,6 @@ class RunConfig:
         grid too large to exist is a config error (see
         :func:`memdecide.experiment.sample_count`).
         """
-        check_n_devices(section["n_devices"])
         pulses = section["pulses"]
         periodic = pulses.keys() & {"n_pulses", "rate_hz", "start_s"}
         if len(pulses.keys() & {"replay_csv", "random"}) + bool(periodic) != 1:
@@ -342,7 +356,9 @@ class RunConfig:
         if "replay_csv" in pulses:
             self.stream = read_stream_csv(self._input("trace.pulses.replay_csv", pulses["replay_csv"]))
         elif "random" in pulses:
-            self.stream = generate_random(**pulses["random"], rng=spawn_rng(self.seed, "trace-stream"))
+            n, window = pulses["random"]["n_pulses"], pulses["random"]["duration_s"]
+            times = random_times(n, window, 1, spawn_rng(self.seed, "trace-stream"))[0]
+            self.stream = PulseStream(times, window)
         elif not {"n_pulses", "rate_hz"} <= periodic:
             raise ConfigError("trace.pulses: a periodic train needs n_pulses and rate_hz")
         else:

@@ -20,17 +20,12 @@ Per chunk of ``m`` trials it draws A's pulse times, then B's, then ``m``
 pi_B)``, then ``m`` tie uniforms. A batch can therefore be split or extended
 at chunk boundaries without changing any trial: ``run_trials(cfg,
 TRIAL_CHUNK, spawn_rng(cell_seed, "chunk", c))`` reproduces chunk ``c`` alone.
-(Layout 3 drew each count by running every cell through the per-cell kernel
-:func:`memdecide.synapse.pulse_update`, which stays the definition of the
-model and the trace path; the counts have the same law.)
 
 Trace repeats are chunked the same way, chunk ``c`` being one ``(m, N)``
 expiry array run by :func:`memdecide.synapse.trace_counts` from
 ``spawn_rng(series_seed, "chunk", c)``. Per pulse, in time order, it draws
 ``rng.random((m, N))``, then one ``standard_normal`` per lit cell in C order;
-reads draw nothing. (Layout 2 drew repeat ``r`` from its own
-``spawn_rng(series_seed, "trace", r)``; trace draws are unchanged since
-layout 3.)
+reads draw nothing. The README records what earlier layouts drew.
 """
 
 from __future__ import annotations

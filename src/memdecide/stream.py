@@ -1,4 +1,4 @@
-"""Stimulus generators: random pulse streams and periodic trains, and replay files.
+"""Stimulus generators: random pulse times, periodic trains, and replay files.
 
 A pulse stream is a sorted list of event times inside a trial window. Pulses
 are instantaneous events; the synapse gives each the same switching
@@ -19,7 +19,6 @@ __all__ = [
     "check_n_pulses",
     "check_duration",
     "PulseStream",
-    "generate_random",
     "random_times",
     "generate_periodic",
     "write_stream_csv",
@@ -66,22 +65,11 @@ class PulseStream:
         return int(self.times.size)
 
 
-def generate_random(n_pulses: int, duration_s: float, rng: np.random.Generator) -> PulseStream:
-    """``n_pulses`` times drawn i.i.d. uniform on [0, duration_s), sorted.
-
-    The pulse count is deterministic; only the placement is random. This is
-    the one-row case of :func:`random_times` and draws the same numbers.
-    """
-    check_n_pulses(n_pulses)
-    check_duration(duration_s)
-    return PulseStream(times=random_times(n_pulses, duration_s, 1, rng)[0], duration_s=duration_s)
-
-
 def random_times(n_pulses: int, duration_s: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    """``m`` independent streams of :func:`generate_random` as an ``(m, n_pulses)`` matrix.
+    """``m`` independent random streams, one per row of an ``(m, n_pulses)`` matrix.
 
-    All ``m * n_pulses`` uniforms are drawn at once, in C order, scaled to
-    the window and sorted per row. The caller applies the stream rules.
+    A row is ``n_pulses`` uniform times on [0, duration_s), sorted; all rows'
+    uniforms are drawn at once, in C order. The caller applies the stream rules.
     """
     times = np.sort(rng.random((m, n_pulses)) * duration_s, axis=1)
     # Exact collisions of uniform draws are measure-zero but representable in

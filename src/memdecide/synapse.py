@@ -11,13 +11,13 @@ weight only decays, as individual filaments dissolve.
 The whole state is one vector of filament-expiry times: a cell is ON at time
 ``t`` if and only if its expiry is after ``t`` (``-inf`` for a cell that has
 never switched). :func:`pulse_update` is the one state-update kernel and the
-definition of the model. It works on an expiry array of any shape
-``(..., N)``, so the same code drives one synapse or a batch of independent
-synapses; :func:`trace_counts` is the one trace path, for one synapse or a
-batch of repeats. Trials do not run it: they need only the end-of-window
-count, whose law under this kernel :func:`memdecide.network.on_probability`
-gives in closed form. The cell model and its parameters are described in
-:mod:`memdecide.device`.
+definition of the model. It delivers one pulse time to an expiry array of
+any shape ``(..., N)``, so the same code drives one synapse or a batch of
+independent synapses that share a stream; :func:`trace_counts` is the one
+trace path, for one synapse or a batch of repeats. Trials do not run it:
+they need only the end-of-window count, whose law under this kernel
+:func:`memdecide.network.on_probability` gives in closed form. The cell
+model and its parameters are described in :mod:`memdecide.device`.
 """
 
 from __future__ import annotations
@@ -56,30 +56,26 @@ class Trace(NamedTuple):
 
 def pulse_update(
     expiry: np.ndarray,
-    t,
+    t: float,
     p_on,
     retention: RetentionDistribution,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Deliver one pulse to every cell of ``expiry`` (shape ``(..., N)``), in place.
+    """Deliver one pulse at time ``t`` to every cell of ``expiry`` (shape ``(..., N)``), in place.
 
-    ``t`` is a scalar, or one pulse time per row (shape ``expiry.shape[:-1]``).
-    A cell whose expiry is at or before its row's ``t`` is OFF. Every OFF cell
-    switches with probability ``p_on``, and every lit cell (ON, or just
-    switched) gets the expiry ``t + retention`` (refresh, not stack). Draws:
-    one uniform per cell, then one retention time per lit cell, both in C
-    order. Returns the expiries written, one per lit cell in C order; every
-    other cell is OFF from its row's ``t`` on.
+    A cell whose expiry is at or before ``t`` is OFF. Every OFF cell switches
+    with probability ``p_on``, and every lit cell (ON, or just switched) gets
+    the expiry ``t + retention`` (refresh, not stack). Draws: one uniform per
+    cell, then one retention time per lit cell, both in C order. Returns the
+    expiries written, one per lit cell in C order; every other cell is OFF
+    from ``t`` on.
     """
-    t = np.asarray(t, dtype=float)
-    lit = (expiry > t[..., np.newaxis]) | (rng.random(expiry.shape) < p_on)
+    lit = (expiry > t) | (rng.random(expiry.shape) < p_on)
     k = int(np.count_nonzero(lit))
     if not k:
         return np.empty(0)
     idx = np.flatnonzero(lit)
-    # One time per row (batched trials): gather each lit cell's row time.
-    row_t = t.reshape(-1)[idx // expiry.shape[-1]] if t.ndim else t
-    written = row_t + retention.sample(rng, k)
+    written = t + retention.sample(rng, k)
     np.put(expiry, idx, written)
     return written
 

@@ -6,13 +6,15 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memdecide import ParamDeck, RetentionDistribution, SwitchingCurve, read_deck
-from memdecide.cli import main
+from memdecide import ParamDeck, RetentionDistribution, SwitchingCurve, read_deck, spawn_rng
+from memdecide.cli import RunConfig, build_parser, main
+from memdecide.stream import random_times
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,6 +142,15 @@ class TestTrace:
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main(["trace", "--config", cfg]) == 0
         assert (tmp_path / "out" / "trace.csv").exists()
+
+    def test_random_source_is_one_row_of_random_times(self, tmp_path):
+        payload = _trace_config(tmp_path / "out")
+        payload["trace"]["pulses"] = {"random": {"n_pulses": 30, "duration_s": 2.0}}
+        args = build_parser().parse_args(["trace", "--config", "t.cfg"])
+        stream = RunConfig("trace", payload, tmp_path, args).stream
+        expected = random_times(30, 2.0, 1, spawn_rng(payload["seed"], "trace-stream"))[0]
+        assert stream.duration_s == 2.0
+        assert np.array_equal(stream.times, expected)
 
     def test_empty_stream_gives_flat_zero_trace(self, tmp_path):
         payload = _trace_config(tmp_path / "out")
@@ -498,7 +509,8 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "broken",
-        ["nan_field", "missing_key", "nonpositive_current", "repeated_current"],
+        ["nan_field", "missing_key", "nonpositive_current", "repeated_current",
+         "bool_median", "bool_spread", "string_current", "huge_int"],
     )
     def test_invalid_deck_exits_two(self, tmp_path, capsys, broken):
         deck = json.loads((ROOT / "out" / "calibration" / "deck.json").read_text())
@@ -508,6 +520,14 @@ class TestConfigErrors:
             del deck["switching"]["v_median_V"]
         elif broken == "repeated_current":
             deck["retention_table"][1]["i_cc_uA"] = deck["retention_table"][0]["i_cc_uA"]
+        elif broken == "bool_median":
+            deck["retention_table"][0]["median_s"] = True
+        elif broken == "bool_spread":
+            deck["switching"]["v_spread_V"] = True
+        elif broken == "string_current":
+            deck["retention_table"][2]["i_cc_uA"] = "300"
+        elif broken == "huge_int":
+            deck["switching"]["v_median_V"] = 10**400  # no float holds it
         else:
             # Interpolation takes the log of every tabulated current.
             deck["retention_table"][0]["i_cc_uA"] = -10.0
@@ -517,8 +537,45 @@ class TestConfigErrors:
         payload["deck"] = "deck.json"
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main(["trial", "--config", cfg]) == 2
-        assert "config error: config: invalid deck" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: config: invalid deck" in err
+        # A field that is not a number is named by its key.
+        assert {"bool_median": "retention_table[0].median_s must be a number, got True",
+                "bool_spread": "switching.v_spread_V must be a number, got True",
+                "string_current": "retention_table[2].i_cc_uA must be a number, got '300'",
+                }.get(broken, "") in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("as_error", [False, True], ids=["warns", "error-filter"])
+    @pytest.mark.parametrize("source", ["device", "deck"])
+    def test_deck_warning_names_its_source(self, tmp_path, capsys, source, as_error):
+        # Medians that fall with the current pass, with a warning (measured
+        # data is noisy); an error filter makes the warning a config error.
+        rows = [[10.0, 0.5, 0.5], [100.0, 0.1, 0.5], [300.0, 1.0, 0.5]]
+        out = tmp_path / "out"
+        payload = _trial_config(out)
+        if source == "device":
+            payload["device"] = {"v_median_V": 0.6, "v_spread_V": 0.05, "retention_table": rows}
+            where = "device"
+        else:
+            deck = {"provenance": "noisy", "switching": {"v_median_V": 0.6, "v_spread_V": 0.05},
+                    "retention_table": [dict(zip(("i_cc_uA", "median_s", "sigma_log"), row))
+                                        for row in rows]}
+            (tmp_path / "deck.json").write_text(json.dumps(deck))
+            payload["deck"] = "deck.json"
+            where = f"config: deck {tmp_path / 'deck.json'}"
+        cfg = _write_config(tmp_path / "t.cfg", payload)
+        message = f"{where}: retention medians are not monotone in i_cc"
+        if as_error:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["trial", "--config", cfg]) == 2
+            assert f"config error: {message}\n" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            with pytest.warns(UserWarning) as record:
+                assert main(["trial", "--config", cfg]) == 0
+            assert [str(w.message) for w in record] == [message]
 
     @pytest.mark.parametrize(
         "command,path,value",
@@ -647,6 +704,9 @@ class TestConfigErrors:
          ("trial", "trial.n_b", -2, "trial.n_b: n_pulses must be >= 0, got -2"),
          ("trial", "trial.i_cc_uA", -5, "trial: i_cc_uA must be > 0, got -5.0"),
          ("trace", "trace.pulses.n_pulses", -2, "trace.pulses.n_pulses: n_pulses must be >= 0, got -2"),
+         ("trace", "trace.n_devices", 0, "trace.n_devices: a synapse needs at least one device, got n=0"),
+         ("trace", "trace.pulses", {"random": {"n_pulses": 5, "duration_s": 5e-324}},
+          f"trace.pulses.random.duration_s: duration_s must be >= {sys.float_info.min}, got 5e-324"),
          # A list-valued trace axis names the entry, as a sweep axis does.
          ("trace", "trace.i_cc_uA", [100.0, -5.0], "trace.i_cc_uA[1]: i_cc_uA must be > 0, got -5.0"),
          ("trace", "trace.retention_median_s", [1.0, -2.0],
@@ -667,7 +727,8 @@ class TestConfigErrors:
          ("trace", "device", {"v_median_V": 0.6, "v_spread_V": 0.05, "i_off_uA": -1.0},
           "device.i_off_uA: i_off_uA must be >= 0, got -1.0")],
         ids=["sweep.ratios", "sweep.i_cc_values_uA", "sweep.trials", "trial.n_a", "trial.n_b",
-             "trial.i_cc_uA", "trace.pulses.n_pulses", "trace.i_cc_uA", "trace.retention_median_s",
+             "trial.i_cc_uA", "trace.pulses.n_pulses", "trace.n_devices",
+             "trace.pulses.random.duration_s", "trace.i_cc_uA", "trace.retention_median_s",
              "device.v_spread_V", "device.retention_table.median_s",
              "device.retention_table.i_cc_uA", "device.retention_table.repeated_i_cc",
              "device.i_off_uA"],

@@ -227,11 +227,14 @@ class TestCollapsedSamplerLaw:
     REPLICAS = 4000
 
     def _kernel_counts(self, retention, p_on, times, duration, rng):
-        rows = np.repeat(times, self.REPLICAS, axis=0)
-        expiry = np.full((rows.shape[0], self.N), -np.inf)
-        for column in rows.T:
-            pulse_update(expiry, column, p_on, retention, rng)
-        return np.count_nonzero(expiry > duration, axis=1).reshape(times.shape[0], -1)
+        """ON counts at ``duration``, shape ``(rows, REPLICAS)``: each stream row in turn."""
+        counts = []
+        for row in times:
+            expiry = np.full((self.REPLICAS, self.N), -np.inf)
+            for t in row:
+                pulse_update(expiry, t, p_on, retention, rng)
+            counts.append(np.count_nonzero(expiry > duration, axis=1))
+        return np.array(counts)
 
     @pytest.mark.parametrize("case,retention,p_on,times,duration", LAW_CASES,
                              ids=[c[0] for c in LAW_CASES])

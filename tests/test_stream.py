@@ -10,19 +10,26 @@ import pytest
 from memdecide import (
     PulseStream,
     generate_periodic,
-    generate_random,
     read_stream_csv,
     write_stream_csv,
 )
+from memdecide.stream import check_duration, check_n_pulses, random_times
+
+
+def _one_stream(n_pulses, duration_s, rng):
+    """One random stream, as a trace's ``random`` source draws it: the row of ``m = 1``."""
+    return PulseStream(random_times(n_pulses, duration_s, 1, rng)[0], duration_s)
 
 
 class TestGenerateRandom:
+    """One-row ``random_times``; the class keeps the name of the function it replaced."""
+
     def test_empty(self, rng):
-        stream = generate_random(0, 1.0, rng)
+        stream = _one_stream(0, 1.0, rng)
         assert stream.n_pulses == 0
 
     def test_count_window_and_order(self, rng):
-        stream = generate_random(40, 2.0, rng)
+        stream = _one_stream(40, 2.0, rng)
         assert stream.n_pulses == 40
         assert np.all(np.diff(stream.times) > 0.0)
         assert stream.times[0] >= 0.0 and stream.times[-1] < 2.0
@@ -33,7 +40,7 @@ class TestGenerateRandom:
         total = 0.0
         count = 0
         for _ in range(1_000):
-            times = generate_random(10_000, 1.0, rng).times
+            times = random_times(10_000, 1.0, 1, rng)[0]
             total += times.sum()
             count += times.size
         se = 1.0 / math.sqrt(12.0 * count)
@@ -42,29 +49,30 @@ class TestGenerateRandom:
     def test_uniformity_kolmogorov_smirnov(self, rng):
         # One-sample KS against U(0,1); 1% critical value is 1.63/sqrt(n).
         n = 10_000
-        times = generate_random(n, 1.0, rng).times
+        times = random_times(n, 1.0, 1, rng)[0]
         ecdf_hi = np.arange(1, n + 1) / n
         ecdf_lo = np.arange(0, n) / n
         d_stat = max(np.max(ecdf_hi - times), np.max(times - ecdf_lo))
         assert d_stat < 1.63 / math.sqrt(n)
 
     def test_seed_determinism(self):
-        a = generate_random(50, 3.0, np.random.default_rng(9)).times
-        b = generate_random(50, 3.0, np.random.default_rng(9)).times
+        a = random_times(50, 3.0, 1, np.random.default_rng(9))
+        b = random_times(50, 3.0, 1, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
-    def test_rejects_negative_count_and_empty_window(self, rng):
+    def test_rejects_negative_count_and_empty_window(self):
+        # random_times leaves the stream rules to its callers; these are them.
         with pytest.raises(ValueError, match="n_pulses must be >= 0, got -1"):
-            generate_random(-1, 1.0, rng)
+            check_n_pulses(-1)
         with pytest.raises(ValueError, match="duration_s must be >="):
-            generate_random(10, 0.0, rng)
+            check_duration(0.0)
 
     def test_exact_collisions_are_nudged(self):
         class StubRng:
             def random(self, size):
                 return np.array([0.5, 0.1, 0.5]).reshape(size)
 
-        stream = generate_random(3, 1.0, StubRng())
+        stream = _one_stream(3, 1.0, StubRng())
         assert np.all(np.diff(stream.times) > 0.0)
         assert stream.times[2] == np.nextafter(0.5, np.inf)
 
@@ -112,14 +120,16 @@ class TestPulseStream:
         # In a 5e-324 window every uniform lands on 0.0 and the one-ulp nudges
         # of duplicates carry the pulses past the window's end.
         with pytest.raises(ValueError, match=re.escape(str(sys.float_info.min))):
-            generate_random(40, 5e-324, rng)
-        times = generate_random(40, sys.float_info.min, rng).times
+            check_duration(5e-324)
+        with pytest.raises(ValueError, match="must lie in"):
+            _one_stream(40, 5e-324, rng)
+        times = _one_stream(40, sys.float_info.min, rng).times
         assert np.all(np.diff(times) > 0) and times[-1] < sys.float_info.min
 
 
 class TestReplayCsv:
     def test_round_trip(self, tmp_path, rng):
-        stream = generate_random(25, 2.5, rng)
+        stream = _one_stream(25, 2.5, rng)
         path = tmp_path / "stream.csv"
         write_stream_csv(stream, path)
         replayed = read_stream_csv(path)
