@@ -21,8 +21,9 @@ subcommand being run; ``comment`` keys are allowed anywhere and ignored.
 * ``sigma_log`` needs ``retention_median_s`` beside it.
 
 :class:`RunConfig` is the one validation pass: it checks every key, then
-builds everything the command will run (streams, device parameters, trial
-configurations, sweep cells, input paths) before any simulation starts.
+the command's function builds everything it will run (streams, device
+parameters, trial configurations, sweep cells, input paths) and returns the
+run, before any simulation starts.
 Command-line flags override their config counterparts, and the effective
 configuration and the random-number layout version are echoed into every
 CSV as leading comment lines. ``python -m memdecide.cli`` runs the same
@@ -245,13 +246,17 @@ _TRACE_AXES = ("p_on", "i_cc_uA", "retention_median_s")
 
 
 class RunConfig:
-    """Validated plan for one subcommand invocation.
+    """Validated plan for one subcommand invocation, and its ``run``.
 
     Construction is the whole validation: every key goes through
-    :data:`_SCHEMA`, then everything the command runs is built, so range
-    checks come from the library constructors: any ``ValueError`` they raise
-    becomes a :class:`ConfigError`, and any warning names its key or section
-    (see :func:`_named`). Nothing is simulated or written.
+    :data:`_SCHEMA`, then the command's function in :data:`_COMMANDS` builds
+    everything the command runs and returns it as ``run``, a zero-argument
+    callable that simulates and writes the outputs. Range checks come from
+    the library constructors and rules, among them a pulse count too large
+    for a chunk's pulse-time matrix and a replay file's window: any
+    ``ValueError`` they raise becomes a :class:`ConfigError`, and any warning
+    names its key or section (see :func:`_named`). Nothing is simulated or
+    written until ``run`` is called.
     """
 
     def __init__(self, command: str, raw: dict, config_dir: Path, args):
@@ -274,7 +279,6 @@ class RunConfig:
 
         self.command = command
         self.config_dir = config_dir
-        self.section = section
         self.seed = conf["seed"]
         self.out_dir = Path(conf.get("out_dir", "out"))
         self.svg = conf.get("svg", False)
@@ -301,7 +305,7 @@ class RunConfig:
             with _named("device"):
                 self._build_device(conf["device"])
         with _named(command):
-            getattr(self, f"_build_{command}")(section)
+            self.run = _COMMANDS[command][1](self, section)
 
     def _input(self, key: str, name: str) -> Path:
         """An input file, relative to the config's directory; it must exist."""
@@ -321,10 +325,6 @@ class RunConfig:
         retention = RetentionDistribution(knobs["retention_median_s"], knobs.get("sigma_log", 0.5))
         return ParamDeck(self.deck.switching, [(1.0, retention)])
 
-    def header_comments(self) -> list[str]:
-        canonical = json.dumps(self.effective, sort_keys=True, separators=(",", ":"))
-        return [f"command={self.command}", f"config={canonical}", f"rng_layout={RNG_LAYOUT}"]
-
     def _build_device(self, device: dict) -> None:
         self.i_off_uA = device.get("i_off_uA", 0.0)
         table = self.deck.retention_table
@@ -339,118 +339,103 @@ class RunConfig:
             provenance="inline device section",
         )
 
-    def _build_trace(self, section: dict) -> None:
-        """The pulse stream, and ``(label, p_on, i_cc_uA, params)`` per series.
-
-        At most one of ``_TRACE_AXES`` is a list; each of its values is one
-        series, labelled with the value as written in the JSON (the label
-        seeds the series). The sample grid is sized here but not made, so a
-        grid too large to exist is a config error (see
-        :func:`memdecide.experiment.sample_count`).
-        """
-        pulses = section["pulses"]
-        periodic = pulses.keys() & {"n_pulses", "rate_hz", "start_s"}
-        if len(pulses.keys() & {"replay_csv", "random"}) + bool(periodic) != 1:
-            raise ConfigError("trace.pulses: give exactly one pulse source: "
-                              "n_pulses with rate_hz, 'random' or 'replay_csv'")
-        if "replay_csv" in pulses:
-            self.stream = read_stream_csv(self._input("trace.pulses.replay_csv", pulses["replay_csv"]))
-        elif "random" in pulses:
-            n, window = pulses["random"]["n_pulses"], pulses["random"]["duration_s"]
-            times = random_times(n, window, 1, spawn_rng(self.seed, "trace-stream"))[0]
-            self.stream = PulseStream(times, window)
-        elif not {"n_pulses", "rate_hz"} <= periodic:
-            raise ConfigError("trace.pulses: a periodic train needs n_pulses and rate_hz")
-        else:
-            self.stream = generate_periodic(pulses["n_pulses"], pulses["rate_hz"], pulses.get("start_s", 0.0))
-        sample_count(self.stream.duration_s, section["sample_rate_hz"], section.get("tail_s", 0.0))
-
-        axes = [k for k in _TRACE_AXES if isinstance(section.get(k), list)]
-        if len(axes) > 1:
-            raise ConfigError(f"trace: only one of {'/'.join(_TRACE_AXES)} may be a list, got {axes}")
-        key = axes[0] if axes else "p_on"
-        written = self.effective["trace"][key]
-        values, labels = (section[key], written) if axes else ([section[key]], [written])
-        self.series = []
-        for value, label in zip(values, labels):
-            knobs = {**section, key: value}
-            i_cc = knobs["i_cc_uA"]
-            params = DeviceParams(i_cc, self._deck(knobs).retention_at(i_cc), self.i_off_uA)
-            self.series.append((f"{key}={label}", knobs["p_on"], i_cc, params))
-
-    def _build_trial(self, section: dict) -> None:
-        i_cc = section["i_cc_uA"]
-        self.trial = TwoAfcConfig(
-            n_devices=section["n_devices"],
-            params=DeviceParams(i_cc, self._deck(section).retention_at(i_cc), self.i_off_uA),
-            p_on=section["p_on"],
-            n_a=section["n_a"], n_b=section["n_b"], duration_s=section["duration_s"],
-        )
-
-    def _build_sweep(self, section: dict) -> None:
-        # Every cell is built here, so a bad value in the last one exits 2 up front.
-        self.cells = sweep_cells(**{key: section[key] for _, key, _ in _SWEEP_AXES},
-                                 master_seed=self.seed, i_off_uA=self.i_off_uA,
-                                 deck=self._deck(section))
-
-    def _build_calibrate(self, section: dict) -> None:
-        self.inputs = {key: self._input(f"calibrate.{key}", section[key])
-                       for key in ("switching_csv", "retention_csv") if key in section}
-        if not self.inputs:
-            raise ConfigError("calibrate: need switching_csv and/or retention_csv")
-
-
-def _write_outputs(cfg: RunConfig, name: str, header, rows, *chart) -> None:
-    """Write ``<name>.csv``, and with ``svg`` on ``<name>.svg``, a ``line_chart(*chart)``."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / f"{name}.csv"
-    write_csv(path, header, rows, cfg.header_comments())
-    print(f"wrote {path}", file=sys.stderr)
-    if cfg.svg and chart:
-        path = path.with_suffix(".svg")
-        line_chart(*chart, path)
+    def write(self, name: str, header, rows, *chart) -> None:
+        """Write ``<name>.csv`` under comment lines that echo the command, the
+        effective config and ``RNG_LAYOUT``, and with ``svg`` on ``<name>.svg``,
+        a ``line_chart(*chart)``."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        path = self.out_dir / f"{name}.csv"
+        canonical = json.dumps(self.effective, sort_keys=True, separators=(",", ":"))
+        write_csv(path, header, rows,
+                  [f"command={self.command}", f"config={canonical}", f"rng_layout={RNG_LAYOUT}"])
         print(f"wrote {path}", file=sys.stderr)
+        if self.svg and chart:
+            path = path.with_suffix(".svg")
+            line_chart(*chart, path)
+            print(f"wrote {path}", file=sys.stderr)
 
 
-# --- trace -------------------------------------------------------------------
+# --- commands ----------------------------------------------------------------
+# A command builds everything it runs from the plan and its validated section,
+# and returns the run: a zero-argument callable that simulates and writes.
 
 
-def cmd_trace(cfg: RunConfig) -> int:
-    section = cfg.section
-    rows = []
-    chart_series = []
-    for label, p_on, i_cc, params in cfg.series:
-        trace = run_trace_experiment(
-            section["n_devices"], cfg.stream, p_on, params, section["sample_rate_hz"],
-            section["repeats"],
-            master_seed=derive_seed(cfg.seed, "trace", label),
-            tail_s=section.get("tail_s", 0.0),
-        )
-        rows.extend(format_rows(label, p_on, i_cc, *trace, section["repeats"]))
-        chart_series.append((label, trace.times, trace.count_on))
-    header = ["series", "p_on", "i_cc_uA", "t_s", "count_on", "current_uA", "repeat_mean"]
-    _write_outputs(cfg, "trace", header, rows,
-                   chart_series, "synapse integration", "time (s)", "mean devices ON")
-    return 0
+def _trace(cfg: RunConfig, section: dict):
+    """The pulse stream, and ``(label, p_on, i_cc_uA, params)`` per series.
+
+    At most one of ``_TRACE_AXES`` is a list; each of its values is one
+    series, labelled with the value as written in the JSON (the label
+    seeds the series). The sample grid is sized here but not made, so a
+    grid too large to exist is a config error (see
+    :func:`memdecide.experiment.sample_count`).
+    """
+    pulses = section["pulses"]
+    periodic = pulses.keys() & {"n_pulses", "rate_hz", "start_s"}
+    if len(pulses.keys() & {"replay_csv", "random"}) + bool(periodic) != 1:
+        raise ConfigError("trace.pulses: give exactly one pulse source: "
+                          "n_pulses with rate_hz, 'random' or 'replay_csv'")
+    if "replay_csv" in pulses:
+        stream = read_stream_csv(cfg._input("trace.pulses.replay_csv", pulses["replay_csv"]))
+    elif "random" in pulses:
+        n, window = pulses["random"]["n_pulses"], pulses["random"]["duration_s"]
+        stream = PulseStream(random_times(n, window, 1, spawn_rng(cfg.seed, "trace-stream"))[0], window)
+    elif not {"n_pulses", "rate_hz"} <= periodic:
+        raise ConfigError("trace.pulses: a periodic train needs n_pulses and rate_hz")
+    else:
+        stream = generate_periodic(pulses["n_pulses"], pulses["rate_hz"], pulses.get("start_s", 0.0))
+    n_devices, rate_hz, repeats = section["n_devices"], section["sample_rate_hz"], section["repeats"]
+    tail_s = section.get("tail_s", 0.0)
+    sample_count(stream.duration_s, rate_hz, tail_s)
+
+    axes = [k for k in _TRACE_AXES if isinstance(section.get(k), list)]
+    if len(axes) > 1:
+        raise ConfigError(f"trace: only one of {'/'.join(_TRACE_AXES)} may be a list, got {axes}")
+    key = axes[0] if axes else "p_on"
+    written = cfg.effective["trace"][key]
+    values, labels = (section[key], written) if axes else ([section[key]], [written])
+    series = []
+    for value, label in zip(values, labels):
+        knobs = {**section, key: value}
+        i_cc = knobs["i_cc_uA"]
+        params = DeviceParams(i_cc, cfg._deck(knobs).retention_at(i_cc), cfg.i_off_uA)
+        series.append((f"{key}={label}", knobs["p_on"], i_cc, params))
+
+    def run() -> None:
+        rows = []
+        chart_series = []
+        for label, p_on, i_cc, params in series:
+            trace = run_trace_experiment(n_devices, stream, p_on, params, rate_hz, repeats,
+                                         master_seed=derive_seed(cfg.seed, "trace", label),
+                                         tail_s=tail_s)
+            rows.extend(format_rows(label, p_on, i_cc, *trace, repeats))
+            chart_series.append((label, trace.times, trace.count_on))
+        header = ["series", "p_on", "i_cc_uA", "t_s", "count_on", "current_uA", "repeat_mean"]
+        cfg.write("trace", header, rows,
+                  chart_series, "synapse integration", "time (s)", "mean devices ON")
+    return run
 
 
-# --- trial -------------------------------------------------------------------
+def _trial(cfg: RunConfig, section: dict):
+    i_cc = section["i_cc_uA"]
+    trial = TwoAfcConfig(
+        n_devices=section["n_devices"],
+        params=DeviceParams(i_cc, cfg._deck(section).retention_at(i_cc), cfg.i_off_uA),
+        p_on=section["p_on"],
+        n_a=section["n_a"], n_b=section["n_b"], duration_s=section["duration_s"],
+    )
 
+    def run() -> None:
+        batch = run_trials(trial, 1, spawn_rng(cfg.seed, "trial", 0))
+        counts = batch.count1[0], batch.count2[0]
+        currents = (trial.params.current_uA(count, trial.n_devices) for count in counts)
+        (row,) = format_rows(0, "A" if batch.choose_a[0] else "B", batch.correct[0],
+                             *currents, *counts, batch.tie[0])
+        header = ["trial", "decision", "correct", "i1_uA", "i2_uA", "count1", "count2", "tie"]
+        cfg.write("trial", header, [row])
+        print(",".join(header))
+        print(row)
+    return run
 
-def cmd_trial(cfg: RunConfig) -> int:
-    batch = run_trials(cfg.trial, 1, spawn_rng(cfg.seed, "trial", 0))
-    counts = batch.count1[0], batch.count2[0]
-    currents = (cfg.trial.params.current_uA(count, cfg.trial.n_devices) for count in counts)
-    (row,) = format_rows(0, "A" if batch.choose_a[0] else "B", batch.correct[0],
-                         *currents, *counts, batch.tie[0])
-    header = ["trial", "decision", "correct", "i1_uA", "i2_uA", "count1", "count2", "tie"]
-    _write_outputs(cfg, "trial", header, [row])
-    print(",".join(header))
-    print(row)
-    return 0
-
-
-# --- sweep -------------------------------------------------------------------
 
 # One row per sweep axis, in grid order: the AccuracyPoint field a chart
 # plots it as, the config key of its values, and its series label.
@@ -463,75 +448,85 @@ _SWEEP_AXES = (
 )
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    points = sweep(cfg.cells, cfg.section.get("trials", 1000), max_workers=cfg.threads)
+def _sweep(cfg: RunConfig, section: dict):
+    # Every cell is built here, so a bad value in the last one exits 2 up front.
+    values = {key: section[key] for _, key, _ in _SWEEP_AXES}
+    cells = sweep_cells(**values, master_seed=cfg.seed, i_off_uA=cfg.i_off_uA,
+                        deck=cfg._deck(section))
+    trials = section.get("trials", 1000)
     # The x axis is the first varying axis other than the ratio, else the
     # ratio at n_a; every other varying axis labels the series.
-    varying = [axis for axis in _SWEEP_AXES if len(cfg.section[axis[1]]) > 1]
+    varying = [axis for axis in _SWEEP_AXES if len(values[axis[1]]) > 1]
     x_field = next((field for field, _, _ in varying if field != "n_a"), "n_a")
-    groups: dict[str, tuple[list, list]] = {}
-    for p in points:
-        label = ", ".join(label_of(p) for field, _, label_of in varying if field != x_field)
-        xs, ys = groups.setdefault(label or "accuracy", ([], []))
-        xs.append(getattr(p, x_field))
-        ys.append(p.accuracy)
-    series = [(label, xs, ys) for label, (xs, ys) in groups.items()]
-    _write_outputs(cfg, "report", AccuracyPoint._fields, format_rows(*zip(*points)),
-                   series, "decision accuracy", x_field, "accuracy")
-    return 0
+
+    def run() -> None:
+        points = sweep(cells, trials, max_workers=cfg.threads)
+        groups: dict[str, tuple[list, list]] = {}
+        for p in points:
+            label = ", ".join(label_of(p) for field, _, label_of in varying if field != x_field)
+            xs, ys = groups.setdefault(label or "accuracy", ([], []))
+            xs.append(getattr(p, x_field))
+            ys.append(p.accuracy)
+        series = [(label, xs, ys) for label, (xs, ys) in groups.items()]
+        cfg.write("report", AccuracyPoint._fields, format_rows(*zip(*points)),
+                  series, "decision accuracy", x_field, "accuracy")
+    return run
 
 
-# --- calibrate ---------------------------------------------------------------
-
-
-def cmd_calibrate(cfg: RunConfig) -> int:
+def _calibrate(cfg: RunConfig, section: dict):
     """Fit what the inputs give; the rest comes from the configured deck."""
-    diag_rows = []
-    provenance_bits = []
+    inputs = {key: cfg._input(f"calibrate.{key}", section[key])
+              for key in ("switching_csv", "retention_csv") if key in section}
+    if not inputs:
+        raise ConfigError("calibrate: need switching_csv and/or retention_csv")
 
-    switching = cfg.deck.switching
-    if "switching_csv" in cfg.inputs:
-        path = cfg.inputs["switching_csv"]
-        records = read_switching_csv(path)
-        switching, diag = fit_switching_curve(records)
-        provenance_bits.append(f"switching fit from {path.name} ({diag.n_records} records)")
-        diag_rows.append(("switching_v_median_V", float(switching.v_median), float(diag.se_v_median)))
-        diag_rows.append(("switching_v_spread_V", float(switching.v_spread), float(diag.se_v_spread)))
-        # Neither has a standard error.
-        diag_rows.append(("switching_log_likelihood", float(diag.log_likelihood), math.nan))
-        diag_rows.append(("switching_converged", 1.0 if diag.converged else 0.0, math.nan))
-    else:
-        provenance_bits.append(f"switching curve: {cfg.sources['switching curve']}")
+    def run() -> None:
+        diag_rows = []
+        provenance_bits = []
 
-    table = cfg.deck.retention_table
-    if "retention_csv" in cfg.inputs:
-        path = cfg.inputs["retention_csv"]
-        records = read_retention_csv(path)
-        table, stderrs = fit_retention(records)
-        provenance_bits.append(f"retention fit from {path.name} ({len(records)} records)")
-        for (i_cc, dist), (se_median, se_sigma) in zip(table, stderrs):
-            diag_rows.append((f"retention_median_s@{i_cc:g}uA", float(dist.median_s), se_median))
-            diag_rows.append((f"retention_sigma_log@{i_cc:g}uA", float(dist.sigma_log), se_sigma))
-    else:
-        provenance_bits.append(f"retention table: {cfg.sources['retention table']}")
+        switching = cfg.deck.switching
+        if "switching_csv" in inputs:
+            path = inputs["switching_csv"]
+            records = read_switching_csv(path)
+            switching, diag = fit_switching_curve(records)
+            provenance_bits.append(f"switching fit from {path.name} ({diag.n_records} records)")
+            diag_rows.append(("switching_v_median_V", float(switching.v_median), float(diag.se_v_median)))
+            diag_rows.append(("switching_v_spread_V", float(switching.v_spread), float(diag.se_v_spread)))
+            # Neither has a standard error.
+            diag_rows.append(("switching_log_likelihood", float(diag.log_likelihood), math.nan))
+            diag_rows.append(("switching_converged", 1.0 if diag.converged else 0.0, math.nan))
+        else:
+            provenance_bits.append(f"switching curve: {cfg.sources['switching curve']}")
 
-    provenance = cfg.section.get("provenance", "; ".join(provenance_bits))
-    deck = ParamDeck(switching=switching, retention_table=table, provenance=provenance)
+        table = cfg.deck.retention_table
+        if "retention_csv" in inputs:
+            path = inputs["retention_csv"]
+            records = read_retention_csv(path)
+            table, stderrs = fit_retention(records)
+            provenance_bits.append(f"retention fit from {path.name} ({len(records)} records)")
+            for (i_cc, dist), (se_median, se_sigma) in zip(table, stderrs):
+                diag_rows.append((f"retention_median_s@{i_cc:g}uA", float(dist.median_s), se_median))
+                diag_rows.append((f"retention_sigma_log@{i_cc:g}uA", float(dist.sigma_log), se_sigma))
+        else:
+            provenance_bits.append(f"retention table: {cfg.sources['retention table']}")
 
-    _write_outputs(cfg, "calibration", ["quantity", "value", "stderr"], format_rows(*zip(*diag_rows)))
-    deck_path = cfg.out_dir / "deck.json"
-    write_deck(deck, deck_path)
-    print(f"wrote {deck_path}", file=sys.stderr)
-    return 0
+        provenance = section.get("provenance", "; ".join(provenance_bits))
+        deck = ParamDeck(switching=switching, retention_table=table, provenance=provenance)
+        cfg.write("calibration", ["quantity", "value", "stderr"], format_rows(*zip(*diag_rows)))
+        deck_path = cfg.out_dir / "deck.json"
+        write_deck(deck, deck_path)
+        print(f"wrote {deck_path}", file=sys.stderr)
+    return run
 
 
 # --- entry point -------------------------------------------------------------
 
+# Each subcommand: its help line, and the function that builds its run.
 _COMMANDS = {
-    "trace": cmd_trace,
-    "trial": cmd_trial,
-    "sweep": cmd_sweep,
-    "calibrate": cmd_calibrate,
+    "trace": ("average synapse integration traces to CSV", _trace),
+    "trial": ("run a single decision trial", _trial),
+    "sweep": ("accuracy over a parameter grid", _sweep),
+    "calibrate": ("fit device parameters from measured CSVs", _calibrate),
 }
 
 
@@ -541,12 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Volatile resistive-switching synapse and decision-task simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("trace", "average synapse integration traces to CSV"),
-        ("trial", "run a single decision trial"),
-        ("sweep", "accuracy over a parameter grid"),
-        ("calibrate", "fit device parameters from measured CSVs"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON configuration file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -568,8 +558,8 @@ def main(argv=None) -> int:
             )
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{config_path}: invalid JSON ({exc})") from exc
-        cfg = RunConfig(args.command, raw, config_path.parent, args)
-        return _COMMANDS[args.command](cfg)
+        RunConfig(args.command, raw, config_path.parent, args).run()
+        return 0
     except ConfigError as exc:
         print(f"memdecide: config error: {exc}", file=sys.stderr)
         return 2

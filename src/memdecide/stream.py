@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reports import format_rows, parse_finite, read_csv, write_csv
+from .synapse import TRIAL_CHUNK
 
 __all__ = [
     "check_n_pulses",
@@ -27,9 +28,13 @@ __all__ = [
 
 
 def check_n_pulses(n_pulses: int) -> None:
-    """Reject a negative pulse count."""
+    """Reject a negative pulse count, or one so large that a trial chunk's
+    ``(TRIAL_CHUNK, n_pulses)`` float64 pulse-time matrix cannot exist."""
     if n_pulses < 0:
         raise ValueError(f"n_pulses must be >= 0, got {n_pulses}")
+    if n_pulses > sys.maxsize // (8 * TRIAL_CHUNK):
+        raise ValueError(f"n_pulses={n_pulses} is too many: a trial chunk's ({TRIAL_CHUNK}, n_pulses) "
+                         f"float64 pulse-time matrix would exceed {sys.maxsize} bytes")
 
 
 def check_duration(duration_s: float) -> None:
@@ -44,7 +49,8 @@ def check_duration(duration_s: float) -> None:
 
 @dataclass(frozen=True)
 class PulseStream:
-    """Strictly sorted finite pulse times, each in [0, duration_s), a finite window."""
+    """Strictly sorted finite pulse times, each in [0, duration_s), a finite window
+    of at least the smallest normal float (see :func:`check_duration`)."""
 
     times: np.ndarray
     duration_s: float
@@ -59,6 +65,7 @@ class PulseStream:
                 raise ValueError("pulse times must be strictly increasing")
             if times[0] < 0.0 or times[-1] >= self.duration_s:
                 raise ValueError("pulse times must lie in [0, duration_s)")
+        check_duration(self.duration_s)
 
     @property
     def n_pulses(self) -> int:

@@ -1,5 +1,6 @@
 """Command-line front end: schema validation, outputs, exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from memdecide import ParamDeck, RetentionDistribution, SwitchingCurve, read_deck, spawn_rng
-from memdecide.cli import RunConfig, build_parser, main
+from memdecide import cli
+from memdecide.cli import build_parser, main
 from memdecide.stream import random_times
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +72,9 @@ def _sweep_config(out_dir, trials=30):
 
 
 _CONFIGS = {"trace": _trace_config, "trial": _trial_config, "sweep": _sweep_config}
+
+_TOO_MANY_PULSES = (f"n_pulses={2**60} is too many: a trial chunk's (256, n_pulses) float64 "
+                    f"pulse-time matrix would exceed {sys.maxsize} bytes")
 
 
 def _set(payload, dotted, value):
@@ -143,14 +148,19 @@ class TestTrace:
         assert main(["trace", "--config", cfg]) == 0
         assert (tmp_path / "out" / "trace.csv").exists()
 
-    def test_random_source_is_one_row_of_random_times(self, tmp_path):
+    def test_random_source_is_one_row_of_random_times(self, tmp_path, monkeypatch):
+        streams = []
+        run_trace_experiment = cli.run_trace_experiment
+        monkeypatch.setattr(cli, "run_trace_experiment", lambda n, stream, *args, **kwargs:
+                            streams.append(stream) or run_trace_experiment(n, stream, *args, **kwargs))
         payload = _trace_config(tmp_path / "out")
         payload["trace"]["pulses"] = {"random": {"n_pulses": 30, "duration_s": 2.0}}
-        args = build_parser().parse_args(["trace", "--config", "t.cfg"])
-        stream = RunConfig("trace", payload, tmp_path, args).stream
+        assert main(["trace", "--config", _write_config(tmp_path / "t.cfg", payload)]) == 0
         expected = random_times(30, 2.0, 1, spawn_rng(payload["seed"], "trace-stream"))[0]
-        assert stream.duration_s == 2.0
-        assert np.array_equal(stream.times, expected)
+        assert len(streams) == 2  # one per p_on series, both on the one stream
+        for stream in streams:
+            assert stream.duration_s == 2.0
+            assert np.array_equal(stream.times, expected)
 
     def test_empty_stream_gives_flat_zero_trace(self, tmp_path):
         payload = _trace_config(tmp_path / "out")
@@ -248,15 +258,19 @@ def test_commands_load_no_module_after_set_up(tmp_path):
         "import sys\n"
         "from memdecide import cli\n"
         "loaded = set()\n"
-        "def watched(command):\n"
-        "    def run(cfg):\n"
+        "def watched(run):\n"
+        "    def watched_run():\n"
         "        before = set(sys.modules)\n"
         "        try:\n"
-        "            return command(cfg)\n"
+        "            return run()\n"
         "        finally:\n"
         "            loaded.update(set(sys.modules) - before)\n"
-        "    return run\n"
-        "cli._COMMANDS.update((name, watched(fn)) for name, fn in list(cli._COMMANDS.items()))\n"
+        "    return watched_run\n"
+        "init = cli.RunConfig.__init__\n"
+        "def watched_init(self, *args):\n"
+        "    init(self, *args)\n"
+        "    self.run = watched(self.run)\n"
+        "cli.RunConfig.__init__ = watched_init\n"
         f"assert cli.main(['trace', '--config', {trace_cfg!r}]) == 0\n"
         f"assert cli.main(['trial', '--config', {trial_cfg!r}]) == 0\n"
         f"assert cli.main(['sweep', '--config', {sweep_cfg!r}, '--threads', '1']) == 0\n"
@@ -451,6 +465,14 @@ class TestConfigErrors:
     def test_section_must_match_command(self, tmp_path):
         cfg = _write_config(tmp_path / "t.cfg", _trial_config(tmp_path / "out"))
         assert main(["trace", "--config", cfg]) == 2
+
+    def test_subcommands_are_the_command_sections_of_the_schema(self):
+        # The top-level sections of the schema are the device section and one per command.
+        fields = inspect.getclosurevars(cli._SCHEMA).nonlocals["fields"]
+        sections = {key for key, convert in fields.items()
+                    if "fields" in inspect.getclosurevars(convert).nonlocals}
+        (choices,) = re.findall(r"\{(.+?)\}", build_parser().format_usage())
+        assert sorted(choices.split(",")) == sorted(sections - {"device"})
 
     def test_missing_seed(self, tmp_path):
         payload = _trace_config(tmp_path / "out")
@@ -649,13 +671,17 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "text,line",
-        [("# duration_s=1.0\nt_s\n0.1\nnan\n", 4),
-         ("# duration_s=inf\nt_s\n0.1\n", 1),
-         ("# duration_s=1.0\nt_s\n0.1\nabc\n", 4)],
-        ids=["row=nan", "duration_s=inf", "row=abc"],
+        "text,where",
+        [("# duration_s=1.0\nt_s\n0.1\nnan\n", ":4:"),
+         ("# duration_s=inf\nt_s\n0.1\n", ":1:"),
+         ("# duration_s=1.0\nt_s\n0.1\nabc\n", ":4:"),
+         # A file with no pulses still needs a window of at least the smallest normal float.
+         ("# duration_s=-1.0\nt_s\n", f": duration_s must be >= {sys.float_info.min}, got -1.0\n"),
+         ("# duration_s=5e-324\nt_s\n", f": duration_s must be >= {sys.float_info.min}, got 5e-324\n")],
+        ids=["row=nan", "duration_s=inf", "row=abc",
+             "no_pulses_duration_s=-1", "no_pulses_duration_s=5e-324"],
     )
-    def test_bad_replay_csv_exits_two(self, tmp_path, capsys, text, line):
+    def test_bad_replay_csv_exits_two(self, tmp_path, capsys, text, where):
         replay = tmp_path / "pulses.csv"
         replay.write_text(text)
         out = tmp_path / "out"
@@ -663,7 +689,7 @@ class TestConfigErrors:
         payload["trace"]["pulses"] = {"replay_csv": str(replay)}
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main(["trace", "--config", cfg]) == 2
-        assert f"{replay}:{line}:" in capsys.readouterr().err
+        assert f"{replay}{where}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_replay_csv_without_header_exits_two(self, tmp_path, capsys):
@@ -704,6 +730,12 @@ class TestConfigErrors:
          ("trial", "trial.n_b", -2, "trial.n_b: n_pulses must be >= 0, got -2"),
          ("trial", "trial.i_cc_uA", -5, "trial: i_cc_uA must be > 0, got -5.0"),
          ("trace", "trace.pulses.n_pulses", -2, "trace.pulses.n_pulses: n_pulses must be >= 0, got -2"),
+         # A pulse count too large for a chunk's (256, n) float64 pulse-time matrix.
+         ("trial", "trial.n_a", 2**60, f"trial.n_a: {_TOO_MANY_PULSES}"),
+         ("sweep", "sweep.ratios", [[2, 1], [2**60, 1]], f"sweep.ratios[1][0]: {_TOO_MANY_PULSES}"),
+         ("trace", "trace.pulses.n_pulses", 2**60, f"trace.pulses.n_pulses: {_TOO_MANY_PULSES}"),
+         ("trace", "trace.pulses", {"random": {"n_pulses": 2**60, "duration_s": 2.0}},
+          f"trace.pulses.random.n_pulses: {_TOO_MANY_PULSES}"),
          ("trace", "trace.n_devices", 0, "trace.n_devices: a synapse needs at least one device, got n=0"),
          ("trace", "trace.pulses", {"random": {"n_pulses": 5, "duration_s": 5e-324}},
           f"trace.pulses.random.duration_s: duration_s must be >= {sys.float_info.min}, got 5e-324"),
@@ -727,7 +759,8 @@ class TestConfigErrors:
          ("trace", "device", {"v_median_V": 0.6, "v_spread_V": 0.05, "i_off_uA": -1.0},
           "device.i_off_uA: i_off_uA must be >= 0, got -1.0")],
         ids=["sweep.ratios", "sweep.i_cc_values_uA", "sweep.trials", "trial.n_a", "trial.n_b",
-             "trial.i_cc_uA", "trace.pulses.n_pulses", "trace.n_devices",
+             "trial.i_cc_uA", "trace.pulses.n_pulses", "trial.n_a=2**60", "sweep.ratios=2**60",
+             "trace.pulses.n_pulses=2**60", "trace.pulses.random.n_pulses=2**60", "trace.n_devices",
              "trace.pulses.random.duration_s", "trace.i_cc_uA", "trace.retention_median_s",
              "device.v_spread_V", "device.retention_table.median_s",
              "device.retention_table.i_cc_uA", "device.retention_table.repeated_i_cc",
