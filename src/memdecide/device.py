@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import ndtr, ndtri
+from ._normal import erfc, ndtr, ndtri
 
 __all__ = ["SwitchingCurve", "RetentionDistribution", "DeviceParams", "check_p_on", "check_i_cc",
            "check_i_off"]
@@ -119,22 +119,33 @@ class RetentionDistribution:
         z = rng.standard_normal(size)
         return self.median_s * np.exp(self.sigma_log * z)
 
-    def survival(self, d) -> np.ndarray:
+    def survival(self, d, out=None) -> np.ndarray:
         """``P(R > d)`` for a retention time ``R``, elementwise over an array of ``d >= 0``.
 
         At ``sigma_log = 0`` this is the step ``d < median_s``: a filament
         that lives exactly ``d`` is OFF at ``d``, as in the kernel's strict
         ``expiry > t``. Otherwise it is ``erfc(ln(d / median_s) / (sigma_log
-        * sqrt(2))) / 2`` through stdlib ``math.erfc``, so no run needs scipy.
+        * sqrt(2))) / 2`` through :func:`memdecide._normal.erfc`, the Cephes
+        ``erfc`` on numpy arrays, so no run needs scipy. ``out``, a
+        C-contiguous float64 array of ``d``'s shape, receives the result and
+        may be ``d`` itself; by default it is a new array.
         """
         d = np.asarray(d, dtype=float)
+        x = np.empty(d.shape) if out is None else out
         if self.sigma_log == 0.0:
-            return (d < self.median_s).astype(float)
+            return np.less(d, self.median_s, out=x)
         # Scaled in the order scipy's ndtr uses (divide, then times sqrt(1/2)),
         # which keeps S within 1e-14 relative of norm.sf over +-16 log-spreads.
-        with np.errstate(divide="ignore"):  # S(0) = 1: log(0) = -inf
-            x = np.log(d / self.median_s) / self.sigma_log * math.sqrt(0.5)
-        return 0.5 * np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        # S(0) = 1: log(0) = -inf. A subnormal sigma_log overflows x to +-inf,
+        # the limit: a step with S = 0.5 at d == median_s.
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(d, self.median_s, out=x)
+            np.log(x, out=x)
+            x /= self.sigma_log
+            x *= math.sqrt(0.5)
+        erfc(x, out=x)
+        x *= 0.5
+        return x
 
 
 @dataclass(frozen=True)

@@ -106,17 +106,27 @@ def on_probability(
     ``q_1 = p_on``, ``q_j = p_on + (1 - p_on) * q_{j-1} * S(t_j - t_{j-1})``,
     and is ON at the end with ``pi = q_K * S(duration_s - t_K)``; ``pi = 0``
     for a stream without pulses. This is the law of one cell under
-    :func:`memdecide.synapse.pulse_update`.
+    :func:`memdecide.synapse.pulse_update`. The recurrence runs in place, one
+    contiguous row of gaps per pulse, with the roundings of the formula as
+    written: ``(1 - p_on) * q``, then ``* S``, then ``p_on +``.
     """
     m, k = times.shape
     if not k:
         return np.zeros(m)
-    # S of each gap between pulses, then of the gap from the last pulse to the read.
-    survive = retention.survival(np.diff(times, axis=1, append=duration_s))
+    # S of each gap between pulses, then of the gap from the last pulse to the
+    # read, in place: the transposed gap matrix, so that each pulse's gaps are
+    # one contiguous row.
+    survive = np.empty((k, m))
+    np.subtract(times.T[1:], times.T[:-1], out=survive[:-1])
+    np.subtract(duration_s, times[:, -1], out=survive[-1])
+    retention.survival(survive, out=survive)
     q = np.full(m, float(p_on))
-    for s in survive[:, :-1].T:
-        q = p_on + (1.0 - p_on) * q * s
-    return q * survive[:, -1]
+    for s in survive[:-1]:
+        q *= 1.0 - p_on
+        q *= s
+        q += p_on
+    q *= survive[-1]
+    return q
 
 
 def run_trials(cfg: TwoAfcConfig, m: int, rng: np.random.Generator) -> TrialBatch:

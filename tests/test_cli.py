@@ -1,5 +1,6 @@
 """Command-line front end: schema validation, outputs, exit codes."""
 
+import gc
 import inspect
 import json
 import math
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +284,42 @@ def test_commands_load_no_module_after_set_up(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_main_leaves_the_collector_working(tmp_path):
+    # main freezes what is alive before its run, but not garbage: a cycle
+    # dropped before main, and one made after it returns, are both freed.
+    class Node:
+        pass
+
+    def dropped_cycle(freed, label):
+        node = Node()
+        node.self = node
+        weakref.finalize(node, freed.append, label)
+
+    cfg = _write_config(tmp_path / "t.cfg", _trial_config(tmp_path / "out"))
+    enabled = gc.isenabled()
+    freed = []
+    dropped_cycle(freed, "before")
+    assert main(["trial", "--config", cfg]) == 0
+    assert gc.isenabled() == enabled
+    dropped_cycle(freed, "after")
+    gc.collect()
+    assert sorted(freed) == ["after", "before"]
+
+
+@pytest.mark.parametrize("command", ["trial", "sweep"])
+def test_subnormal_sigma_runs_with_warnings_as_errors(tmp_path, command):
+    # Retention survival at sigma_log = 5e-324 is a step at the median; it
+    # is computed without a numpy RuntimeWarning, so -W error exits 0.
+    payload = _CONFIGS[command](tmp_path / "out")
+    payload[command].update(retention_median_s=1.0, sigma_log=5e-324)
+    cfg = _write_config(tmp_path / "c.cfg", payload)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "memdecide.cli", command, "--config", cfg],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSweep:

@@ -6,6 +6,7 @@ state: a cell is ON at ``t`` while its expiry is after ``t``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,27 @@ class TestRetentionSurvival:
         assert dist.survival(np.ones((3, 4))).shape == (3, 4)
         assert dist.survival(np.empty((5, 0))).shape == (5, 0)
         assert np.ndim(dist.survival(1.0)) == 0
+
+
+def test_survival_with_subnormal_sigma_is_the_step_limit():
+    # ln(d / median) / 5e-324 overflows to +-inf, the limit: a step with
+    # S = 0.5 at the median itself, computed without a warning.
+    dist = RetentionDistribution(median_s=1.0, sigma_log=5e-324)
+    d = np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dist.survival(d).tolist() == [1.0, 1.0, 1.0, 0.5, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_survival_out_may_be_its_input(sigma):
+    dist = RetentionDistribution(median_s=0.8, sigma_log=sigma)
+    d = np.linspace(0.0, 3.0, 301).reshape(7, 43)
+    expected = dist.survival(d)
+    # A transposed (Fortran-ordered) input, then the input itself as out.
+    np.testing.assert_array_equal(dist.survival(d.T), expected.T)
+    assert dist.survival(d, out=d) is d
+    np.testing.assert_array_equal(d, expected)
 
 
 class TestDeviceParams:

@@ -265,6 +265,24 @@ class TestCollapsedSamplerLaw:
             chi2 = np.sum((ha[used] - hb[used]) ** 2 / (ha[used] + hb[used]))
             assert (chi2 - df) / math.sqrt(2.0 * df) <= 3.0, (ha, hb)
 
+    @pytest.mark.parametrize("k", [0, 1, 40])
+    @pytest.mark.parametrize("p_on", [0.0, 0.05, 1.0])
+    def test_recurrence_is_the_documented_formula(self, p_on, k):
+        # Bit for bit: a plain loop of the docstring's formula, one trial at a time.
+        retention = RetentionDistribution(0.8, 0.5)
+        times = _streams(k, m=64, seed=100 + k)
+        expected = []
+        for row in times:
+            if not k:
+                expected.append(0.0)
+                continue
+            s = retention.survival(np.diff(row, append=2.0)).tolist()
+            q = p_on
+            for j in range(1, k):
+                q = p_on + (1.0 - p_on) * q * s[j - 1]
+            expected.append(q * s[-1])
+        assert np.array_equal(on_probability(times, 2.0, p_on, retention), expected)
+
     def test_degenerate_probabilities(self):
         times = _streams(10)
         assert np.all(on_probability(times, 2.0, 0.0, RetentionDistribution(2.0, 0.5)) == 0.0)
