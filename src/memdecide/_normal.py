@@ -94,24 +94,16 @@ def _erfc(a: float) -> float:
     return 2.0 - y if a < 0 else y
 
 
-def erfc(a, out=None) -> np.ndarray:
-    """``_erfc`` elementwise over a float array of any shape; NaN gives NaN.
+def erfc(a: np.ndarray) -> np.ndarray:
+    """Overwrite the C-contiguous float64 array ``a`` with ``_erfc`` of each element; return ``a``.
 
-    ``out``, a C-contiguous float64 array of ``a``'s shape, receives the result
-    and may be ``a`` itself; by default it is a new array. Each branch of
-    ``_erfc`` (``|a| < 1``, ``1 <= |a| < 8``, above 8) gathers its elements and
-    runs Horner in place on them. Below ``_ERFC_IS_2_BELOW`` the result is 2.0 and
-    above ``_SQRT_MAXLOG`` 0.0, as in ``_erfc``, without evaluation, so no input up
+    Any shape; NaN stays NaN. Each branch of ``_erfc`` (``|a| < 1``,
+    ``1 <= |a| < 8``, above 8) gathers its elements and runs Horner in place
+    on them. Below ``_ERFC_IS_2_BELOW`` the result is 2.0 and above
+    ``_SQRT_MAXLOG`` 0.0, as in ``_erfc``, without evaluation, so no input up
     to +-inf warns.
     """
-    a = np.asarray(a, dtype=float)
-    if out is None:
-        out = a.copy()
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    elif out is not a:
-        np.copyto(out, a)
-    flat = out.reshape(-1)  # a view, so writes to flat land in out
+    flat = a.reshape(-1, copy=False)  # a view, so writes to flat land in a
     x = np.abs(flat)
     inner = x < 1.0
     mid = x < 8.0
@@ -149,7 +141,7 @@ def erfc(a, out=None) -> np.ndarray:
     # Every result so far is in [0, 2]; what is left is below or above the branches.
     flat[flat < _ERFC_IS_2_BELOW] = 2.0
     flat[flat > _SQRT_MAXLOG] = 0.0
-    return out
+    return a
 
 
 def ndtr(a: float) -> float:

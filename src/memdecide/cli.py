@@ -551,12 +551,17 @@ def main(argv=None) -> int:
     """Run one command; return its exit code (0, 1 runtime failure, 2 config error).
 
     Right before the run starts, ``gc.freeze()`` moves every object the
-    cyclic collector tracks into its permanent generation. Those objects
-    (numpy, the stdlib, memdecide and the built run) are alive until the
-    process exits, so the collections at interpreter exit no longer walk
-    them; objects made during and after the run are still collected. A
-    collection of the young generations first frees set-up's garbage
-    cycles, which a freeze would keep. Importing the package freezes nothing.
+    cyclic collector tracks into its permanent generation, for good. So
+    ``main`` is meant to be the last thing its process does, as under
+    ``console_main``: then those objects (numpy, the stdlib, memdecide and
+    the built run) are alive until exit anyway, and the collections at
+    interpreter exit no longer walk them. Objects made during and after the
+    run are still collected. A collection of the young generations first
+    frees set-up's garbage cycles; garbage already in the oldest generation
+    is frozen with the rest and never freed. A caller that goes on after
+    ``main`` (a test, an in-process benchmark) keeps everything it held
+    then frozen until it calls ``gc.unfreeze()``. Importing the package
+    freezes nothing.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -143,7 +143,7 @@ class RetentionDistribution:
             np.log(x, out=x)
             x /= self.sigma_log
             x *= math.sqrt(0.5)
-        erfc(x, out=x)
+        erfc(x)
         x *= 0.5
         return x
 

@@ -88,7 +88,7 @@ class TestArrayErfc:
         # the rational carries that to up to 4 ulp of erfc.
         edges = _around(0.0, 1.0, 8.0, _ERFC_IS_2_BELOW, -_ERFC_IS_2_BELOW, _SQRT_MAXLOG, 40.0)
         a = np.concatenate([np.linspace(-40.0, 40.0, 160_001), edges, np.negative(edges)])
-        mine, theirs = erfc(a), special.erfc(a)
+        mine, theirs = erfc(a.copy()), special.erfc(a)
         ulp = np.spacing(np.maximum(np.abs(theirs), 5e-324))
         worst = np.argmax(np.abs(mine - theirs) / ulp)
         assert np.all(np.abs(mine - theirs) <= 4 * ulp), (
@@ -104,21 +104,15 @@ class TestArrayErfc:
     @pytest.mark.parametrize("shape", [(), (5, 0), (3, 4)], ids=["0-d", "5x0", "3x4"])
     def test_keeps_shape(self, shape):
         a = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
-        got = erfc(a)
+        got = erfc(a.copy())
         assert isinstance(got, np.ndarray) and got.shape == shape
         np.testing.assert_array_equal(got.ravel(), erfc(a.ravel()))
 
-    def test_out_may_be_the_input(self):
+    def test_overwrites_its_input(self):
         a = np.linspace(-30.0, 30.0, 601)
-        expected = erfc(a)
-        b = np.empty_like(a)
-        assert erfc(a, out=b) is b
-        np.testing.assert_array_equal(b, expected)
-        assert erfc(a, out=a) is a
+        expected = erfc(a.copy())
+        assert erfc(a) is a
         np.testing.assert_array_equal(a, expected)
-        # out is written through a flat view, which only a C-contiguous array has.
-        with pytest.raises(ValueError, match="C-contiguous"):
-            erfc(np.ones((3, 4)), out=np.empty((4, 3)).T)
 
     @pytest.mark.parametrize("a", [1e200, -1e200, 1e308, -1e308])
     def test_no_warning_far_out(self, a):
