@@ -32,12 +32,13 @@ print("\nfive retention times (s):", " ".join(f"{d:.2f}" for d in draws))
 # The cell's whole state is the time its filament dissolves: it is ON at t
 # while that expiry is after t, and -inf means it has never switched. A
 # synapse is an array of such expiries; this one has a single cell. The
-# simulation takes a pulse's switching probability; the curve names the
-# amplitude that realizes it. Fire ten pulses at the half-switching amplitude
-# and read the cell after each one.
+# simulation takes a pulse's switching probability, which the curve gives for
+# the pulse's amplitude. Fire ten pulses at the half-switching amplitude and
+# read the cell after each one.
 expiry = np.full(1, -np.inf)
-p_on = 0.5
-print(f"\npulse train at {curve.quantile(p_on):.1f} V (p_on = {p_on}), one pulse per 100 ms:")
+v_pulse = 0.6
+p_on = float(curve.probability(v_pulse))
+print(f"\npulse train at {v_pulse:.1f} V (p_on = {p_on}), one pulse per 100 ms:")
 for k in range(10):
     t = 0.1 * k
     pulse_update(expiry, t, p_on, params.retention, rng)

@@ -21,16 +21,19 @@ from memdecide import (
     run_trials,
 )
 
+# Every pulse has the same amplitude, so it switches an OFF cell with one
+# probability, which the switching curve gives: about 5% at 0.518 V.
 curve = SwitchingCurve(v_median=0.6, v_spread=0.05)
+v_pulse = 0.518
 cfg = TwoAfcConfig(
     n_devices=20,
     params=DeviceParams(270.0, RetentionDistribution(2.0, 0.5)),
-    p_on=0.05,  # every pulse switches an OFF cell with probability 5%
+    p_on=float(curve.probability(v_pulse)),
     n_a=40,
     n_b=20,
     duration_s=2.0,
 )
-print(f"pulse amplitude for 5% switching: {curve.quantile(cfg.p_on):.4f} V")
+print(f"a {v_pulse} V pulse switches an OFF cell with probability {cfg.p_on:.4f}")
 
 # A handful of individual trials. Channel A fires twice as often, so it is
 # the ground truth; each trial reads both synapses at t = 2 s and compares.

@@ -54,9 +54,11 @@ def check_p_on(p_on: float) -> None:
 
 
 def check_i_cc(i_cc_uA: float) -> None:
-    """Reject a compliance current that is not positive, NaN included."""
+    """Reject a compliance current that is not positive and finite, NaN included."""
     if not (i_cc_uA > 0.0):
         raise ValueError(f"i_cc_uA must be > 0, got {i_cc_uA}")
+    if i_cc_uA == math.inf:
+        raise ValueError(f"i_cc_uA must be finite, got {i_cc_uA}")
 
 
 def check_i_off(i_off_uA: float) -> None:

@@ -21,11 +21,12 @@ pi_B)``, then ``m`` tie uniforms. A batch can therefore be split or extended
 at chunk boundaries without changing any trial: ``run_trials(cfg,
 TRIAL_CHUNK, spawn_rng(cell_seed, "chunk", c))`` reproduces chunk ``c`` alone.
 
-Trace repeats are chunked the same way, chunk ``c`` being one ``(m, N)``
-expiry array run by :func:`memdecide.synapse.trace_counts` from
-``spawn_rng(series_seed, "chunk", c)``. Per pulse, in time order, it draws
-``rng.random((m, N))``, then one ``standard_normal`` per lit cell in C order;
-reads draw nothing. The README records what earlier layouts drew.
+Trace repeats are chunked the same way: chunk ``c`` is ``m`` fresh
+synapses, which :func:`memdecide.synapse.trace_counts` starts all OFF as one
+``(m, N)`` expiry array and drives from ``spawn_rng(series_seed, "chunk",
+c)``. Per pulse, in time order, it draws ``rng.random((m, N))``, then one
+``standard_normal`` per lit cell in C order; reads draw nothing. The README
+records what earlier layouts drew.
 """
 
 from __future__ import annotations
@@ -228,10 +229,10 @@ def run_trace_experiment(
     Samples run at ``sample_rate_hz`` from 0 through the stream window plus
     ``tail_s`` (the tail shows the relaxation after the last pulse), on the
     grid :func:`sample_count` sizes. The repeats are cut into chunks of
-    ``TRIAL_CHUNK``; chunk ``c`` is one ``(m, n)`` expiry array driven by
+    ``TRIAL_CHUNK``; chunk ``c`` is ``m`` fresh ``n``-cell synapses driven by
     :func:`memdecide.synapse.trace_counts` from ``spawn_rng(master_seed,
-    "chunk", c)``, so with ``repeats=1`` this is one ``(1, n)`` array under
-    that generator.
+    "chunk", c)``, so with ``repeats=1`` this is one synapse under that
+    generator.
     """
     check_n_devices(n)
     if repeats < 1:
@@ -242,11 +243,9 @@ def run_trace_experiment(
 
     count_sum = np.zeros(n_samples, dtype=np.int64)
     for start in range(0, repeats, TRIAL_CHUNK):
-        expiry = np.full((min(TRIAL_CHUNK, repeats - start), n), -np.inf)
         rng = spawn_rng(master_seed, "chunk", start // TRIAL_CHUNK)
-        count_sum += trace_counts(
-            expiry, stream.times, p_on, params.retention, sample_times, rng
-        )
+        count_sum += trace_counts((min(TRIAL_CHUNK, repeats - start), n), stream.times, p_on,
+                                  params.retention, sample_times, rng)
     mean = count_sum / repeats
     return Trace(
         times=sample_times,

@@ -34,8 +34,6 @@ def _canonical(part) -> bytes:
         return b"f:" + repr(float(part)).encode("ascii")
     if isinstance(part, str):
         return b"s:" + part.encode("utf-8")
-    if isinstance(part, (tuple, list)):
-        return b"t:" + b",".join(_canonical(p) for p in part) + b";"
     raise TypeError(f"cannot canonicalize seed part of type {type(part).__name__}")
 
 

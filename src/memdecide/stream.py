@@ -67,10 +67,6 @@ class PulseStream:
                 raise ValueError("pulse times must lie in [0, duration_s)")
         check_duration(self.duration_s)
 
-    @property
-    def n_pulses(self) -> int:
-        return int(self.times.size)
-
 
 def random_times(n_pulses: int, duration_s: float, m: int, rng: np.random.Generator) -> np.ndarray:
     """``m`` independent random streams, one per row of an ``(m, n_pulses)`` matrix.

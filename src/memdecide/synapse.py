@@ -13,8 +13,9 @@ The whole state is one vector of filament-expiry times: a cell is ON at time
 never switched). :func:`pulse_update` is the one state-update kernel and the
 definition of the model. It delivers one pulse time to an expiry array of
 any shape ``(..., N)``, so the same code drives one synapse or a batch of
-independent synapses that share a stream; :func:`trace_counts` is the one
-trace path, for one synapse or a batch of repeats. Trials do not run it:
+independent synapses that share a stream. :func:`trace_counts` is the one
+trace path: it builds one synapse or a batch of repeats all OFF, as devices
+at rest, and drives them with one stream. Trials do not run it:
 they need only the end-of-window count, whose law under this kernel
 :func:`memdecide.network.on_probability` gives in closed form. The cell
 model and its parameters are described in :mod:`memdecide.device`.
@@ -81,30 +82,28 @@ def pulse_update(
 
 
 def trace_counts(
-    expiry: np.ndarray,
+    shape: tuple[int, int],
     pulse_times: np.ndarray,
     p_on,
     retention: RetentionDistribution,
     samples: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Drive ``expiry`` (shape ``(m, N)``) with ``pulse_times``; read it at ``samples``.
+    """Drive ``m`` fresh ``N``-cell synapses with ``pulse_times``; read them at ``samples``.
 
-    Returns the ON count summed over the ``m`` rows at each sorted sample
-    time. Pulse ``j`` is one :func:`pulse_update` at the scalar time ``t_j``;
-    then the samples in ``[t_j, t_{j+1})`` are read at once (a pulse comes
-    before a sample at the same time). Only the cells that pulse lit can be
-    ON there, since every other expiry is at or before ``t_j``, so the reads
-    count the sorted expiries it returned that lie after each sample. The
-    samples before the first pulse read the whole array, which may come in
-    with cells already ON.
+    ``shape`` is ``(m, N)``. Every cell starts OFF, as a device at rest with
+    no filament does, so the samples before the first pulse read 0. Returns
+    the ON count summed over the ``m`` rows at each sorted sample time. Pulse
+    ``j`` is one :func:`pulse_update` at the scalar time ``t_j``; then the
+    samples in ``[t_j, t_{j+1})`` are read at once (a pulse comes before a
+    sample at the same time). Only the cells that pulse lit can be ON there,
+    since every other expiry is at or before ``t_j``, so the reads count the
+    sorted expiries it returned that lie after each sample.
     """
-    counts = np.empty(samples.size, dtype=np.int64)
-    bounds = [0, *np.searchsorted(samples, pulse_times, side="left"), samples.size]
-    live = expiry
-    for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        if j:
-            live = pulse_update(expiry, pulse_times[j - 1], p_on, retention, rng)
-        off = np.searchsorted(np.sort(live, axis=None), samples[start:stop], side="right")
-        counts[start:stop] = live.size - off
+    expiry = np.full(shape, -np.inf)
+    counts = np.zeros(samples.size, dtype=np.int64)
+    bounds = [*np.searchsorted(samples, pulse_times, side="left"), samples.size]
+    for t, start, stop in zip(pulse_times, bounds, bounds[1:]):
+        lit = np.sort(pulse_update(expiry, t, p_on, retention, rng))
+        counts[start:stop] = lit.size - np.searchsorted(lit, samples[start:stop], side="right")
     return counts

@@ -114,8 +114,7 @@ def test_integration_regimes():
         total = np.zeros(stream.times.size)
         for r in range(repeats):
             rng = spawn_rng(MASTER_SEED, "integration", p_on, r)
-            total += trace_counts(np.full((1, 50), -np.inf), stream.times, p_on,
-                                  params.retention, stream.times, rng)
+            total += trace_counts((1, 50), stream.times, p_on, params.retention, stream.times, rng)
         return total / repeats
 
     linear = mean_trace(0.01)
@@ -150,8 +149,8 @@ def test_retention_ordering():
         averages = np.empty(repeats)
         for r in range(repeats):
             rng = spawn_rng(MASTER_SEED, "retention-ordering", median, r)
-            averages[r] = trace_counts(np.full((1, 50), -np.inf), stream.times, 0.10,
-                                       params.retention, sample_times, rng).mean()
+            averages[r] = trace_counts((1, 50), stream.times, 0.10, params.retention,
+                                       sample_times, rng).mean()
         mean = averages.mean()
         half = 1.959963984540054 * averages.std(ddof=1) / math.sqrt(repeats)
         intervals.append((median, mean, mean - half, mean + half))

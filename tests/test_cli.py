@@ -570,7 +570,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "broken",
         ["nan_field", "missing_key", "nonpositive_current", "repeated_current",
-         "bool_median", "bool_spread", "string_current", "huge_int"],
+         "bool_median", "bool_spread", "string_current", "huge_int", "infinite_current"],
     )
     def test_invalid_deck_exits_two(self, tmp_path, capsys, broken):
         deck = json.loads((ROOT / "out" / "calibration" / "deck.json").read_text())
@@ -588,6 +588,8 @@ class TestConfigErrors:
             deck["retention_table"][2]["i_cc_uA"] = "300"
         elif broken == "huge_int":
             deck["switching"]["v_median_V"] = 10**400  # no float holds it
+        elif broken == "infinite_current":
+            deck["retention_table"][2]["i_cc_uA"] = math.inf  # json writes Infinity
         else:
             # Interpolation takes the log of every tabulated current.
             deck["retention_table"][0]["i_cc_uA"] = -10.0
@@ -603,6 +605,7 @@ class TestConfigErrors:
         assert {"bool_median": "retention_table[0].median_s must be a number, got True",
                 "bool_spread": "switching.v_spread_V must be a number, got True",
                 "string_current": "retention_table[2].i_cc_uA must be a number, got '300'",
+                "infinite_current": "i_cc_uA must be finite, got inf",
                 }.get(broken, "") in err
         assert not out.exists()
 

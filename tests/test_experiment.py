@@ -85,10 +85,10 @@ class TestWilsonInterval:
 
 class TestSeedDerivation:
     def test_stable_and_order_free(self):
-        a = derive_seed(42, 2.0, (40, 20), "x")
-        assert a == derive_seed(42, 2.0, (40, 20), "x")
-        assert a != derive_seed(42, 2.0, (20, 40), "x")
-        assert a != derive_seed(43, 2.0, (40, 20), "x")
+        a = derive_seed(42, 2.0, 40, 20, "x")
+        assert a == derive_seed(42, 2.0, 40, 20, "x")
+        assert a != derive_seed(42, 2.0, 20, 40, "x")
+        assert a != derive_seed(43, 2.0, 40, 20, "x")
 
     def test_int_float_distinct(self):
         assert derive_seed(0, 1) != derive_seed(0, 1.0)
@@ -294,8 +294,8 @@ class TestTraceExperiment:
         averaged = run_trace_experiment(
             30, stream, 0.1, params, sample_rate_hz=10.0, repeats=1, master_seed=31
         )
-        manual = trace_counts(np.full((1, 30), -np.inf), stream.times, 0.1,
-                              params.retention, averaged.times, spawn_rng(31, "chunk", 0))
+        manual = trace_counts((1, 30), stream.times, 0.1, params.retention, averaged.times,
+                              spawn_rng(31, "chunk", 0))
         assert np.array_equal(averaged.count_on, manual.astype(float))
         assert np.array_equal(averaged.current_uA, params.current_uA(manual, 30))
 
@@ -308,8 +308,8 @@ class TestTraceExperiment:
             master_seed=37, tail_s=0.5,
         )
         parts = [
-            trace_counts(np.full((TRIAL_CHUNK, 5), -np.inf), stream.times, 0.2,
-                         params.retention, whole.times, spawn_rng(37, "chunk", c))
+            trace_counts((TRIAL_CHUNK, 5), stream.times, 0.2, params.retention, whole.times,
+                         spawn_rng(37, "chunk", c))
             for c in (0, 1)
         ]
         assert np.array_equal(whole.count_on * (2 * TRIAL_CHUNK), parts[0] + parts[1])

@@ -26,11 +26,11 @@ class TestGenerateRandom:
 
     def test_empty(self, rng):
         stream = _one_stream(0, 1.0, rng)
-        assert stream.n_pulses == 0
+        assert stream.times.size == 0
 
     def test_count_window_and_order(self, rng):
         stream = _one_stream(40, 2.0, rng)
-        assert stream.n_pulses == 40
+        assert stream.times.size == 40
         assert np.all(np.diff(stream.times) > 0.0)
         assert stream.times[0] >= 0.0 and stream.times[-1] < 2.0
 
@@ -80,7 +80,7 @@ class TestGenerateRandom:
 class TestGeneratePeriodic:
     def test_fifty_at_ten_hertz(self):
         stream = generate_periodic(50, 10.0)
-        assert stream.n_pulses == 50
+        assert stream.times.size == 50
         assert stream.times[0] == 0.0
         assert stream.times[-1] == pytest.approx(4.9, abs=1e-12)
         assert stream.duration_s == 5.0
@@ -146,7 +146,7 @@ class TestReplayCsv:
         write_stream_csv(generate_periodic(0, 4.0), path)
         assert path.read_bytes() == b"# duration_s=0.25\nt_s\n"
         replayed = read_stream_csv(path)
-        assert replayed.n_pulses == 0 and replayed.duration_s == 0.25
+        assert replayed.times.size == 0 and replayed.duration_s == 0.25
 
     @pytest.mark.parametrize(
         "text,message",
