@@ -55,14 +55,14 @@ from .calibration import (
 )
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve, check_i_cc, check_i_off
 from .errors import ConfigError
-from .experiment import RNG_LAYOUT, AccuracyPoint, run_trace_experiment, sample_count, sweep, sweep_cells
+from .experiment import (RNG_LAYOUT, AccuracyPoint, run_trace_experiment, sample_count, sweep, sweep_cells,
+                         trace_cells)
 from .network import TwoAfcConfig, check_trial_devices, run_trials
 from .reports import format_rows, write_csv
 from .seeding import derive_seed, spawn_rng
 from .stream import (PulseStream, check_duration, check_n_pulses, generate_periodic, random_times,
                      read_stream_csv)
 from .svgplot import line_chart
-from .synapse import check_n_devices
 
 # --- schema ------------------------------------------------------------------
 # A converter takes a JSON value and its dotted key path, and returns the
@@ -204,7 +204,7 @@ _SCHEMA = _section({
         "i_off_uA": _ruled(_number, check_i_off),
     }, required=("v_median_V", "v_spread_V")),
     "trace": _section({
-        "n_devices": _ruled(_int, check_n_devices),
+        "n_devices": _ruled(_int, check_trial_devices),
         "p_on": _one_or_list(_probability),
         "i_cc_uA": _one_or_list(_ruled(_number, check_i_cc)),
         "retention_median_s": _one_or_list(_ruled(_number, RetentionDistribution)),
@@ -366,9 +366,9 @@ def _trace(cfg: RunConfig, section: dict):
 
     At most one of ``_TRACE_AXES`` is a list; each of its values is one
     series, labelled with the value as written in the JSON (the label
-    seeds the series). The sample grid is sized here but not made, so a
-    grid too large to exist is a config error (see
-    :func:`memdecide.experiment.sample_count`).
+    seeds the series). The sample grid and the cell pool are sized here but
+    not made, so either too large is a config error (see
+    :func:`memdecide.experiment.sample_count` and ``trace_cells``).
     """
     pulses = section["pulses"]
     periodic = pulses.keys() & {"n_pulses", "rate_hz", "start_s"}
@@ -386,6 +386,7 @@ def _trace(cfg: RunConfig, section: dict):
         stream = generate_periodic(pulses["n_pulses"], pulses["rate_hz"], pulses.get("start_s", 0.0))
     n_devices, rate_hz, repeats = section["n_devices"], section["sample_rate_hz"], section["repeats"]
     tail_s = section.get("tail_s", 0.0)
+    trace_cells(n_devices, repeats)
     sample_count(stream.duration_s, rate_hz, tail_s)
 
     axes = [k for k in _TRACE_AXES if isinstance(section.get(k), list)]

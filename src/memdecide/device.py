@@ -23,8 +23,8 @@ mechanisms drive the dynamics:
 A pulse delivered to a cell that is already ON rebuilds the filament: the
 expiry is resampled from the retention distribution (refresh, not stacking).
 This module holds the parameters of that model, and every field must be
-finite. :func:`memdecide.synapse.pulse_update` runs the model, one
-filament-expiry time per cell.
+finite. :func:`memdecide.synapse.pulse_update` defines the model, one
+filament-expiry time per cell; the commands draw the ON counts it implies.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ cells it is given. Trials and traces take ``p_on`` as given; only
 :func:`sweep_cells` maps it through the deck's switching curve (see the
 comment there).
 
-Random-number layout, version ``RNG_LAYOUT = 4``: the trials of one cell are
+Random-number layout, version ``RNG_LAYOUT = 5``: the trials of one cell are
 cut into chunks of ``TRIAL_CHUNK`` trials. Chunk ``c`` covers trials
 ``[TRIAL_CHUNK*c, min(TRIAL_CHUNK*(c+1), trials))`` and is run by
 :func:`memdecide.network.run_trials` from ``spawn_rng(cell_seed, "chunk", c)``.
@@ -21,12 +21,12 @@ pi_B)``, then ``m`` tie uniforms. A batch can therefore be split or extended
 at chunk boundaries without changing any trial: ``run_trials(cfg,
 TRIAL_CHUNK, spawn_rng(cell_seed, "chunk", c))`` reproduces chunk ``c`` alone.
 
-Trace repeats are chunked the same way: chunk ``c`` is ``m`` fresh
-synapses, which :func:`memdecide.synapse.trace_counts` starts all OFF as one
-``(m, N)`` expiry array and drives from ``spawn_rng(series_seed, "chunk",
-c)``. Per pulse, in time order, it draws ``rng.random((m, N))``, then one
-``standard_normal`` per lit cell in C order; reads draw nothing. The README
-records what earlier layouts drew.
+A trace series is one generator, ``spawn_rng(series_seed, "chain")``, and
+one :func:`memdecide.synapse.trace_counts` chain over its ``repeats * N``
+cells. Per pulse, in time order, it draws one ``binomial`` (the OFF cells
+that switch), then one ``multinomial`` (the lit cells over the ages of the
+samples up to the next pulse, and that pulse). The README records what
+earlier layouts drew.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ import numpy as np
 
 from .calibration import ParamDeck, default_deck
 from .device import DeviceParams, check_p_on
-from .network import TwoAfcConfig, run_trials
+from .network import TwoAfcConfig, check_trial_devices, run_trials
 from .seeding import derive_seed, spawn_rng
-from .stream import PulseStream
-from .synapse import TRIAL_CHUNK, Trace, check_n_devices, trace_counts
+from .stream import TRIAL_CHUNK, PulseStream
+from .synapse import Trace, trace_counts
 
 __all__ = [
     "RNG_LAYOUT",
@@ -55,6 +55,7 @@ __all__ = [
     "sweep_cells",
     "sweep",
     "sample_count",
+    "trace_cells",
     "run_trace_experiment",
 ]
 
@@ -64,7 +65,7 @@ _Z95 = 1.959963984540054
 
 # Version of the random-number layout described in the module docstring;
 # echoed into every CSV header. Change it whenever the draws change.
-RNG_LAYOUT = 4
+RNG_LAYOUT = 5
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -214,6 +215,16 @@ def sample_count(duration_s: float, sample_rate_hz: float, tail_s: float = 0.0) 
     return int(np.floor(span)) + 1
 
 
+def trace_cells(n: int, repeats: int) -> int:
+    """``repeats * n``, the cells of one trace series' chain; it must fit ``rng.binomial``'s int64."""
+    check_trial_devices(n)
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if n * repeats > 2**63 - 1:
+        raise ValueError(f"repeats * n_devices = {n * repeats} cells is more than 2**63 - 1")
+    return n * repeats
+
+
 def run_trace_experiment(
     n: int,
     stream: PulseStream,
@@ -224,29 +235,20 @@ def run_trace_experiment(
     master_seed: int,
     tail_s: float = 0.0,
 ) -> Trace:
-    """Average ``repeats`` independent synapse traces pointwise.
+    """Average ``repeats`` independent ``n``-cell synapse traces pointwise.
 
     Samples run at ``sample_rate_hz`` from 0 through the stream window plus
     ``tail_s`` (the tail shows the relaxation after the last pulse), on the
-    grid :func:`sample_count` sizes. The repeats are cut into chunks of
-    ``TRIAL_CHUNK``; chunk ``c`` is ``m`` fresh ``n``-cell synapses driven by
-    :func:`memdecide.synapse.trace_counts` from ``spawn_rng(master_seed,
-    "chunk", c)``, so with ``repeats=1`` this is one synapse under that
-    generator.
+    grid :func:`sample_count` sizes. The repeats share the stream and only
+    their mean is reported, so their cells are one pool: one
+    :func:`memdecide.synapse.trace_counts` chain from ``spawn_rng(master_seed, "chain")``.
     """
-    check_n_devices(n)
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    m = trace_cells(n, repeats)
     check_p_on(p_on)
     n_samples = sample_count(stream.duration_s, sample_rate_hz, tail_s)
     sample_times = np.arange(n_samples, dtype=float) / sample_rate_hz
-
-    count_sum = np.zeros(n_samples, dtype=np.int64)
-    for start in range(0, repeats, TRIAL_CHUNK):
-        rng = spawn_rng(master_seed, "chunk", start // TRIAL_CHUNK)
-        count_sum += trace_counts((min(TRIAL_CHUNK, repeats - start), n), stream.times, p_on,
-                                  params.retention, sample_times, rng)
-    mean = count_sum / repeats
+    mean = trace_counts(m, stream.times, p_on, params.retention, sample_times,
+                        spawn_rng(master_seed, "chain")) / repeats
     return Trace(
         times=sample_times,
         count_on=mean,

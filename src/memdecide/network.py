@@ -19,8 +19,8 @@ independent and identically distributed, so each count is exactly
 (:func:`on_probability`). A trial therefore draws its pulse times and two
 binomial counts, and its cost does not grow with ``N``. The per-cell kernel
 :func:`memdecide.synapse.pulse_update` still defines the model: ``pi`` is
-derived from it, traces run it, and the tests check this sampler against it
-in law. A single trial is ``run_trials(cfg, 1, rng)``.
+derived from it, and the tests check this sampler and the trace chain against
+it in law. A single trial is ``run_trials(cfg, 1, rng)``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ __all__ = [
 def check_trial_devices(n_devices: int) -> None:
     """Reject a synapse size outside ``[1, 2**63 - 1]``.
 
-    A trial allocates nothing per cell; its N only has to fit the int64 ``n``
-    of ``rng.binomial``.
+    Neither a trial nor a trace allocates anything per cell; N only has to
+    fit the int64 ``n`` of ``rng.binomial``.
     """
     if not 1 <= n_devices <= 2**63 - 1:
         raise ValueError(f"n_devices must lie in [1, 2**63 - 1], got {n_devices}")

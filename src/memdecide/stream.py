@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reports import format_rows, parse_finite, read_csv, write_csv
-from .synapse import TRIAL_CHUNK
 
 __all__ = [
+    "TRIAL_CHUNK",
     "check_n_pulses",
     "check_duration",
     "PulseStream",
@@ -25,6 +25,9 @@ __all__ = [
     "write_stream_csv",
     "read_stream_csv",
 ]
+
+# Trials run at once, one chunk (see :mod:`memdecide.experiment`).
+TRIAL_CHUNK = 256
 
 
 def check_n_pulses(n_pulses: int) -> None:

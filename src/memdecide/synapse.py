@@ -8,43 +8,26 @@ synaptic weight is the number of cells currently ON; the summed current is
 (:meth:`memdecide.device.DeviceParams.current_uA`). Between pulses the
 weight only decays, as individual filaments dissolve.
 
-The whole state is one vector of filament-expiry times: a cell is ON at time
-``t`` if and only if its expiry is after ``t`` (``-inf`` for a cell that has
-never switched). :func:`pulse_update` is the one state-update kernel and the
-definition of the model. It delivers one pulse time to an expiry array of
-any shape ``(..., N)``, so the same code drives one synapse or a batch of
-independent synapses that share a stream. :func:`trace_counts` is the one
-trace path: it builds one synapse or a batch of repeats all OFF, as devices
-at rest, and drives them with one stream. Trials do not run it:
-they need only the end-of-window count, whose law under this kernel
-:func:`memdecide.network.on_probability` gives in closed form. The cell
-model and its parameters are described in :mod:`memdecide.device`.
+A cell is ON at time ``t`` if and only if its filament-expiry time is after
+``t`` (``-inf`` for a cell that has never switched). :func:`pulse_update`,
+one pulse over an expiry array of any shape ``(..., N)``, is the one
+state-update kernel and the definition of the model; the tests hold the
+commands to it in law. Neither command runs it: a pulse gives every lit cell
+a fresh retention time, so after it only the number of lit cells matters.
+Traces draw that number as one chain (:func:`trace_counts`), and trials the
+end-of-window count (:mod:`memdecide.network`). The cell model and its
+parameters are described in :mod:`memdecide.device`.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from .device import RetentionDistribution
 
-__all__ = ["TRIAL_CHUNK", "Trace", "check_n_devices", "pulse_update", "trace_counts"]
-
-# Trials or trace repeats run at once, one chunk (see :mod:`memdecide.experiment`);
-# a chunk of trace repeats is one (TRIAL_CHUNK, N) expiry array.
-TRIAL_CHUNK = 256
-
-
-def check_n_devices(n: int) -> None:
-    """Reject ``n`` below 1, or so large that a trace chunk's ``(TRIAL_CHUNK, n)``
-    float64 expiry array cannot exist (trials allocate nothing per cell)."""
-    if n < 1:
-        raise ValueError(f"a synapse needs at least one device, got n={n}")
-    if n > sys.maxsize // (8 * TRIAL_CHUNK):
-        raise ValueError(f"n={n} devices is too many: a trace's ({TRIAL_CHUNK}, n) float64 "
-                         f"expiry array would exceed {sys.maxsize} bytes")
+__all__ = ["Trace", "pulse_update", "trace_counts"]
 
 
 class Trace(NamedTuple):
@@ -82,28 +65,38 @@ def pulse_update(
 
 
 def trace_counts(
-    shape: tuple[int, int],
+    m: int,
     pulse_times: np.ndarray,
     p_on,
     retention: RetentionDistribution,
     samples: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Drive ``m`` fresh ``N``-cell synapses with ``pulse_times``; read them at ``samples``.
+    """Pooled ON count of ``m`` fresh (all-OFF) cells at each sorted sample time.
 
-    ``shape`` is ``(m, N)``. Every cell starts OFF, as a device at rest with
-    no filament does, so the samples before the first pulse read 0. Returns
-    the ON count summed over the ``m`` rows at each sorted sample time. Pulse
-    ``j`` is one :func:`pulse_update` at the scalar time ``t_j``; then the
-    samples in ``[t_j, t_{j+1})`` are read at once (a pulse comes before a
-    sample at the same time). Only the cells that pulse lit can be ON there,
-    since every other expiry is at or before ``t_j``, so the reads count the
-    sorted expiries it returned that lie after each sample.
+    Pulse ``j`` finds ``alive`` cells ON and lights ``lit = alive +
+    binomial(m - alive, p_on)`` of them. Each is then ON at age ``a`` with
+    probability ``S(a)``, the retention survival, independently, so one
+    multinomial splits them over the ages of the samples in ``[t_j,
+    t_{j+1})`` and the gap to pulse ``j + 1``, whose survivors are the next
+    ``alive`` (binomial thinning). ``S`` is evaluated once, and a running
+    minimum keeps it non-increasing within a pulse where its last bits rise.
     """
-    expiry = np.full(shape, -np.inf)
     counts = np.zeros(samples.size, dtype=np.int64)
-    bounds = [*np.searchsorted(samples, pulse_times, side="left"), samples.size]
-    for t, start, stop in zip(pulse_times, bounds, bounds[1:]):
-        lit = np.sort(pulse_update(expiry, t, p_on, retention, rng))
-        counts[start:stop] = lit.size - np.searchsorted(lit, samples[start:stop], side="right")
+    if not pulse_times.size:
+        return counts
+    starts = np.searchsorted(samples, pulse_times, side="left")
+    read, on = samples[starts[0]:], counts[starts[0]:]
+    last = np.searchsorted(pulse_times, read, side="right") - 1
+    survive = retention.survival(np.concatenate((read - pulse_times[last], np.diff(pulse_times))))
+    ages, gaps = survive[:read.size], survive[read.size:]
+    bounds = [*(starts - starts[0]), read.size]
+    alive = 0
+    for j, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        lit = alive + int(rng.binomial(m - alive, p_on))
+        # P(ON) at age 0, at each sample, at the next pulse, and never.
+        s = np.minimum.accumulate(np.concatenate(([1.0], ages[start:stop], gaps[j:j + 1], [0.0])))
+        bins = rng.multinomial(lit, s[:-1] - s[1:])
+        on[start:stop] = lit - np.cumsum(bins[:stop - start])
+        alive = int(bins[-1])
     return counts

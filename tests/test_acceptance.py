@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, t as student_t
 
 from memdecide import (
     DeviceParams,
@@ -111,11 +111,9 @@ def test_integration_regimes():
     repeats = 1000
 
     def mean_trace(p_on):
-        total = np.zeros(stream.times.size)
-        for r in range(repeats):
-            rng = spawn_rng(MASTER_SEED, "integration", p_on, r)
-            total += trace_counts((1, 50), stream.times, p_on, params.retention, stream.times, rng)
-        return total / repeats
+        rng = spawn_rng(MASTER_SEED, "integration", p_on)
+        return trace_counts(repeats * 50, stream.times, p_on, params.retention, stream.times,
+                            rng) / repeats
 
     linear = mean_trace(0.01)
     x = np.vstack([np.ones_like(stream.times), stream.times]).T
@@ -139,20 +137,24 @@ def test_integration_regimes():
 
 
 def test_retention_ordering():
-    """Time-averaged ON count under sustained drive rises with retention."""
+    """Time-averaged ON count under sustained drive rises with retention.
+
+    1000 synapse repeats of 50 cells, traced as 40 independent batches of
+    25 repeats each; the interval is Student's t over the batch means.
+    """
     stream = generate_periodic(50, 10.0)
     sample_times = np.arange(99) / 20.0  # 20 Hz over the stimulation window
-    repeats = 1000
+    batches, batch_repeats = 40, 25
     intervals = []
     for median in (0.02, 0.2, 2.0):
         params = _params(RetentionDistribution(median, SIGMA_LOG), i_cc=300.0)
-        averages = np.empty(repeats)
-        for r in range(repeats):
+        averages = np.empty(batches)
+        for r in range(batches):
             rng = spawn_rng(MASTER_SEED, "retention-ordering", median, r)
-            averages[r] = trace_counts((1, 50), stream.times, 0.10, params.retention,
-                                       sample_times, rng).mean()
+            averages[r] = trace_counts(batch_repeats * 50, stream.times, 0.10, params.retention,
+                                       sample_times, rng).mean() / batch_repeats
         mean = averages.mean()
-        half = 1.959963984540054 * averages.std(ddof=1) / math.sqrt(repeats)
+        half = student_t.ppf(0.975, batches - 1) * averages.std(ddof=1) / math.sqrt(batches)
         intervals.append((median, mean, mean - half, mean + half))
     separated = all(intervals[i][3] < intervals[i + 1][2] for i in range(2))
     detail = "; ".join(f"tau={m}: {mu:.2f} [{lo:.2f},{hi:.2f}]" for m, mu, lo, hi in intervals)

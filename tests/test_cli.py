@@ -119,7 +119,7 @@ class TestTrace:
         lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert lines[0].startswith("# command=trace")
         assert lines[1].startswith("# config=")
-        assert lines[2] == "# rng_layout=4"
+        assert lines[2] == "# rng_layout=5"
         assert lines[3] == "series,p_on,i_cc_uA,t_s,count_on,current_uA,repeat_mean"
         assert any(line.startswith("p_on=0.2,") for line in lines[3:])
 
@@ -360,7 +360,7 @@ class TestSweep:
 
     def test_synapse_beyond_trace_array_bound_runs(self, tmp_path):
         # A trial allocates nothing per cell, so a sweep may use more cells
-        # than a trace chunk's (256, N) expiry array could hold.
+        # than any per-cell array could hold.
         payload = _sweep_config(tmp_path / "out", trials=10)
         payload["sweep"]["device_counts"] = [10**17]
         cfg = _write_config(tmp_path / "s.cfg", payload)
@@ -670,7 +670,7 @@ class TestConfigErrors:
             ("trace", "trace.retention_median_s", [1.0, None]),
             ("trace", "trace.pulses", {"n_pulses": 10, "rate_hz": 10.0, "replay_csv": "pulses.csv"}),
             ("trace", "trace.pulses", {"rate_hz": 10.0}),
-            # Counts no (TRIAL_CHUNK, N) float64 array can hold.
+            # Counts beyond the int64 n of rng.binomial.
             ("sweep", "sweep.device_counts", [5, 10**30]),
             ("trace", "trace.n_devices", 10**30),
             ("trial", "trial.n_devices", 10**30),
@@ -759,6 +759,18 @@ class TestConfigErrors:
         assert f"{where}: n_devices must lie in [1, 2**63 - 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trace_cell_pool_beyond_int64_exits_two(self, tmp_path, capsys):
+        # Each factor is in range, but a series pools repeats * n_devices =
+        # 2**64 cells into one chain, whose counts are int64.
+        out = tmp_path / "out"
+        payload = _trace_config(out)
+        payload["trace"].update(n_devices=2**51, repeats=2**13)
+        cfg = _write_config(tmp_path / "c.cfg", payload)
+        assert main(["trace", "--config", cfg]) == 2
+        assert (f"config error: trace: repeats * n_devices = {2**64} cells is more than 2**63 - 1\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,path,value,message",
         [("sweep", "sweep.ratios", [[2, 1], [-2, 1]],
@@ -777,7 +789,7 @@ class TestConfigErrors:
          ("trace", "trace.pulses.n_pulses", 2**60, f"trace.pulses.n_pulses: {_TOO_MANY_PULSES}"),
          ("trace", "trace.pulses", {"random": {"n_pulses": 2**60, "duration_s": 2.0}},
           f"trace.pulses.random.n_pulses: {_TOO_MANY_PULSES}"),
-         ("trace", "trace.n_devices", 0, "trace.n_devices: a synapse needs at least one device, got n=0"),
+         ("trace", "trace.n_devices", 0, "trace.n_devices: n_devices must lie in [1, 2**63 - 1], got 0"),
          ("trace", "trace.pulses", {"random": {"n_pulses": 5, "duration_s": 5e-324}},
           f"trace.pulses.random.duration_s: duration_s must be >= {sys.float_info.min}, got 5e-324"),
          # A list-valued trace axis names the entry, as a sweep axis does.

@@ -289,30 +289,17 @@ class TestSampleCount:
 
 class TestTraceExperiment:
     def test_single_repeat_matches_raw_trace(self):
+        # A series is one chain over its repeats * n cells, from one generator.
         stream = generate_periodic(20, 10.0)
         params = DeviceParams(300.0, RetentionDistribution(1.0, 0.5))
-        averaged = run_trace_experiment(
-            30, stream, 0.1, params, sample_rate_hz=10.0, repeats=1, master_seed=31
-        )
-        manual = trace_counts((1, 30), stream.times, 0.1, params.retention, averaged.times,
-                              spawn_rng(31, "chunk", 0))
-        assert np.array_equal(averaged.count_on, manual.astype(float))
-        assert np.array_equal(averaged.current_uA, params.current_uA(manual, 30))
-
-    def test_split_at_chunk_boundary_is_exact(self):
-        # Repeats [0, 256) come from chunk 0's generator, [256, 512) from chunk 1's.
-        stream = generate_periodic(10, 10.0)
-        params = DeviceParams(300.0, RetentionDistribution(0.5, 0.5))
-        whole = run_trace_experiment(
-            5, stream, 0.2, params, sample_rate_hz=20.0, repeats=2 * TRIAL_CHUNK,
-            master_seed=37, tail_s=0.5,
-        )
-        parts = [
-            trace_counts((TRIAL_CHUNK, 5), stream.times, 0.2, params.retention, whole.times,
-                         spawn_rng(37, "chunk", c))
-            for c in (0, 1)
-        ]
-        assert np.array_equal(whole.count_on * (2 * TRIAL_CHUNK), parts[0] + parts[1])
+        for repeats in (1, 3):
+            averaged = run_trace_experiment(
+                30, stream, 0.1, params, sample_rate_hz=10.0, repeats=repeats, master_seed=31
+            )
+            manual = trace_counts(repeats * 30, stream.times, 0.1, params.retention, averaged.times,
+                                  spawn_rng(31, "chain"))
+            assert np.array_equal(averaged.count_on, manual / repeats)
+            assert np.array_equal(averaged.current_uA, params.current_uA(manual / repeats, 30))
 
     @pytest.mark.parametrize(
         "p_on,i_cc",

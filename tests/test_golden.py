@@ -6,11 +6,18 @@ Every file of the committed ``out/<name>/`` directory is then compared byte
 for byte: CSVs with their ``#`` comment lines, SVG charts and the calibrated
 ``deck.json``. Any change to one of them has to be a deliberate regeneration
 of ``out/``.
+
+The trace rows are also rerun on numpy's AVX2 code path, as on a CPU without
+AVX-512: the bytes are meant to be a function of config and seed alone.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from memdecide.cli import main
 
@@ -51,3 +58,31 @@ def test_data_rows_match_committed_output(tmp_path, monkeypatch, command, config
 
 def test_calibration_matches_committed_output(tmp_path, monkeypatch):
     _assert_reproduces(tmp_path, monkeypatch, "calibrate", "calibrate_example", "calibration")
+
+
+def _data_rows(path: Path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"),
+                    reason="numpy found no X86_V4, so there is no AVX-512 path to turn off")
+def test_trace_rows_match_on_the_avx2_path(tmp_path):
+    # numpy dispatches np.exp, and so retention survival, to AVX-512 code on
+    # this CPU; with these targets off it takes the AVX2 code, whose last bits
+    # differ on a few percent of inputs.
+    configs = ("fig2b", "fig2c")
+    code = (
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "assert not __cpu_features__['X86_V4']\n"
+        "from memdecide.cli import main\n"
+        + "".join(f"assert main(['trace', '--config', {str(ROOT / 'configs' / f'{name}.cfg')!r}]) == 0\n"
+                  for name in configs)
+    )
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in configs:
+        written, golden = (root / "out" / name / "trace.csv" for root in (tmp_path, ROOT))
+        assert _data_rows(written) == _data_rows(golden), name
