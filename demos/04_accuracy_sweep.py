@@ -42,4 +42,4 @@ for p in points:
     print(f"   N={p.n_devices:3d}  {p.accuracy:5.3f} |{bar}")
 
 print("\nFull-resolution sweeps (CSV + SVG) via the command line:")
-print("  memdecide sweep --config configs/fig3e.cfg --svg --threads 4")
+print("  memdecide sweep --config configs/fig3e.cfg --svg")

@@ -115,8 +115,7 @@ def erfc(a: np.ndarray) -> np.ndarray:
     # The branches are disjoint: each writes its results over its own inputs.
     # An empty branch is skipped, as its numpy calls cost more than most branches'
     # work. The scatter's index array is made after the branch's temporaries are
-    # freed, so at most three branch-sized arrays are alive at once: with two sweep
-    # threads, each on its own malloc arena, that sets the peak RSS.
+    # freed, so at most three branch-sized arrays are alive at once.
     z = np.compress(inner, flat)
     if z.size:
         zz = z * z

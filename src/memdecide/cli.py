@@ -24,10 +24,11 @@ subcommand being run; ``comment`` keys are allowed anywhere and ignored.
 the command's function builds everything it will run (streams, device
 parameters, trial configurations, sweep cells, input paths) and returns the
 run, before any simulation starts.
-Command-line flags override their config counterparts, and the effective
-configuration and the random-number layout version are echoed into every
-CSV as leading comment lines. ``python -m memdecide.cli`` runs the same
-commands as ``memdecide``.
+Command-line flags override their config counterparts. ``--threads`` and
+its ``threads`` key must be at least 1 and have no effect: sweeps run on
+one thread. The effective configuration and the random-number layout
+version are echoed into every CSV as leading comment lines.
+``python -m memdecide.cli`` runs the same commands as ``memdecide``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -283,12 +284,12 @@ class RunConfig:
         self.seed = conf["seed"]
         self.out_dir = Path(conf.get("out_dir", "out"))
         self.svg = conf.get("svg", False)
-        self.threads = conf.get("threads", 1)
 
-        # Echoed into output headers as written, with the flags folded in.
+        # Echoed into output headers as written, with the flags folded in;
+        # "threads" is accepted and echoed but has no effect.
         self.effective = {k: v for k, v in raw.items() if k != "comment"}
         self.effective.update(seed=self.seed, out_dir=str(self.out_dir), svg=self.svg,
-                              threads=self.threads)
+                              threads=conf.get("threads", 1))
 
         self.deck = default_deck()
         self.i_off_uA = 0.0
@@ -462,7 +463,7 @@ def _sweep(cfg: RunConfig, section: dict):
     x_field = next((field for field, _, _ in varying if field != "n_a"), "n_a")
 
     def run() -> None:
-        points = sweep(cells, trials, max_workers=cfg.threads)
+        points = sweep(cells, trials)
         groups: dict[str, tuple[list, list]] = {}
         for p in points:
             label = ", ".join(label_of(p) for field, _, label_of in varying if field != x_field)
@@ -544,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
         cmd.add_argument("--svg", action="store_true", help="also write SVG charts")
-        cmd.add_argument("--threads", type=int, default=None, help="cap sweep parallelism")
+        cmd.add_argument("--threads", type=int, default=None, help="accepted, has no effect")
     return parser
 
 

@@ -4,8 +4,7 @@ Accuracy is the fraction of correct choices over independent seeded trials,
 reported with a Wilson 95% confidence interval (well behaved both near chance
 and near saturation, the two regimes of interest). Sweep cells and trial
 chunks get their random streams from :func:`memdecide.seeding.derive_seed`,
-so a report is a pure function of its grid (master seed included), and cells
-may be evaluated concurrently without changing a single byte of the output.
+so a report is a pure function of its grid (master seed included).
 :func:`sweep_cells` builds every cell of a grid, and :func:`sweep` runs the
 cells it is given. Trials and traces take ``p_on`` as given; only
 :func:`sweep_cells` maps it through the deck's switching curve (see the
@@ -34,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -177,24 +175,14 @@ def sweep_cells(
     return cells
 
 
-def sweep(
-    cells: Sequence[tuple[TwoAfcConfig, int]],
-    trials: int,
-    max_workers: int | None = None,
-) -> list[AccuracyPoint]:
+def sweep(cells: Sequence[tuple[TwoAfcConfig, int]], trials: int) -> list[AccuracyPoint]:
     """Estimate the accuracy of every ``(config, seed)`` cell over ``trials`` trials.
 
-    ``cells`` is what :func:`sweep_cells` builds. Results come in cell order
-    regardless of ``max_workers``, and every cell draws only from its own
-    seed, so results are reproducible bit for bit.
+    ``cells`` is what :func:`sweep_cells` builds. Cells run in order on the
+    calling thread, and every cell draws only from its own seed, so results
+    are reproducible bit for bit.
     """
-    def run(cell):
-        return estimate_accuracy(cell[0], trials, cell[1])
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run, cells))
-    return list(map(run, cells))
+    return [estimate_accuracy(cfg, trials, seed) for cfg, seed in cells]
 
 
 def sample_count(duration_s: float, sample_rate_hz: float, tail_s: float = 0.0) -> int:

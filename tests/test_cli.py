@@ -223,7 +223,8 @@ def test_simulations_run_with_scipy_unimportable(tmp_path):
     # numpy is the only runtime dependency: a trace or a trial gets p_on from
     # its config, a sweep maps it through the deck's curve, and calibrate fits
     # its probit on log_ndtr, both on memdecide._normal. A None entry in
-    # sys.modules makes any scipy import raise ImportError.
+    # sys.modules makes any scipy import raise ImportError; sweeps run on one
+    # thread, so concurrent.futures is poisoned the same way.
     trace_cfg = _write_config(tmp_path / "trace.cfg", _trace_config(tmp_path / "trace"))
     trial_cfg = _write_config(tmp_path / "trial.cfg", _trial_config(tmp_path / "trial"))
     sweep_cfg = _write_config(tmp_path / "sweep.cfg", _sweep_config(tmp_path / "sweep"))
@@ -233,6 +234,7 @@ def test_simulations_run_with_scipy_unimportable(tmp_path):
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
+        "sys.modules['concurrent.futures'] = None\n"
         "from memdecide.cli import main\n"
         f"assert main(['trace', '--config', {trace_cfg!r}]) == 0\n"
         f"assert main(['trial', '--config', {trial_cfg!r}]) == 0\n"
@@ -348,10 +350,12 @@ class TestSweep:
         assert len(rows) == 2  # two durations, one cell each
 
     def test_threads_do_not_change_bytes(self, tmp_path):
+        # --threads is accepted and has no effect.
         cfg1 = _write_config(tmp_path / "s1.cfg", _sweep_config(tmp_path / "o1"))
         cfg2 = _write_config(tmp_path / "s2.cfg", _sweep_config(tmp_path / "o2"))
         assert main(["sweep", "--config", cfg1]) == 0
         assert main(["sweep", "--config", cfg2, "--threads", "4"]) == 0
+        assert main(["sweep", "--config", cfg2, "--threads", "0"]) == 2
         strip = lambda p: [
             line for line in (tmp_path / p / "report.csv").read_text().splitlines()
             if not line.startswith("#")

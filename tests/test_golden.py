@@ -7,8 +7,9 @@ for byte: CSVs with their ``#`` comment lines, SVG charts and the calibrated
 ``deck.json``. Any change to one of them has to be a deliberate regeneration
 of ``out/``.
 
-The trace rows are also rerun on numpy's AVX2 code path, as on a CPU without
-AVX-512: the bytes are meant to be a function of config and seed alone.
+Every config's data rows and the calibrated ``deck.json`` are also rerun on
+numpy's AVX2 code path, as on a CPU without AVX-512: the bytes are meant to be
+a function of config and seed alone.
 """
 
 import os
@@ -38,18 +39,19 @@ def _assert_reproduces(tmp_path, monkeypatch, command: str, config: str, out_nam
         assert (written / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-@pytest.mark.parametrize(
-    "command,config,csv_name",
-    [
-        ("trace", "fig2b", "trace.csv"),
-        ("trace", "fig2c", "trace.csv"),
-        ("trial", "trial_example", "trial.csv"),
-        ("sweep", "fig3c", "report.csv"),
-        ("sweep", "fig3d", "report.csv"),
-        ("sweep", "fig3e", "report.csv"),
-        ("sweep", "fig3f", "report.csv"),
-    ],
-)
+# Each simulation config: its command and the CSV it writes to out/<config>/.
+SIMULATIONS = [
+    ("trace", "fig2b", "trace.csv"),
+    ("trace", "fig2c", "trace.csv"),
+    ("trial", "trial_example", "trial.csv"),
+    ("sweep", "fig3c", "report.csv"),
+    ("sweep", "fig3d", "report.csv"),
+    ("sweep", "fig3e", "report.csv"),
+    ("sweep", "fig3f", "report.csv"),
+]
+
+
+@pytest.mark.parametrize("command,config,csv_name", SIMULATIONS)
 def test_data_rows_match_committed_output(tmp_path, monkeypatch, command, config, csv_name):
     # The whole files, header and chart included, not only the data rows.
     _assert_reproduces(tmp_path, monkeypatch, command, config, config)
@@ -69,20 +71,23 @@ def _data_rows(path: Path) -> list[str]:
 def test_trace_rows_match_on_the_avx2_path(tmp_path):
     # numpy dispatches np.exp, and so retention survival, to AVX-512 code on
     # this CPU; with these targets off it takes the AVX2 code, whose last bits
-    # differ on a few percent of inputs.
-    configs = ("fig2b", "fig2c")
+    # differ on a few percent of inputs. Every bundled config is rerun.
+    runs = [(command, config, config, csv_name) for command, config, csv_name in SIMULATIONS]
+    runs.append(("calibrate", "calibrate_example", "calibration", "calibration.csv"))
     code = (
         "from numpy._core._multiarray_umath import __cpu_features__\n"
         "assert not __cpu_features__['X86_V4']\n"
         "from memdecide.cli import main\n"
-        + "".join(f"assert main(['trace', '--config', {str(ROOT / 'configs' / f'{name}.cfg')!r}]) == 0\n"
-                  for name in configs)
+        + "".join(f"assert main([{command!r}, '--config', {str(ROOT / 'configs' / f'{config}.cfg')!r}]) == 0\n"
+                  for command, config, _, _ in runs)
     )
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
            "PYTHONPATH": os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    for name in configs:
-        written, golden = (root / "out" / name / "trace.csv" for root in (tmp_path, ROOT))
-        assert _data_rows(written) == _data_rows(golden), name
+    for _, config, out_name, csv_name in runs:
+        written, golden = (root / "out" / out_name for root in (tmp_path, ROOT))
+        assert _data_rows(written / csv_name) == _data_rows(golden / csv_name), config
+    written, golden = (root / "out" / "calibration" / "deck.json" for root in (tmp_path, ROOT))
+    assert written.read_bytes() == golden.read_bytes()
