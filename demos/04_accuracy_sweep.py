@@ -1,8 +1,9 @@
 """Monte Carlo sweeps: how accuracy depends on the task and device knobs.
 
 A sweep evaluates the decision task over a Cartesian grid (window length,
-stream ratio, synapse size, compliance current, switching probability) with a
-seeded, order-independent random stream per cell. This is a desk-scale tour;
+stream ratio, synapse size, compliance current, switching probability) with
+seeded, order-independent draws per cell; cells of one window and ratio share
+their pulse streams. This is a desk-scale tour;
 the bundled configs under configs/ run the full-resolution versions.
 """
 

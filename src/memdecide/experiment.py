@@ -4,21 +4,29 @@ Accuracy is the fraction of correct choices over independent seeded trials,
 reported with a Wilson 95% confidence interval (well behaved both near chance
 and near saturation, the two regimes of interest). Sweep cells and trial
 chunks get their random streams from :func:`memdecide.seeding.derive_seed`,
-so a report is a pure function of its grid (master seed included).
+so a report is a pure function of its grid (master seed included), and each
+row of it a pure function of its own coordinates and the master seed.
 :func:`sweep_cells` builds every cell of a grid, and :func:`sweep` runs the
 cells it is given. Trials and traces take ``p_on`` as given; only
 :func:`sweep_cells` maps it through the deck's switching curve (see the
 comment there).
 
-Random-number layout, version ``RNG_LAYOUT = 5``: the trials of one cell are
+Random-number layout, version ``RNG_LAYOUT = 6``: the trials of one cell are
 cut into chunks of ``TRIAL_CHUNK`` trials. Chunk ``c`` covers trials
-``[TRIAL_CHUNK*c, min(TRIAL_CHUNK*(c+1), trials))`` and is run by
-:func:`memdecide.network.run_trials` from ``spawn_rng(cell_seed, "chunk", c)``.
-Per chunk of ``m`` trials it draws A's pulse times, then B's, then ``m``
-``binomial(N, pi_A)`` end-of-window ON counts, then ``m`` ``binomial(N,
-pi_B)``, then ``m`` tie uniforms. A batch can therefore be split or extended
-at chunk boundaries without changing any trial: ``run_trials(cfg,
-TRIAL_CHUNK, spawn_rng(cell_seed, "chunk", c))`` reproduces chunk ``c`` alone.
+``[TRIAL_CHUNK*c, min(TRIAL_CHUNK*(c+1), trials))``. Its pulse times come
+from the cell's stream seed, which :func:`sweep_cells` derives from the
+master seed and the stream axes alone, ``derive_seed(master_seed, "streams",
+duration_s, n_a, n_b)``: ``spawn_rng(stream_seed, "chunk", c)`` draws A's
+times, then B's (:func:`memdecide.stream.random_times`). Every cell of a grid
+with that window and ratio reuses them, whatever its N, compliance current
+and ``p_on``. The rest comes from the cell's own seed: ``spawn_rng(cell_seed,
+"chunk", c)`` draws ``m`` ``binomial(N, pi_A)`` end-of-window ON counts, then
+``m`` ``binomial(N, pi_B)``, then ``m`` tie uniforms
+(:func:`memdecide.network.read_out`). A row therefore depends only on its own
+coordinates and the master seed, never on the rest of the grid, and a chunk
+can be reproduced on its own from the two generators. Rows that share streams
+are positively correlated, which tightens differences along N, the
+compliance current and ``p_on``; each row's Wilson interval is marginal.
 
 A trace series is one generator, ``spawn_rng(series_seed, "chain")``, and
 one :func:`memdecide.synapse.trace_counts` chain over its ``repeats * N``
@@ -39,9 +47,9 @@ import numpy as np
 
 from .calibration import ParamDeck, default_deck
 from .device import DeviceParams, check_p_on
-from .network import TwoAfcConfig, check_trial_devices, run_trials
+from .network import TwoAfcConfig, check_trial_devices, gap_survival, on_probability, read_out
 from .seeding import derive_seed, spawn_rng
-from .stream import TRIAL_CHUNK, PulseStream
+from .stream import TRIAL_CHUNK, PulseStream, random_times
 from .synapse import Trace, trace_counts
 
 __all__ = [
@@ -49,6 +57,7 @@ __all__ = [
     "TRIAL_CHUNK",
     "AccuracyPoint",
     "wilson_interval",
+    "stream_seed",
     "estimate_accuracy",
     "sweep_cells",
     "sweep",
@@ -63,7 +72,7 @@ _Z95 = 1.959963984540054
 
 # Version of the random-number layout described in the module docstring;
 # echoed into every CSV header. Change it whenever the draws change.
-RNG_LAYOUT = 5
+RNG_LAYOUT = 6
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -104,27 +113,20 @@ class AccuracyPoint(NamedTuple):
     n_ties: int
 
 
+def stream_seed(master_seed: int, duration_s: float, n_a: int, n_b: int) -> int:
+    """The seed of the pulse streams that every cell with this window and ratio draws from."""
+    return derive_seed(master_seed, "streams", duration_s, n_a, n_b)
+
+
 def estimate_accuracy(cfg: TwoAfcConfig, trials: int, master_seed: int) -> AccuracyPoint:
     """Run independent seeded trials and report accuracy with a Wilson CI.
 
-    The trials are run in chunks of ``TRIAL_CHUNK``, chunk ``c`` from
-    ``spawn_rng(master_seed, "chunk", c)`` (see the module docstring).
+    This is the one-cell :func:`sweep` of ``cfg`` with cell seed
+    ``master_seed`` and the stream seed :func:`stream_seed` derives from it
+    (see the module docstring).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n_correct = 0
-    n_ties = 0
-    for chunk, start in enumerate(range(0, trials, TRIAL_CHUNK)):
-        batch = run_trials(
-            cfg, min(TRIAL_CHUNK, trials - start), spawn_rng(master_seed, "chunk", chunk)
-        )
-        n_correct += int(np.count_nonzero(batch.correct))
-        n_ties += int(np.count_nonzero(batch.tie))
-    return AccuracyPoint(
-        float(cfg.duration_s), cfg.n_a, cfg.n_b, cfg.n_devices,
-        float(cfg.params.i_cc_uA), float(cfg.p_on),
-        n_correct / trials, *wilson_interval(n_correct, trials), trials, n_ties,
-    )
+    seed = stream_seed(master_seed, float(cfg.duration_s), cfg.n_a, cfg.n_b)
+    return sweep([(cfg, master_seed, seed)], trials)[0]
 
 
 def sweep_cells(
@@ -137,14 +139,15 @@ def sweep_cells(
     master_seed: int,
     deck: ParamDeck | None = None,
     i_off_uA: float = 0.0,
-) -> list[tuple[TwoAfcConfig, int]]:
-    """Every cell's ``(config, seed)`` in the product order of the five axes.
+) -> list[tuple[TwoAfcConfig, int, int]]:
+    """Every cell's ``(config, seed, stream_seed)`` in the product order of the five axes.
 
     The axes are named like the sweep config's keys, and none may be empty.
     Each cell's retention is ``deck.retention_at`` its compliance current. The
-    seed derives from ``master_seed`` and the cell's coordinates.
-    All cells are built before any is run, so an invalid value anywhere in
-    the grid raises ``ValueError`` up front.
+    seed derives from ``master_seed`` and the cell's coordinates, and the
+    stream seed from ``master_seed`` and the window and ratio alone
+    (:func:`stream_seed`). All cells are built before any is run, so an
+    invalid value anywhere in the grid raises ``ValueError`` up front.
     """
     axes = {"durations_s": durations_s, "ratios": ratios, "device_counts": device_counts,
             "i_cc_values_uA": i_cc_values_uA, "p_on_values": p_on_values}
@@ -171,18 +174,48 @@ def sweep_cells(
             n_a=n_a, n_b=n_b, duration_s=duration_s,
         )
         seed = derive_seed(master_seed, duration_s, n_a, n_b, n_devices, i_cc_uA, p_on)
-        cells.append((cfg, seed))
+        cells.append((cfg, seed, stream_seed(master_seed, duration_s, n_a, n_b)))
     return cells
 
 
-def sweep(cells: Sequence[tuple[TwoAfcConfig, int]], trials: int) -> list[AccuracyPoint]:
-    """Estimate the accuracy of every ``(config, seed)`` cell over ``trials`` trials.
+def sweep(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int) -> list[AccuracyPoint]:
+    """Estimate the accuracy of every ``(config, seed, stream_seed)`` cell over ``trials`` trials.
 
-    ``cells`` is what :func:`sweep_cells` builds. Cells run in order on the
-    calling thread, and every cell draws only from its own seed, so results
-    are reproducible bit for bit.
+    ``cells`` is what :func:`sweep_cells` builds. Cells that share a stream
+    seed, window and ratio share each chunk's pulse times; among them, the
+    survival of the gaps is evaluated once per retention law and ``pi`` once
+    per retention law and ``p_on``. Each cell then draws its counts and tie
+    uniforms from its own seed (the layout in the module docstring). Cells run
+    on the calling thread, and results are reproducible bit for bit.
     """
-    return [estimate_accuracy(cfg, trials, seed) for cfg, seed in cells]
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    # Cell indices by stream set, then retention law, then p_on: what each
+    # level computes is shared by every cell below it.
+    stream_sets: dict = {}
+    for i, (cfg, _, stream) in enumerate(cells):
+        laws = stream_sets.setdefault((stream, cfg.duration_s, cfg.n_a, cfg.n_b), {})
+        laws.setdefault(cfg.params.retention, {}).setdefault(cfg.p_on, []).append(i)
+    n_correct, n_ties = [0] * len(cells), [0] * len(cells)
+    for (stream, duration_s, n_a, n_b), laws in stream_sets.items():
+        for chunk, start in enumerate(range(0, trials, TRIAL_CHUNK)):
+            rng = spawn_rng(stream, "chunk", chunk)
+            times = [random_times(n, duration_s, min(TRIAL_CHUNK, trials - start), rng) for n in (n_a, n_b)]
+            for retention, by_p_on in laws.items():
+                survive = [gap_survival(t, duration_s, retention) for t in times]
+                for p_on, members in by_p_on.items():
+                    pi_a, pi_b = [on_probability(s, p_on) for s in survive]
+                    for i in members:
+                        batch = read_out(cells[i][0], pi_a, pi_b, spawn_rng(cells[i][1], "chunk", chunk))
+                        n_correct[i] += int(np.count_nonzero(batch.correct))
+                        n_ties[i] += int(np.count_nonzero(batch.tie))
+    return [
+        AccuracyPoint(
+            float(cfg.duration_s), cfg.n_a, cfg.n_b, cfg.n_devices, float(cfg.params.i_cc_uA),
+            float(cfg.p_on), correct / trials, *wilson_interval(correct, trials), trials, ties,
+        )
+        for (cfg, _, _), correct, ties in zip(cells, n_correct, n_ties)
+    ]
 
 
 def sample_count(duration_s: float, sample_rate_hz: float, tail_s: float = 0.0) -> int:

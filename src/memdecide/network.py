@@ -15,9 +15,15 @@ no-evidence baseline at chance level.
 :func:`run_trials` runs ``m`` trials of one configuration at once. Once a
 stream's pulse times are drawn the ``N`` cells of its synapse are
 independent and identically distributed, so each count is exactly
-``Binomial(N, pi)``, ``pi`` being one cell's chance to be ON at the end
-(:func:`on_probability`). A trial therefore draws its pulse times and two
-binomial counts, and its cost does not grow with ``N``. The per-cell kernel
+``Binomial(N, pi)``, ``pi`` being one cell's chance to be ON at the end. A
+trial therefore draws its pulse times and two binomial counts, and its cost
+does not grow with ``N``. Three kernels make a trial: :func:`gap_survival`
+(the retention survival of each gap, which depends on the streams and the
+retention law), :func:`on_probability` (the recurrence that turns it into
+``pi`` at one ``p_on``) and :func:`read_out` (the counts and the choice).
+``run_trials`` composes them on one generator; :func:`memdecide.experiment.sweep`
+composes the same kernels, sharing each chunk's streams and their survival
+among the cells that can use them. The per-cell kernel
 :func:`memdecide.synapse.pulse_update` still defines the model: ``pi`` is
 derived from it, and the tests check this sampler and the trace chain against
 it in law. A single trial is ``run_trials(cfg, 1, rng)``.
@@ -34,7 +40,8 @@ from .device import DeviceParams, RetentionDistribution, check_p_on
 from .stream import check_duration, check_n_pulses, random_times
 
 __all__ = [
-    "TwoAfcConfig", "check_trial_devices", "TrialBatch", "decide", "on_probability", "run_trials",
+    "TwoAfcConfig", "check_trial_devices", "TrialBatch", "decide", "gap_survival", "on_probability",
+    "read_out", "run_trials",
 ]
 
 
@@ -96,10 +103,26 @@ def decide(count1, count2, rng: np.random.Generator) -> tuple[np.ndarray, np.nda
     return np.where(tie, u < 0.5, count1 > count2), tie
 
 
-def on_probability(
-    times: np.ndarray, duration_s: float, p_on: float, retention: RetentionDistribution
-) -> np.ndarray:
-    """Chance that one cell is ON at ``duration_s``, per row of a sorted ``(m, K)`` pulse-time matrix.
+def gap_survival(times: np.ndarray, duration_s: float, retention: RetentionDistribution) -> np.ndarray:
+    """Retention survival of every gap of a sorted ``(m, K)`` pulse-time matrix, as a ``(K, m)`` array.
+
+    Row ``j < K - 1`` holds ``S(t_{j+1} - t_j)`` and the last row ``S(duration_s
+    - t_K)``, for every stream at once: the transposed gap matrix, so that
+    each pulse's gaps are one contiguous row for :func:`on_probability`. It
+    depends on the streams and the retention law only, so streams shared by
+    several ``p_on`` values are evaluated once.
+    """
+    m, k = times.shape
+    survive = np.empty((k, m))
+    if k:
+        np.subtract(times.T[1:], times.T[:-1], out=survive[:-1])
+        np.subtract(duration_s, times[:, -1], out=survive[-1])
+        retention.survival(survive, out=survive)
+    return survive
+
+
+def on_probability(survive: np.ndarray, p_on: float) -> np.ndarray:
+    """Chance that one cell is ON at the end of the window, per stream, from :func:`gap_survival`.
 
     With ``S`` the retention survival, a cell is lit by pulse ``j`` (ON
     before it and refreshed, or OFF and switched) with probability
@@ -107,19 +130,13 @@ def on_probability(
     and is ON at the end with ``pi = q_K * S(duration_s - t_K)``; ``pi = 0``
     for a stream without pulses. This is the law of one cell under
     :func:`memdecide.synapse.pulse_update`. The recurrence runs in place, one
-    contiguous row of gaps per pulse, with the roundings of the formula as
-    written: ``(1 - p_on) * q``, then ``* S``, then ``p_on +``.
+    contiguous row of ``survive`` per pulse (which it leaves as it is), with
+    the roundings of the formula as written: ``(1 - p_on) * q``, then ``*
+    S``, then ``p_on +``.
     """
-    m, k = times.shape
+    k, m = survive.shape
     if not k:
         return np.zeros(m)
-    # S of each gap between pulses, then of the gap from the last pulse to the
-    # read, in place: the transposed gap matrix, so that each pulse's gaps are
-    # one contiguous row.
-    survive = np.empty((k, m))
-    np.subtract(times.T[1:], times.T[:-1], out=survive[:-1])
-    np.subtract(duration_s, times[:, -1], out=survive[-1])
-    retention.survival(survive, out=survive)
     q = np.full(m, float(p_on))
     for s in survive[:-1]:
         q *= 1.0 - p_on
@@ -129,22 +146,31 @@ def on_probability(
     return q
 
 
+def read_out(cfg: TwoAfcConfig, pi_a: np.ndarray, pi_b: np.ndarray, rng: np.random.Generator) -> TrialBatch:
+    """The end of trials whose synapses are ON with ``pi_a`` and ``pi_b`` per cell, one entry per trial.
+
+    Draw order: A's ON counts ``binomial(N, pi_a)``, then B's ``binomial(N,
+    pi_b)``, then one tie uniform per trial (:func:`decide`).
+    """
+    count1, count2 = rng.binomial(cfg.n_devices, pi_a), rng.binomial(cfg.n_devices, pi_b)
+    choose_a, tie = decide(count1, count2, rng)
+    correct = np.full(tie.shape, True) if cfg.n_a == cfg.n_b else choose_a == (cfg.n_a > cfg.n_b)
+    return TrialBatch(choose_a, correct, count1, count2, tie)
+
+
 def run_trials(cfg: TwoAfcConfig, m: int, rng: np.random.Generator) -> TrialBatch:
     """Run ``m`` independent trials of ``cfg`` from one generator.
 
     Draw order: A's pulse times as an ``(m, n_a)`` matrix, then B's as
-    ``(m, n_b)``; then A's end-of-window ON counts, ``binomial(N, pi_A)``
-    with one :func:`on_probability` per trial, then B's the same way; last,
-    one tie uniform per trial. Both synapses are read at exactly
-    ``t = duration_s``.
+    ``(m, n_b)``; then :func:`read_out`'s counts and tie uniforms, with one
+    :func:`on_probability` per trial and stream. Both synapses are read at
+    exactly ``t = duration_s``.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    stream_times = [random_times(n, cfg.duration_s, m, rng) for n in (cfg.n_a, cfg.n_b)]
-    count1, count2 = [
-        rng.binomial(cfg.n_devices, on_probability(times, cfg.duration_s, cfg.p_on, cfg.params.retention))
-        for times in stream_times
+    pi_a, pi_b = [
+        on_probability(gap_survival(random_times(n, cfg.duration_s, m, rng), cfg.duration_s,
+                                    cfg.params.retention), cfg.p_on)
+        for n in (cfg.n_a, cfg.n_b)
     ]
-    choose_a, tie = decide(count1, count2, rng)
-    correct = np.full(m, True) if cfg.n_a == cfg.n_b else choose_a == (cfg.n_a > cfg.n_b)
-    return TrialBatch(choose_a, correct, count1, count2, tie)
+    return read_out(cfg, pi_a, pi_b, rng)

@@ -2,8 +2,8 @@
 
 Every stochastic run in this package draws from an explicitly passed
 ``numpy.random.Generator``; there is no hidden global randomness. Independent
-streams (per trial chunk, sweep cell and trace series) are derived by
-hashing a root seed together with a label path, so that
+streams (per trial chunk, sweep cell, set of sweep pulse streams and trace
+series) are derived by hashing a root seed together with a label path, so that
 
 * the same root seed always reproduces the same results, bit for bit,
 * distinct coordinates get streams that are independent for all practical

@@ -53,6 +53,17 @@ def pulse_update(
     cell, then one retention time per lit cell, both in C order. Returns the
     expiries written, one per lit cell in C order; every other cell is OFF
     from ``t`` on.
+
+    The kernel stores the sum ``t_j + R`` and later tests ``expiry > t``;
+    :func:`trace_counts`, :func:`memdecide.network.on_probability` and the
+    exact oracles test the age instead, ``t - t_j < R``. The two agree
+    except where the sum rounds across a tie that the exact age does not
+    reach, which a continuous ``R`` hits with probability zero. At
+    ``sigma_log = 0`` it can be hit: ``1.9 + 0.15`` rounds to ``2.05``, while
+    ``2.05 - 1.9`` is ``0.14999999999999991``, so a cell with a 0.15 s
+    filament lit at 1.9 s reads OFF at 2.05 s here and ON in the age form.
+    This is why the law tests that hold the chain to this kernel at
+    ``sigma_log = 0`` place the median off their sample grid.
     """
     lit = (expiry > t) | (rng.random(expiry.shape) < p_on)
     k = int(np.count_nonzero(lit))

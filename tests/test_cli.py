@@ -119,7 +119,7 @@ class TestTrace:
         lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert lines[0].startswith("# command=trace")
         assert lines[1].startswith("# config=")
-        assert lines[2] == "# rng_layout=5"
+        assert lines[2] == "# rng_layout=6"
         assert lines[3] == "series,p_on,i_cc_uA,t_s,count_on,current_uA,repeat_mean"
         assert any(line.startswith("p_on=0.2,") for line in lines[3:])
 

@@ -24,6 +24,8 @@ from memdecide import (
     wilson_interval,
 )
 from memdecide.experiment import TRIAL_CHUNK, sample_count
+from memdecide.network import gap_survival, on_probability
+from memdecide.stream import random_times
 from memdecide.synapse import trace_counts
 
 from exact_accuracy import exact_accuracy, exact_trace_mean, expected_on_count_no_decay
@@ -45,6 +47,27 @@ def _fixed_retention_sweep(trials, median, **axes):
     # A one-row retention table gives that row at every compliance current.
     deck = ParamDeck(default_deck().switching, [(1.0, RetentionDistribution(median, 0.5))])
     return sweep(sweep_cells(**axes, deck=deck), trials)
+
+
+def _chunk(cfg, stream_seed, seed, c, m):
+    """Chunk ``c`` of ``m`` trials, by hand: ``(correct, tie, count2)`` arrays.
+
+    The pulse times come from ``spawn_rng(stream_seed, "chunk", c)``, A's then
+    B's; the counts, A's then B's, and the tie uniforms from ``spawn_rng(seed,
+    "chunk", c)``.
+    """
+    rng = spawn_rng(stream_seed, "chunk", c)
+    times = [random_times(n, cfg.duration_s, m, rng) for n in (cfg.n_a, cfg.n_b)]
+    rng = spawn_rng(seed, "chunk", c)
+    count1, count2 = [
+        rng.binomial(cfg.n_devices,
+                     on_probability(gap_survival(t, cfg.duration_s, cfg.params.retention), cfg.p_on))
+        for t in times
+    ]
+    u = rng.random(m)
+    tie = count1 == count2
+    choose_a = np.where(tie, u < 0.5, count1 > count2)
+    return choose_a == (cfg.n_a > cfg.n_b), tie, count2
 
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05, median=2.0):
@@ -155,17 +178,20 @@ class TestEstimateAccuracy:
         assert point.n_trials == 50
 
     def test_split_at_chunk_boundary_is_exact(self):
-        # Chunk c of a run is run_trials over TRIAL_CHUNK trials from
-        # spawn_rng(seed, "chunk", c), so the chunks can be run on their own.
+        # Chunk c of a run draws its streams from the stream seed and its
+        # counts and tie uniforms from the run's seed, both as
+        # spawn_rng(., "chunk", c), so each chunk can be run on its own.
         cfg = _config(p_on=0.2)
         whole = estimate_accuracy(cfg, trials=2 * TRIAL_CHUNK, master_seed=3)
-        parts = [run_trials(cfg, TRIAL_CHUNK, spawn_rng(3, "chunk", c)) for c in (0, 1)]
+        streams = derive_seed(3, "streams", 2.0, 40, 20)
+        parts = [_chunk(cfg, streams, 3, c, TRIAL_CHUNK) for c in (0, 1)]
         assert round(whole.accuracy * whole.n_trials) == sum(
-            int(np.count_nonzero(p.correct)) for p in parts
+            int(np.count_nonzero(correct)) for correct, _, _ in parts
         )
-        assert whole.n_ties == sum(int(np.count_nonzero(p.tie)) for p in parts)
-        # Each chunk draws its own streams.
-        assert not np.array_equal(parts[0].count1, parts[1].count1)
+        assert whole.n_ties == sum(int(np.count_nonzero(tie)) for _, tie, _ in parts)
+        # Each chunk draws its own streams (A's 40 pulses nearly saturate its
+        # synapse, so B's counts show it).
+        assert not np.array_equal(parts[0][2], parts[1][2])
 
     @pytest.mark.parametrize(
         "median,label",
@@ -184,13 +210,16 @@ class TestEstimateAccuracy:
 
 class TestSweep:
     def test_single_cell_equals_estimate(self):
+        # A cell's streams come from derive_seed(master_seed, "streams",
+        # duration_s, n_a, n_b), its counts and tie uniforms from its cell
+        # seed; estimate_accuracy is the one-cell sweep whose stream seed
+        # derives from its own seed the same way.
         cells = sweep_cells(
             durations_s=[2.0], ratios=[(40, 20)], device_counts=[10],
             i_cc_values_uA=[270.0], p_on_values=[0.05], master_seed=17,
         )
-        points = sweep(cells, 40)
-        assert len(points) == 1
         cell_seed = derive_seed(17, 2.0, 40, 20, 10, 270.0, 0.05)
+        streams = derive_seed(17, "streams", 2.0, 40, 20)
         deck = default_deck()
         cfg = TwoAfcConfig(
             n_devices=10,
@@ -201,7 +230,48 @@ class TestSweep:
             n_b=20,
             duration_s=2.0,
         )
-        assert points[0] == estimate_accuracy(cfg, 40, cell_seed)
+        assert cells == [(cfg, cell_seed, streams)]
+        point = sweep(cells, 40)[0]
+        correct, tie, _ = _chunk(cfg, streams, cell_seed, 0, 40)
+        assert point.accuracy == np.count_nonzero(correct) / 40
+        assert point.n_ties == np.count_nonzero(tie)
+        own_streams = derive_seed(cell_seed, "streams", 2.0, 40, 20)
+        assert estimate_accuracy(cfg, 40, cell_seed) == sweep([(cfg, cell_seed, own_streams)], 40)[0]
+
+    def test_cell_does_not_depend_on_the_grid(self):
+        # The same cell alone, and among other N, I_cc and p_on values that
+        # share its streams (and other windows and ratios that do not).
+        cell = dict(durations_s=[2.0], ratios=[(40, 20)], device_counts=[10],
+                    i_cc_values_uA=[270.0], p_on_values=[0.05], master_seed=19)
+        grid = dict(cell, durations_s=[0.5, 2.0], ratios=[(40, 20), (20, 10)],
+                    device_counts=[5, 10, 20], i_cc_values_uA=[100.0, 270.0],
+                    p_on_values=[0.02, 0.05, 0.1])
+        (alone,) = sweep(sweep_cells(**cell), 300)
+        points = sweep(sweep_cells(**grid), 300)
+        assert len(points) == 72
+        assert [p for p in points if p[:6] == alone[:6]] == [alone]
+
+    def test_streams_and_survival_are_shared(self, monkeypatch):
+        # 7 synapse sizes and 3 switching probabilities at one window, ratio
+        # and compliance current make as many survival calls as one cell:
+        # one per chunk and stream.
+        calls = []
+        survival = RetentionDistribution.survival
+
+        def counted(self, d, out=None):
+            calls.append(np.shape(d))
+            return survival(self, d, out)
+
+        monkeypatch.setattr(RetentionDistribution, "survival", counted)
+        axes = dict(durations_s=[2.0], ratios=[(40, 20)], device_counts=[5],
+                    i_cc_values_uA=[270.0], p_on_values=[0.05], master_seed=23)
+        sweep(sweep_cells(**axes), 300)
+        one_cell = len(calls)
+        calls.clear()
+        points = sweep(sweep_cells(**dict(axes, device_counts=[3, 5, 10, 20, 30, 50, 100],
+                                          p_on_values=[0.02, 0.05, 0.1])), 300)
+        assert len(points) == 21
+        assert len(calls) == one_cell == 4
 
     def test_deterministic(self):
         axes = dict(

@@ -16,11 +16,16 @@ from memdecide import (
     run_trials,
     spawn_rng,
 )
-from memdecide.network import on_probability
+from memdecide.network import gap_survival, on_probability as _recurrence
 from memdecide.stream import random_times
 from memdecide.synapse import pulse_update
 
 from exact_accuracy import _on_probability as exact_on_probability
+
+
+def on_probability(times, duration, p_on, retention):
+    """``pi`` per stream row: the gap-survival and recurrence kernels, composed as trials compose them."""
+    return _recurrence(gap_survival(times, duration, retention), p_on)
 
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05,
