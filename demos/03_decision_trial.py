@@ -10,8 +10,6 @@ repetitions.
 
 import dataclasses
 
-import numpy as np
-
 from memdecide import (
     DeviceParams,
     RetentionDistribution,
@@ -38,13 +36,13 @@ print(f"a {v_pulse} V pulse switches an OFF cell with probability {cfg.p_on:.4f}
 # A handful of individual trials. Channel A fires twice as often, so it is
 # the ground truth; each trial reads both synapses at t = 2 s and compares.
 print("\nten single trials:")
+r = run_trials(cfg, 10, 7)  # one entry per trial in every field
 for i in range(10):
-    r = run_trials(cfg, 1, np.random.default_rng(i))  # a batch of one trial
-    i1, i2 = (cfg.params.current_uA(count, cfg.n_devices) for count in (r.count1[0], r.count2[0]))
+    i1, i2 = (cfg.params.current_uA(count, cfg.n_devices) for count in (r.count1[i], r.count2[i]))
     print(
-        f"  trial {i}: counts {r.count1[0]:2d} vs {r.count2[0]:2d}, "
-        f"currents {i1:6.0f} vs {i2:6.0f} uA -> {'A' if r.choose_a[0] else 'B'} "
-        f"({'correct' if r.correct[0] else 'wrong'}{', tie' if r.tie[0] else ''})"
+        f"  trial {i}: counts {r.count1[i]:2d} vs {r.count2[i]:2d}, "
+        f"currents {i1:6.0f} vs {i2:6.0f} uA -> {'A' if r.choose_a[i] else 'B'} "
+        f"({'correct' if r.correct[i] else 'wrong'}{', tie' if r.tie[i] else ''})"
     )
 
 # Accuracy with a Wilson 95% interval over 1000 independent trials.

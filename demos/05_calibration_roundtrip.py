@@ -7,13 +7,13 @@ the resulting parameter deck. The files it writes under out/fixtures/ are the
 inputs expected by configs/calibrate_example.cfg.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from memdecide import (
     ParamDeck,
-    RetentionDistribution,
     RetentionRecord,
     SwitchingCurve,
     SwitchingRecord,
@@ -44,10 +44,13 @@ switching_csv.write_text(
     + "\n"
 )
 
+# Lognormal retention times, sigma_log 0.5. math.exp rounds the same on every
+# CPU, where np.exp's last bit depends on the SIMD code numpy picks, so the
+# fixture is byte-stable.
 rows = []
 for i_cc, median in true_table:
-    for s in RetentionDistribution(median, sigma_log=0.5).sample(rng, 400):
-        rows.append(f"{i_cc!r},{float(s)!r}")
+    for z in rng.standard_normal(400):
+        rows.append(f"{i_cc!r},{median * math.exp(0.5 * z)!r}")
 retention_csv = out / "retention.csv"
 retention_csv.write_text("i_cc_uA,retention_s\n" + "\n".join(rows) + "\n")
 print(f"wrote {switching_csv} and {retention_csv}")

@@ -32,11 +32,12 @@ from .experiment import (
     AccuracyPoint,
     estimate_accuracy,
     run_trace_experiment,
+    run_trials,
     sweep,
     sweep_cells,
     wilson_interval,
 )
-from .network import TrialBatch, TwoAfcConfig, decide, run_trials
+from .network import TrialBatch, TwoAfcConfig, decide
 from .seeding import derive_seed, spawn_rng
 from .stream import (
     PulseStream,

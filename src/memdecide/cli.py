@@ -2,7 +2,7 @@
 
 ::
 
-    memdecide trace     --config cfg.cfg [--seed N] [--out DIR] [--svg] [--threads N]
+    memdecide trace     --config cfg.cfg [--seed N] [--out DIR] [--svg]
     memdecide trial     --config cfg.cfg ...
     memdecide sweep     --config cfg.cfg ...
     memdecide calibrate --config cfg.cfg ...
@@ -24,10 +24,10 @@ subcommand being run; ``comment`` keys are allowed anywhere and ignored.
 the command's function builds everything it will run (streams, device
 parameters, trial configurations, sweep cells, input paths) and returns the
 run, before any simulation starts.
-Command-line flags override their config counterparts. ``--threads`` and
-its ``threads`` key must be at least 1 and have no effect: sweeps run on
-one thread. The effective configuration and the random-number layout
-version are echoed into every CSV as leading comment lines.
+Command-line flags override their config counterparts; ``--threads N`` is
+parsed and ignored (sweeps run on one thread). The effective configuration
+and the random-number layout version are echoed into every CSV as leading
+comment lines. ``trial`` writes the trial ``estimate_accuracy(cfg, 1, seed)`` counts.
 ``python -m memdecide.cli`` runs the same commands as ``memdecide``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
@@ -56,9 +56,9 @@ from .calibration import (
 )
 from .device import DeviceParams, RetentionDistribution, SwitchingCurve, check_i_cc, check_i_off
 from .errors import ConfigError
-from .experiment import (RNG_LAYOUT, AccuracyPoint, run_trace_experiment, sample_count, sweep, sweep_cells,
-                         trace_cells)
-from .network import TwoAfcConfig, check_trial_devices, run_trials
+from .experiment import (RNG_LAYOUT, AccuracyPoint, run_trace_experiment, run_trials, sample_count, sweep,
+                         sweep_cells, trace_cells)
+from .network import TwoAfcConfig, check_trial_devices
 from .reports import format_rows, write_csv
 from .seeding import derive_seed, spawn_rng
 from .stream import (PulseStream, check_duration, check_n_pulses, generate_periodic, random_times,
@@ -194,7 +194,6 @@ _SCHEMA = _section({
     "seed": _int,
     "out_dir": _string,
     "svg": _bool,
-    "threads": _count,
     "deck": _string,
     "device": _section({
         "v_median_V": _number,
@@ -263,8 +262,7 @@ class RunConfig:
 
     def __init__(self, command: str, raw: dict, config_dir: Path, args):
         conf = _SCHEMA(raw, "")
-        flags = {"seed": args.seed, "out_dir": args.out, "threads": args.threads,
-                 "svg": args.svg or None}
+        flags = {"seed": args.seed, "out_dir": args.out, "svg": args.svg or None}
         conf.update(_SCHEMA({k: v for k, v in flags.items() if v is not None}, ""))
         for other in _COMMANDS:
             if other != command and other in conf:
@@ -285,11 +283,9 @@ class RunConfig:
         self.out_dir = Path(conf.get("out_dir", "out"))
         self.svg = conf.get("svg", False)
 
-        # Echoed into output headers as written, with the flags folded in;
-        # "threads" is accepted and echoed but has no effect.
+        # Echoed into output headers as written, with the flags folded in.
         self.effective = {k: v for k, v in raw.items() if k != "comment"}
-        self.effective.update(seed=self.seed, out_dir=str(self.out_dir), svg=self.svg,
-                              threads=conf.get("threads", 1))
+        self.effective.update(seed=self.seed, out_dir=str(self.out_dir), svg=self.svg)
 
         self.deck = default_deck()
         self.i_off_uA = 0.0
@@ -428,7 +424,7 @@ def _trial(cfg: RunConfig, section: dict):
     )
 
     def run() -> None:
-        batch = run_trials(trial, 1, spawn_rng(cfg.seed, "trial", 0))
+        batch = run_trials(trial, 1, cfg.seed)
         counts = batch.count1[0], batch.count2[0]
         currents = (trial.params.current_uA(count, trial.n_devices) for count in counts)
         (row,) = format_rows(0, "A" if batch.choose_a[0] else "B", batch.correct[0],
@@ -545,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
         cmd.add_argument("--svg", action="store_true", help="also write SVG charts")
-        cmd.add_argument("--threads", type=int, default=None, help="accepted, has no effect")
+        cmd.add_argument("--threads", type=int, default=None, help="ignored: sweeps run on one thread")
     return parser
 
 

@@ -11,7 +11,7 @@ cells it is given. Trials and traces take ``p_on`` as given; only
 :func:`sweep_cells` maps it through the deck's switching curve (see the
 comment there).
 
-Random-number layout, version ``RNG_LAYOUT = 6``: the trials of one cell are
+Random-number layout, version ``RNG_LAYOUT = 7``: the trials of one cell are
 cut into chunks of ``TRIAL_CHUNK`` trials. Chunk ``c`` covers trials
 ``[TRIAL_CHUNK*c, min(TRIAL_CHUNK*(c+1), trials))``. Its pulse times come
 from the cell's stream seed, which :func:`sweep_cells` derives from the
@@ -27,6 +27,9 @@ coordinates and the master seed, never on the rest of the grid, and a chunk
 can be reproduced on its own from the two generators. Rows that share streams
 are positively correlated, which tightens differences along N, the
 compliance current and ``p_on``; each row's Wilson interval is marginal.
+Every trial runs through this one layout: :func:`estimate_accuracy` and
+:func:`run_trials` run the one-cell grid whose cell seed is their master
+seed, and the ``trial`` command writes ``run_trials(cfg, 1, seed)``.
 
 A trace series is one generator, ``spawn_rng(series_seed, "chain")``, and
 one :func:`memdecide.synapse.trace_counts` chain over its ``repeats * N``
@@ -47,7 +50,7 @@ import numpy as np
 
 from .calibration import ParamDeck, default_deck
 from .device import DeviceParams, check_p_on
-from .network import TwoAfcConfig, check_trial_devices, gap_survival, on_probability, read_out
+from .network import TrialBatch, TwoAfcConfig, check_trial_devices, gap_survival, on_probability, read_out
 from .seeding import derive_seed, spawn_rng
 from .stream import TRIAL_CHUNK, PulseStream, random_times
 from .synapse import Trace, trace_counts
@@ -59,6 +62,7 @@ __all__ = [
     "wilson_interval",
     "stream_seed",
     "estimate_accuracy",
+    "run_trials",
     "sweep_cells",
     "sweep",
     "sample_count",
@@ -72,7 +76,7 @@ _Z95 = 1.959963984540054
 
 # Version of the random-number layout described in the module docstring;
 # echoed into every CSV header. Change it whenever the draws change.
-RNG_LAYOUT = 6
+RNG_LAYOUT = 7
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -118,6 +122,11 @@ def stream_seed(master_seed: int, duration_s: float, n_a: int, n_b: int) -> int:
     return derive_seed(master_seed, "streams", duration_s, n_a, n_b)
 
 
+def _cell(cfg: TwoAfcConfig, master_seed: int) -> tuple[TwoAfcConfig, int, int]:
+    """The one-cell grid of ``cfg``: cell seed ``master_seed``, stream seed :func:`stream_seed` of it."""
+    return cfg, master_seed, stream_seed(master_seed, float(cfg.duration_s), cfg.n_a, cfg.n_b)
+
+
 def estimate_accuracy(cfg: TwoAfcConfig, trials: int, master_seed: int) -> AccuracyPoint:
     """Run independent seeded trials and report accuracy with a Wilson CI.
 
@@ -125,8 +134,16 @@ def estimate_accuracy(cfg: TwoAfcConfig, trials: int, master_seed: int) -> Accur
     ``master_seed`` and the stream seed :func:`stream_seed` derives from it
     (see the module docstring).
     """
-    seed = stream_seed(master_seed, float(cfg.duration_s), cfg.n_a, cfg.n_b)
-    return sweep([(cfg, master_seed, seed)], trials)[0]
+    return sweep([_cell(cfg, master_seed)], trials)[0]
+
+
+def run_trials(cfg: TwoAfcConfig, trials: int, master_seed: int) -> TrialBatch:
+    """The trials that ``estimate_accuracy(cfg, trials, master_seed)`` counts, one entry each, in order.
+
+    Both synapses are read at exactly ``t = duration_s``.
+    """
+    chunks = [batch for _, batch in _trial_batches([_cell(cfg, master_seed)], trials)]
+    return TrialBatch(*map(np.concatenate, zip(*chunks)))
 
 
 def sweep_cells(
@@ -178,15 +195,14 @@ def sweep_cells(
     return cells
 
 
-def sweep(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int) -> list[AccuracyPoint]:
-    """Estimate the accuracy of every ``(config, seed, stream_seed)`` cell over ``trials`` trials.
+def _trial_batches(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int):
+    """Yield ``(cell index, TrialBatch)`` for every chunk of every ``(config, seed, stream_seed)`` cell.
 
-    ``cells`` is what :func:`sweep_cells` builds. Cells that share a stream
-    seed, window and ratio share each chunk's pulse times; among them, the
-    survival of the gaps is evaluated once per retention law and ``pi`` once
-    per retention law and ``p_on``. Each cell then draws its counts and tie
-    uniforms from its own seed (the layout in the module docstring). Cells run
-    on the calling thread, and results are reproducible bit for bit.
+    Cells that share a stream seed, window and ratio share each chunk's pulse
+    times; among them, the survival of the gaps is evaluated once per
+    retention law and ``pi`` once per retention law and ``p_on``. Each cell
+    then draws its counts and tie uniforms from its own seed (the layout in
+    the module docstring). A cell's chunks come in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -196,7 +212,6 @@ def sweep(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int) -> list[A
     for i, (cfg, _, stream) in enumerate(cells):
         laws = stream_sets.setdefault((stream, cfg.duration_s, cfg.n_a, cfg.n_b), {})
         laws.setdefault(cfg.params.retention, {}).setdefault(cfg.p_on, []).append(i)
-    n_correct, n_ties = [0] * len(cells), [0] * len(cells)
     for (stream, duration_s, n_a, n_b), laws in stream_sets.items():
         for chunk, start in enumerate(range(0, trials, TRIAL_CHUNK)):
             rng = spawn_rng(stream, "chunk", chunk)
@@ -206,9 +221,21 @@ def sweep(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int) -> list[A
                 for p_on, members in by_p_on.items():
                     pi_a, pi_b = [on_probability(s, p_on) for s in survive]
                     for i in members:
-                        batch = read_out(cells[i][0], pi_a, pi_b, spawn_rng(cells[i][1], "chunk", chunk))
-                        n_correct[i] += int(np.count_nonzero(batch.correct))
-                        n_ties[i] += int(np.count_nonzero(batch.tie))
+                        yield i, read_out(cells[i][0], pi_a, pi_b, spawn_rng(cells[i][1], "chunk", chunk))
+
+
+def sweep(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int) -> list[AccuracyPoint]:
+    """Estimate the accuracy of every ``(config, seed, stream_seed)`` cell over ``trials`` trials.
+
+    ``cells`` is what :func:`sweep_cells` builds. Cells that share a stream
+    seed, window and ratio share each chunk's pulse times (see
+    :func:`_trial_batches`). Cells run on the calling thread, and results are
+    reproducible bit for bit.
+    """
+    n_correct, n_ties = [0] * len(cells), [0] * len(cells)
+    for i, batch in _trial_batches(cells, trials):
+        n_correct[i] += int(np.count_nonzero(batch.correct))
+        n_ties[i] += int(np.count_nonzero(batch.tie))
     return [
         AccuracyPoint(
             float(cfg.duration_s), cfg.n_a, cfg.n_b, cfg.n_devices, float(cfg.params.i_cc_uA),

@@ -12,8 +12,7 @@ where float64 currents of adjacent counts coincide from ``N`` near ``2**55``.
 An exact tie is broken uniformly at random and flagged, which keeps the
 no-evidence baseline at chance level.
 
-:func:`run_trials` runs ``m`` trials of one configuration at once. Once a
-stream's pulse times are drawn the ``N`` cells of its synapse are
+Once a stream's pulse times are drawn the ``N`` cells of its synapse are
 independent and identically distributed, so each count is exactly
 ``Binomial(N, pi)``, ``pi`` being one cell's chance to be ON at the end. A
 trial therefore draws its pulse times and two binomial counts, and its cost
@@ -21,12 +20,12 @@ does not grow with ``N``. Three kernels make a trial: :func:`gap_survival`
 (the retention survival of each gap, which depends on the streams and the
 retention law), :func:`on_probability` (the recurrence that turns it into
 ``pi`` at one ``p_on``) and :func:`read_out` (the counts and the choice).
-``run_trials`` composes them on one generator; :func:`memdecide.experiment.sweep`
-composes the same kernels, sharing each chunk's streams and their survival
-among the cells that can use them. The per-cell kernel
-:func:`memdecide.synapse.pulse_update` still defines the model: ``pi`` is
-derived from it, and the tests check this sampler and the trace chain against
-it in law. A single trial is ``run_trials(cfg, 1, rng)``.
+This module holds the trial's types and kernels and composes none of them:
+:mod:`memdecide.experiment` does, in one place and under one random-number
+layout, for sweeps, accuracy estimates and single trials alike.
+The per-cell kernel :func:`memdecide.synapse.pulse_update` still defines the
+model: ``pi`` is derived from it, and the tests check this sampler and the
+trace chain against it in law.
 """
 
 from __future__ import annotations
@@ -37,11 +36,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .device import DeviceParams, RetentionDistribution, check_p_on
-from .stream import check_duration, check_n_pulses, random_times
+from .stream import check_duration, check_n_pulses
 
 __all__ = [
     "TwoAfcConfig", "check_trial_devices", "TrialBatch", "decide", "gap_survival", "on_probability",
-    "read_out", "run_trials",
+    "read_out",
 ]
 
 
@@ -157,20 +156,3 @@ def read_out(cfg: TwoAfcConfig, pi_a: np.ndarray, pi_b: np.ndarray, rng: np.rand
     correct = np.full(tie.shape, True) if cfg.n_a == cfg.n_b else choose_a == (cfg.n_a > cfg.n_b)
     return TrialBatch(choose_a, correct, count1, count2, tie)
 
-
-def run_trials(cfg: TwoAfcConfig, m: int, rng: np.random.Generator) -> TrialBatch:
-    """Run ``m`` independent trials of ``cfg`` from one generator.
-
-    Draw order: A's pulse times as an ``(m, n_a)`` matrix, then B's as
-    ``(m, n_b)``; then :func:`read_out`'s counts and tie uniforms, with one
-    :func:`on_probability` per trial and stream. Both synapses are read at
-    exactly ``t = duration_s``.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    pi_a, pi_b = [
-        on_probability(gap_survival(random_times(n, cfg.duration_s, m, rng), cfg.duration_s,
-                                    cfg.params.retention), cfg.p_on)
-        for n in (cfg.n_a, cfg.n_b)
-    ]
-    return read_out(cfg, pi_a, pi_b, rng)

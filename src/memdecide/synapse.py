@@ -44,15 +44,14 @@ def pulse_update(
     p_on,
     retention: RetentionDistribution,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> None:
     """Deliver one pulse at time ``t`` to every cell of ``expiry`` (shape ``(..., N)``), in place.
 
     A cell whose expiry is at or before ``t`` is OFF. Every OFF cell switches
     with probability ``p_on``, and every lit cell (ON, or just switched) gets
     the expiry ``t + retention`` (refresh, not stack). Draws: one uniform per
-    cell, then one retention time per lit cell, both in C order. Returns the
-    expiries written, one per lit cell in C order; every other cell is OFF
-    from ``t`` on.
+    cell, then one retention time per lit cell, both in C order. Every other
+    cell is OFF from ``t`` on.
 
     The kernel stores the sum ``t_j + R`` and later tests ``expiry > t``;
     :func:`trace_counts`, :func:`memdecide.network.on_probability` and the
@@ -66,13 +65,8 @@ def pulse_update(
     ``sigma_log = 0`` place the median off their sample grid.
     """
     lit = (expiry > t) | (rng.random(expiry.shape) < p_on)
-    k = int(np.count_nonzero(lit))
-    if not k:
-        return np.empty(0)
     idx = np.flatnonzero(lit)
-    written = t + retention.sample(rng, k)
-    np.put(expiry, idx, written)
-    return written
+    np.put(expiry, idx, t + retention.sample(rng, idx.size))
 
 
 def trace_counts(

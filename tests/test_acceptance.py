@@ -441,10 +441,7 @@ def test_scale_invariance_of_decisions():
             n_b=20,
             duration_s=2.0,
         )
-        return [
-            bool(run_trials(cfg, 1, spawn_rng(MASTER_SEED, "scale", i)).choose_a[0])
-            for i in range(100)
-        ]
+        return run_trials(cfg, 100, MASTER_SEED).choose_a.tolist()
 
     base = decisions(270.0)
     scaled = decisions(2700.0)

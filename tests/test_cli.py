@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memdecide import ParamDeck, RetentionDistribution, SwitchingCurve, read_deck, spawn_rng
+from memdecide import (DeviceParams, ParamDeck, RetentionDistribution, SwitchingCurve, TwoAfcConfig,
+                       estimate_accuracy, read_deck, run_trials, spawn_rng)
 from memdecide import cli
 from memdecide.cli import build_parser, main
 from memdecide.stream import random_times
@@ -119,7 +120,7 @@ class TestTrace:
         lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert lines[0].startswith("# command=trace")
         assert lines[1].startswith("# config=")
-        assert lines[2] == "# rng_layout=6"
+        assert lines[2] == "# rng_layout=7"
         assert lines[3] == "series,p_on,i_cc_uA,t_s,count_on,current_uA,repeat_mean"
         assert any(line.startswith("p_on=0.2,") for line in lines[3:])
 
@@ -209,6 +210,18 @@ class TestTrial:
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         counts = int(row[5]), int(row[6])
         assert row[3:5] == [repr(c * 270.0 + (20 - c) * 0.37) for c in counts]
+
+    def test_row_is_trial_zero_of_the_seeded_cell(self, tmp_path, capsys):
+        # trial writes run_trials(cfg, 1, seed): the one trial that
+        # estimate_accuracy(cfg, 1, seed) counts.
+        cfg = _write_config(tmp_path / "t.cfg", _trial_config(tmp_path / "out"))
+        assert main(["trial", "--config", cfg, "--seed", "11"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        trial = TwoAfcConfig(20, DeviceParams(270.0, RetentionDistribution(2.0, 0.5)), 0.05, 40, 20, 2.0)
+        batch = run_trials(trial, 1, 11)
+        assert row[1] == ("A" if batch.choose_a[0] else "B")
+        assert row[2] == str(int(estimate_accuracy(trial, 1, 11).accuracy)) == str(int(batch.correct[0]))
+        assert row[5:] == [str(batch.count1[0]), str(batch.count2[0]), str(int(batch.tie[0]))]
 
     def test_no_evidence_row_is_tie(self, tmp_path, capsys):
         payload = _trial_config(tmp_path / "out")
@@ -350,17 +363,17 @@ class TestSweep:
         assert len(rows) == 2  # two durations, one cell each
 
     def test_threads_do_not_change_bytes(self, tmp_path):
-        # --threads is accepted and has no effect.
+        # --threads is parsed and ignored: not echoed, no byte changes.
         cfg1 = _write_config(tmp_path / "s1.cfg", _sweep_config(tmp_path / "o1"))
         cfg2 = _write_config(tmp_path / "s2.cfg", _sweep_config(tmp_path / "o2"))
         assert main(["sweep", "--config", cfg1]) == 0
         assert main(["sweep", "--config", cfg2, "--threads", "4"]) == 0
-        assert main(["sweep", "--config", cfg2, "--threads", "0"]) == 2
         strip = lambda p: [
             line for line in (tmp_path / p / "report.csv").read_text().splitlines()
             if not line.startswith("#")
         ]
         assert strip("o1") == strip("o2")
+        assert '"threads"' not in (tmp_path / "o2" / "report.csv").read_text()
 
     def test_synapse_beyond_trace_array_bound_runs(self, tmp_path):
         # A trial allocates nothing per cell, so a sweep may use more cells
@@ -503,6 +516,14 @@ class TestConfigErrors:
         payload["trace"]["pulse_shape"] = "triangular"
         cfg = _write_config(tmp_path / "t.cfg", payload)
         assert main(["trace", "--config", cfg]) == 2
+
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        # --threads is parsed and ignored; no config key stands behind it.
+        payload = _sweep_config(tmp_path / "out")
+        payload["threads"] = 2
+        cfg = _write_config(tmp_path / "s.cfg", payload)
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "unknown keys ['threads']" in capsys.readouterr().err
 
     def test_section_must_match_command(self, tmp_path):
         cfg = _write_config(tmp_path / "t.cfg", _trial_config(tmp_path / "out"))

@@ -193,6 +193,29 @@ class TestEstimateAccuracy:
         # synapse, so B's counts show it).
         assert not np.array_equal(parts[0][2], parts[1][2])
 
+    @pytest.mark.parametrize("trials", [1, TRIAL_CHUNK, 2 * TRIAL_CHUNK + 3])
+    def test_run_trials_are_the_trials_it_counts(self, trials):
+        # run_trials returns estimate_accuracy's cell trial by trial, across
+        # chunk boundaries and into a partial last chunk.
+        cfg = _config(p_on=0.2)
+        batch = run_trials(cfg, trials, 3)
+        point = estimate_accuracy(cfg, trials, 3)
+        assert all(field.shape == (trials,) for field in batch)
+        assert round(point.accuracy * trials) == np.count_nonzero(batch.correct)
+        assert point.n_ties == np.count_nonzero(batch.tie)
+        streams = derive_seed(3, "streams", 2.0, 40, 20)
+        for c, start in enumerate(range(0, trials, TRIAL_CHUNK)):
+            stop = min(start + TRIAL_CHUNK, trials)
+            correct, tie, count2 = _chunk(cfg, streams, 3, c, stop - start)
+            assert np.array_equal(batch.correct[start:stop], correct)
+            assert np.array_equal(batch.tie[start:stop], tie)
+            assert np.array_equal(batch.count2[start:stop], count2)
+
+    def test_needs_a_trial(self):
+        for run in (estimate_accuracy, run_trials):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                run(_config(), 0, 3)
+
     @pytest.mark.parametrize(
         "median,label",
         [(0.05, "fast-decay"), (2.0, "reference")],

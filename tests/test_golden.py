@@ -7,9 +7,9 @@ for byte: CSVs with their ``#`` comment lines, SVG charts and the calibrated
 ``deck.json``. Any change to one of them has to be a deliberate regeneration
 of ``out/``.
 
-Every config's data rows and the calibrated ``deck.json`` are also rerun on
-numpy's AVX2 code path, as on a CPU without AVX-512: the bytes are meant to be
-a function of config and seed alone.
+Every config's data rows, the calibrated ``deck.json`` and demo 05's
+fixtures are also rerun on numpy's AVX2 code path, as on a CPU without
+AVX-512: the bytes are meant to be a function of config and seed alone.
 """
 
 import os
@@ -24,8 +24,8 @@ from memdecide.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The flags each command's committed outputs were made with, as their headers
-# record them ("svg":true, "threads":4).
+# The flags each command's committed outputs were made with. Headers record
+# "svg":true; "--threads 4" is parsed and ignored, so no header records it.
 FLAGS = {"trace": ["--svg"], "trial": [], "sweep": ["--svg", "--threads", "4"], "calibrate": []}
 
 
@@ -71,13 +71,16 @@ def _data_rows(path: Path) -> list[str]:
 def test_trace_rows_match_on_the_avx2_path(tmp_path):
     # numpy dispatches np.exp, and so retention survival, to AVX-512 code on
     # this CPU; with these targets off it takes the AVX2 code, whose last bits
-    # differ on a few percent of inputs. Every bundled config is rerun.
+    # differ on a few percent of inputs. Every bundled config is rerun, and
+    # demo 05, which writes the calibration fixtures.
     runs = [(command, config, config, csv_name) for command, config, csv_name in SIMULATIONS]
     runs.append(("calibrate", "calibrate_example", "calibration", "calibration.csv"))
     code = (
         "from numpy._core._multiarray_umath import __cpu_features__\n"
         "assert not __cpu_features__['X86_V4']\n"
+        "import runpy\n"
         "from memdecide.cli import main\n"
+        f"runpy.run_path({str(ROOT / 'demos' / '05_calibration_roundtrip.py')!r})\n"
         + "".join(f"assert main([{command!r}, '--config', {str(ROOT / 'configs' / f'{config}.cfg')!r}]) == 0\n"
                   for command, config, _, _ in runs)
     )
@@ -89,5 +92,7 @@ def test_trace_rows_match_on_the_avx2_path(tmp_path):
     for _, config, out_name, csv_name in runs:
         written, golden = (root / "out" / out_name for root in (tmp_path, ROOT))
         assert _data_rows(written / csv_name) == _data_rows(golden / csv_name), config
-    written, golden = (root / "out" / "calibration" / "deck.json" for root in (tmp_path, ROOT))
-    assert written.read_bytes() == golden.read_bytes()
+    for path in ("calibration/deck.json", "fixtures/switching.csv", "fixtures/retention.csv",
+                 "fixtures/deck.json"):
+        written, golden = (root / "out" / path for root in (tmp_path, ROOT))
+        assert written.read_bytes() == golden.read_bytes(), path

@@ -11,11 +11,13 @@ from memdecide import (
     RetentionDistribution,
     TwoAfcConfig,
     decide,
+    derive_seed,
     generate_periodic,
     run_trace_experiment,
     run_trials,
     spawn_rng,
 )
+from memdecide.experiment import _trial_batches
 from memdecide.network import gap_survival, on_probability as _recurrence
 from memdecide.stream import random_times
 from memdecide.synapse import pulse_update
@@ -66,8 +68,8 @@ class TestDecide:
         choose_a, tie = decide([2**59 + 1], [2**59], rng)
         assert choose_a.tolist() == [True] and tie.tolist() == [False]
 
-    def test_trials_run_at_two_to_the_sixty_cells(self, rng):
-        batch = run_trials(_config(n_devices=2**60), 50, rng)
+    def test_trials_run_at_two_to_the_sixty_cells(self):
+        batch = run_trials(_config(n_devices=2**60), 50, 3)
         assert np.all((0 <= batch.count1) & (batch.count1 <= 2**60))
         decided = ~batch.tie
         assert np.array_equal(batch.choose_a[decided], (batch.count1 > batch.count2)[decided])
@@ -98,10 +100,10 @@ class TestConfigValidation:
 
 
 class TestRunTrial:
-    # One trial is a batch of one: ``run_trials(cfg, 1, rng)``.
-    def test_one_sided_certain_evidence(self, rng):
+    # ``run_trials(cfg, m, seed)``: the m trials of estimate_accuracy's cell, one entry each.
+    def test_one_sided_certain_evidence(self):
         cfg = _config(n_a=40, n_b=0, p_on=1.0, median=1e9, sigma=0.0)
-        r = run_trials(cfg, 1, rng)
+        r = run_trials(cfg, 1, 4)
         assert r.choose_a[0] and r.correct[0] and not r.tie[0]
         assert r.count1[0] == 20 and r.count2[0] == 0
         assert cfg.params.current_uA(r.count1[0], 20) == 5400.0
@@ -110,25 +112,23 @@ class TestRunTrial:
     def test_no_evidence_is_a_coin_flip(self):
         cfg = _config(p_on=0.0)
         n = 400
-        results = [run_trials(cfg, 1, spawn_rng(5, i)) for i in range(n)]
-        assert all(r.tie[0] and r.count1[0] == 0 and r.count2[0] == 0 for r in results)
-        accuracy = sum(bool(r.correct[0]) for r in results) / n
+        r = run_trials(cfg, n, 5)
+        assert r.tie.all() and not r.count1.any() and not r.count2.any()
+        accuracy = np.count_nonzero(r.correct) / n
         assert abs(accuracy - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
     def test_counts_bounded_by_devices(self):
-        cfg = _config()
-        for i in range(20):
-            r = run_trials(cfg, 1, spawn_rng(6, i))
-            assert 0 <= r.count1[0] <= 20 and 0 <= r.count2[0] <= 20
+        r = run_trials(_config(), 20, 6)
+        assert np.all((0 <= r.count1) & (r.count1 <= 20) & (0 <= r.count2) & (r.count2 <= 20))
 
     def test_equal_streams_count_as_correct(self):
         cfg = _config(n_a=10, n_b=10)
-        assert all(run_trials(cfg, 1, spawn_rng(7, i)).correct[0] for i in range(20))
+        assert run_trials(cfg, 20, 7).correct.all()
 
     def test_determinism(self):
         cfg = _config()
-        first = run_trials(cfg, 1, np.random.default_rng(99))
-        second = run_trials(cfg, 1, np.random.default_rng(99))
+        first = run_trials(cfg, 300, 99)
+        second = run_trials(cfg, 300, 99)
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_decision_scale_invariance(self):
@@ -137,12 +137,11 @@ class TestRunTrial:
         # flip any seeded decision.
         base = _config(i_cc=270.0)
         scaled = _config(i_cc=2700.0)
-        for i in range(50):
-            r1 = run_trials(base, 1, spawn_rng(8, i))
-            r2 = run_trials(scaled, 1, spawn_rng(8, i))
-            assert r1.choose_a[0] == r2.choose_a[0]
-            assert scaled.params.current_uA(r2.count1[0], 20) == pytest.approx(
-                10.0 * base.params.current_uA(r1.count1[0], 20))
+        r1 = run_trials(base, 50, 8)
+        r2 = run_trials(scaled, 50, 8)
+        assert np.array_equal(r1.choose_a, r2.choose_a)
+        np.testing.assert_allclose(scaled.params.current_uA(r2.count1, 20),
+                                   10.0 * base.params.current_uA(r1.count1, 20))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     @pytest.mark.parametrize("n_a,n_b,n_devices,duration,p_on,median", [
@@ -153,13 +152,15 @@ class TestRunTrial:
         # Pulse times are uniforms times the window, and survival depends on a
         # gap only through gap / median: scaling both by a power of two is
         # exact in binary64, so no draw or count may move. An absolute time
-        # constant in the model would break this.
+        # constant in the model would break this. The stream seed derives
+        # from the window, so both configs run one (seed, stream_seed) cell.
         base = _config(n_a, n_b, n_devices, duration, p_on, median, sigma)
         for k in (-2, 1, 10):
             scaled = _config(n_a, n_b, n_devices, duration * 2.0**k, p_on, median * 2.0**k, sigma)
             for seed in range(5):
-                expected = run_trials(base, 256, spawn_rng(10, seed))
-                got = run_trials(scaled, 256, spawn_rng(10, seed))
+                cell = (derive_seed(10, seed), derive_seed(10, "streams", seed))
+                ((_, expected),) = _trial_batches([(base, *cell)], 256)
+                ((_, got),) = _trial_batches([(scaled, *cell)], 256)
                 for name, a, b in zip(expected._fields, expected, got):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, seed, name)
 
@@ -189,9 +190,7 @@ class TestRunTrial:
         n = 400
         acc = []
         for n_a, n_b in ((40, 20), (20, 40)):
-            cfg = _config(n_a=n_a, n_b=n_b)
-            acc.append(sum(bool(run_trials(cfg, 1, spawn_rng(9, i)).correct[0])
-                           for i in range(n)) / n)
+            acc.append(np.count_nonzero(run_trials(_config(n_a=n_a, n_b=n_b), n, 9).correct) / n)
         se_diff = math.sqrt(2.0 * 0.25 / n)
         assert abs(acc[0] - acc[1]) < 3.0 * se_diff
 
@@ -222,7 +221,7 @@ LAW_CASES = [
 class TestCollapsedSamplerLaw:
     """The end-of-window count sampler against the per-cell kernel, in law.
 
-    ``run_trials`` draws each count as ``binomial(N, on_probability(...))``.
+    A trial draws each count as ``binomial(N, on_probability(...))``.
     Here every row of a fixed stream matrix drives ``REPLICAS`` synapses of
     ``N`` cells through :func:`pulse_update`, and the ON counts at the window
     end are compared with the sampler on the same streams.

@@ -307,18 +307,22 @@ class TestTraceCounts:
         assert np.all(np.diff(counts) <= 0)
         assert 0 < counts[-1] <= counts[0] < 1000
 
-    def test_pulse_update_returns_written_expiries(self, rng):
-        # With p_on=0 exactly the ON cells are lit: they are refreshed, in C order.
+    def test_pulse_update_refreshes_lit_cells_in_place(self, rng):
+        # With p_on=0 exactly the ON cells are lit: each gets a fresh expiry
+        # after the pulse, and every other cell is left as it was.
         expiry = np.array([[-np.inf, 2.0, -np.inf], [0.5, 1.5, 3.0]])
         before = expiry.copy()
-        written = pulse_update(expiry, 1.0, 0.0, RetentionDistribution(0.2, 0.5), rng)
+        assert pulse_update(expiry, 1.0, 0.0, RetentionDistribution(0.2, 0.5), rng) is None
         on = before > 1.0
-        assert written.shape == (3,)
-        assert np.array_equal(written, expiry[on])
+        assert np.all(expiry[on] > 1.0) and not np.any(expiry[on] == before[on])
         assert np.array_equal(expiry[~on], before[~on])
-        written = pulse_update(expiry, 1.2, 1.0, RetentionDistribution(0.2, 0.5), rng)
-        assert np.array_equal(written, expiry.reshape(-1))
-        assert pulse_update(expiry, 10.0, 0.0, NO_DECAY, rng).size == 0
+        # At p_on=1 every cell is lit.
+        pulse_update(expiry, 1.2, 1.0, RetentionDistribution(0.2, 0.5), rng)
+        assert np.all(expiry > 1.2)
+        # No cell lit: nothing is written.
+        before = expiry.copy()
+        pulse_update(expiry, 10.0, 0.0, NO_DECAY, rng)
+        assert np.array_equal(expiry, before)
 
 
 class TestDeterminism:
