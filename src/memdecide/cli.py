@@ -27,7 +27,7 @@ run, before any simulation starts.
 Command-line flags override their config counterparts; ``--threads N`` is
 parsed and ignored (sweeps run on one thread). The effective configuration
 and the random-number layout version are echoed into every CSV as leading
-comment lines. ``trial`` writes the trial ``estimate_accuracy(cfg, 1, seed)`` counts.
+comment lines. ``trial`` writes trial 0 of ``run_trials(cfg, n, seed)``, for any ``n``.
 ``python -m memdecide.cli`` runs the same commands as ``memdecide``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.

@@ -2,34 +2,32 @@
 
 Accuracy is the fraction of correct choices over independent seeded trials,
 reported with a Wilson 95% confidence interval (well behaved both near chance
-and near saturation, the two regimes of interest). Sweep cells and trial
-chunks get their random streams from :func:`memdecide.seeding.derive_seed`,
-so a report is a pure function of its grid (master seed included), and each
-row of it a pure function of its own coordinates and the master seed.
-:func:`sweep_cells` builds every cell of a grid, and :func:`sweep` runs the
-cells it is given. Trials and traces take ``p_on`` as given; only
-:func:`sweep_cells` maps it through the deck's switching curve (see the
-comment there).
+and near saturation, the two regimes of interest). Sweep cells and their
+sets of pulse streams get their generators from
+:func:`memdecide.seeding.derive_seed`, so a report is a pure function of its
+grid (master seed included), and each row of it a pure function of its own
+coordinates and the master seed. :func:`sweep_cells` builds every cell of a
+grid, and :func:`sweep` runs the cells it is given. Trials and traces take
+``p_on`` as given; only :func:`sweep_cells` maps it through the deck's
+switching curve (see the comment there).
 
-Random-number layout, version ``RNG_LAYOUT = 7``: the trials of one cell are
-cut into chunks of ``TRIAL_CHUNK`` trials. Chunk ``c`` covers trials
-``[TRIAL_CHUNK*c, min(TRIAL_CHUNK*(c+1), trials))``. Its pulse times come
-from the cell's stream seed, which :func:`sweep_cells` derives from the
-master seed and the stream axes alone, ``derive_seed(master_seed, "streams",
-duration_s, n_a, n_b)``: ``spawn_rng(stream_seed, "chunk", c)`` draws A's
-times, then B's (:func:`memdecide.stream.random_times`). Every cell of a grid
-with that window and ratio reuses them, whatever its N, compliance current
-and ``p_on``. The rest comes from the cell's own seed: ``spawn_rng(cell_seed,
-"chunk", c)`` draws ``m`` ``binomial(N, pi_A)`` end-of-window ON counts, then
-``m`` ``binomial(N, pi_B)``, then ``m`` tie uniforms
-(:func:`memdecide.network.read_out`). A row therefore depends only on its own
-coordinates and the master seed, never on the rest of the grid, and a chunk
-can be reproduced on its own from the two generators. Rows that share streams
-are positively correlated, which tightens differences along N, the
-compliance current and ``p_on``; each row's Wilson interval is marginal.
-Every trial runs through this one layout: :func:`estimate_accuracy` and
-:func:`run_trials` run the one-cell grid whose cell seed is their master
-seed, and the ``trial`` command writes ``run_trials(cfg, 1, seed)``.
+Random-number layout, version ``RNG_LAYOUT = 8``: a cell's pulse times come
+from its stream seed, which :func:`sweep_cells` derives from the master seed
+and the stream axes alone, ``derive_seed(master_seed, "streams", duration_s,
+n_a, n_b)``: ``spawn_rng(stream_seed, "A")`` draws A's times and ``"B"``
+B's (:func:`memdecide.stream.random_times`). Every cell of a grid with that
+window and ratio reuses them, whatever its N, compliance current and
+``p_on``. The cell's own ``spawn_rng(cell_seed, "readout")`` draws each
+trial's ``binomial(N, pi_A)`` and ``binomial(N, pi_B)`` end-of-window ON
+counts and tie coin (:func:`memdecide.network.read_out`). Each generator is
+made once per run and draws trial after trial, so a run of ``n`` trials is
+the first ``n`` of every longer run, whatever ``TRIAL_CHUNK``. A row depends
+only on its own coordinates and the master seed, never on the rest of the
+grid. Rows that share streams are positively correlated, which tightens
+differences along N, the compliance current and ``p_on``; each row's Wilson
+interval is marginal. Every trial runs through this one layout:
+:func:`estimate_accuracy` and :func:`run_trials` run the one-cell grid whose
+cell seed is their master seed, and ``trial`` writes that cell's trial 0.
 
 A trace series is one generator, ``spawn_rng(series_seed, "chain")``, and
 one :func:`memdecide.synapse.trace_counts` chain over its ``repeats * N``
@@ -76,7 +74,7 @@ _Z95 = 1.959963984540054
 
 # Version of the random-number layout described in the module docstring;
 # echoed into every CSV header. Change it whenever the draws change.
-RNG_LAYOUT = 7
+RNG_LAYOUT = 8
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -201,8 +199,8 @@ def _trial_batches(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int):
     Cells that share a stream seed, window and ratio share each chunk's pulse
     times; among them, the survival of the gaps is evaluated once per
     retention law and ``pi`` once per retention law and ``p_on``. Each cell
-    then draws its counts and tie uniforms from its own seed (the layout in
-    the module docstring). A cell's chunks come in trial order.
+    then draws its counts and tie coins from its own seed (the layout in the
+    module docstring). A cell's chunks come in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -212,23 +210,24 @@ def _trial_batches(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int):
     for i, (cfg, _, stream) in enumerate(cells):
         laws = stream_sets.setdefault((stream, cfg.duration_s, cfg.n_a, cfg.n_b), {})
         laws.setdefault(cfg.params.retention, {}).setdefault(cfg.p_on, []).append(i)
+    readout = [spawn_rng(seed, "readout") for _, seed, _ in cells]
     for (stream, duration_s, n_a, n_b), laws in stream_sets.items():
-        for chunk, start in enumerate(range(0, trials, TRIAL_CHUNK)):
-            rng = spawn_rng(stream, "chunk", chunk)
-            times = [random_times(n, duration_s, min(TRIAL_CHUNK, trials - start), rng) for n in (n_a, n_b)]
+        streams = [(n, spawn_rng(stream, label)) for n, label in ((n_a, "A"), (n_b, "B"))]
+        for start in range(0, trials, TRIAL_CHUNK):
+            times = [random_times(n, duration_s, min(TRIAL_CHUNK, trials - start), rng) for n, rng in streams]
             for retention, by_p_on in laws.items():
                 survive = [gap_survival(t, duration_s, retention) for t in times]
                 for p_on, members in by_p_on.items():
                     pi_a, pi_b = [on_probability(s, p_on) for s in survive]
                     for i in members:
-                        yield i, read_out(cells[i][0], pi_a, pi_b, spawn_rng(cells[i][1], "chunk", chunk))
+                        yield i, read_out(cells[i][0], pi_a, pi_b, readout[i])
 
 
 def sweep(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int) -> list[AccuracyPoint]:
     """Estimate the accuracy of every ``(config, seed, stream_seed)`` cell over ``trials`` trials.
 
     ``cells`` is what :func:`sweep_cells` builds. Cells that share a stream
-    seed, window and ratio share each chunk's pulse times (see
+    seed, window and ratio share their pulse times (see
     :func:`_trial_batches`). Cells run on the calling thread, and results are
     reproducible bit for bit.
     """

@@ -9,17 +9,18 @@ same ``N`` cells and currents, and a synapse's current ``N*i_off + c*(i_cc -
 i_off)`` rises strictly with its ON count ``c``, so the comparator decides on
 the two ON counts: in integers the comparison stays exact at any ``N``,
 where float64 currents of adjacent counts coincide from ``N`` near ``2**55``.
-An exact tie is broken uniformly at random and flagged, which keeps the
+An exact tie is broken by a fair coin and flagged, which keeps the
 no-evidence baseline at chance level.
 
 Once a stream's pulse times are drawn the ``N`` cells of its synapse are
 independent and identically distributed, so each count is exactly
 ``Binomial(N, pi)``, ``pi`` being one cell's chance to be ON at the end. A
-trial therefore draws its pulse times and two binomial counts, and its cost
-does not grow with ``N``. Three kernels make a trial: :func:`gap_survival`
-(the retention survival of each gap, which depends on the streams and the
-retention law), :func:`on_probability` (the recurrence that turns it into
-``pi`` at one ``p_on``) and :func:`read_out` (the counts and the choice).
+trial therefore draws its pulse times, two binomial counts and a tie coin,
+and its cost does not grow with ``N``. Three kernels make a trial:
+:func:`gap_survival` (the retention survival of each gap, which depends on
+the streams and the retention law), :func:`on_probability` (the recurrence
+that turns it into ``pi`` at one ``p_on``) and :func:`read_out` (the counts,
+the coin and the choice).
 This module holds the trial's types and kernels and composes none of them:
 :mod:`memdecide.experiment` does, in one place and under one random-number
 layout, for sweeps, accuracy estimates and single trials alike.
@@ -89,17 +90,16 @@ class TrialBatch(NamedTuple):
     tie: np.ndarray
 
 
-def decide(count1, count2, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def decide(count1, count2, coin) -> tuple[np.ndarray, np.ndarray]:
     """Sign comparator on ON-count pairs; returns ``(choose_a, tie)`` arrays.
 
     The counts are compared as given, integers exactly. An exact tie goes to
-    A when its uniform is below 0.5. One uniform is drawn per pair, tie or
-    not, so the draws never depend on the outcome.
+    A where its ``coin`` is 1 and to B where it is 0. Every pair has a coin,
+    tie or not, so the draws never depend on the outcome.
     """
     count1, count2 = np.asarray(count1), np.asarray(count2)
-    u = rng.random(count1.shape)
     tie = count1 == count2
-    return np.where(tie, u < 0.5, count1 > count2), tie
+    return np.where(tie, np.asarray(coin) == 1, count1 > count2), tie
 
 
 def gap_survival(times: np.ndarray, duration_s: float, retention: RetentionDistribution) -> np.ndarray:
@@ -148,11 +148,12 @@ def on_probability(survive: np.ndarray, p_on: float) -> np.ndarray:
 def read_out(cfg: TwoAfcConfig, pi_a: np.ndarray, pi_b: np.ndarray, rng: np.random.Generator) -> TrialBatch:
     """The end of trials whose synapses are ON with ``pi_a`` and ``pi_b`` per cell, one entry per trial.
 
-    Draw order: A's ON counts ``binomial(N, pi_a)``, then B's ``binomial(N,
-    pi_b)``, then one tie uniform per trial (:func:`decide`).
+    One draw, ``binomial((N, N, 1), p)`` on the ``(m, 3)`` stack ``p`` of
+    ``(pi_a, pi_b, 0.5)``, gives each trial in turn A's ON count, B's and the
+    tie coin of :func:`decide`: no trial's draws depend on the trials after it.
     """
-    count1, count2 = rng.binomial(cfg.n_devices, pi_a), rng.binomial(cfg.n_devices, pi_b)
-    choose_a, tie = decide(count1, count2, rng)
+    n, p = cfg.n_devices, np.stack((pi_a, pi_b, np.full(len(pi_a), 0.5)), axis=1)
+    count1, count2, coin = rng.binomial((n, n, 1), p).T
+    choose_a, tie = decide(count1, count2, coin)
     correct = np.full(tie.shape, True) if cfg.n_a == cfg.n_b else choose_a == (cfg.n_a > cfg.n_b)
     return TrialBatch(choose_a, correct, count1, count2, tie)
-

@@ -26,7 +26,7 @@ __all__ = [
     "read_stream_csv",
 ]
 
-# Trials run at once, one chunk (see :mod:`memdecide.experiment`).
+# Trials held in memory at once, one chunk; no draw depends on it (see :mod:`memdecide.experiment`).
 TRIAL_CHUNK = 256
 
 

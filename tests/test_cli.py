@@ -120,7 +120,7 @@ class TestTrace:
         lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert lines[0].startswith("# command=trace")
         assert lines[1].startswith("# config=")
-        assert lines[2] == "# rng_layout=7"
+        assert lines[2] == "# rng_layout=8"
         assert lines[3] == "series,p_on,i_cc_uA,t_s,count_on,current_uA,repeat_mean"
         assert any(line.startswith("p_on=0.2,") for line in lines[3:])
 
@@ -212,16 +212,18 @@ class TestTrial:
         assert row[3:5] == [repr(c * 270.0 + (20 - c) * 0.37) for c in counts]
 
     def test_row_is_trial_zero_of_the_seeded_cell(self, tmp_path, capsys):
-        # trial writes run_trials(cfg, 1, seed): the one trial that
-        # estimate_accuracy(cfg, 1, seed) counts.
+        # trial writes trial 0 of run_trials(cfg, n, seed) for every n: the
+        # trial estimate_accuracy(cfg, n, seed) counts first.
         cfg = _write_config(tmp_path / "t.cfg", _trial_config(tmp_path / "out"))
         assert main(["trial", "--config", cfg, "--seed", "11"]) == 0
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         trial = TwoAfcConfig(20, DeviceParams(270.0, RetentionDistribution(2.0, 0.5)), 0.05, 40, 20, 2.0)
-        batch = run_trials(trial, 1, 11)
-        assert row[1] == ("A" if batch.choose_a[0] else "B")
-        assert row[2] == str(int(estimate_accuracy(trial, 1, 11).accuracy)) == str(int(batch.correct[0]))
-        assert row[5:] == [str(batch.count1[0]), str(batch.count2[0]), str(int(batch.tie[0]))]
+        for n in (1, 10, 1000):
+            batch = run_trials(trial, n, 11)
+            assert row[1] == ("A" if batch.choose_a[0] else "B"), n
+            assert row[2] == str(int(batch.correct[0])), n
+            assert row[5:] == [str(batch.count1[0]), str(batch.count2[0]), str(int(batch.tie[0]))], n
+        assert row[2] == str(int(estimate_accuracy(trial, 1, 11).accuracy))
 
     def test_no_evidence_row_is_tie(self, tmp_path, capsys):
         payload = _trial_config(tmp_path / "out")

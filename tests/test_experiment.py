@@ -23,6 +23,7 @@ from memdecide import (
     sweep_cells,
     wilson_interval,
 )
+from memdecide import experiment
 from memdecide.experiment import TRIAL_CHUNK, sample_count
 from memdecide.network import gap_survival, on_probability
 from memdecide.stream import random_times
@@ -49,24 +50,22 @@ def _fixed_retention_sweep(trials, median, **axes):
     return sweep(sweep_cells(**axes, deck=deck), trials)
 
 
-def _chunk(cfg, stream_seed, seed, c, m):
-    """Chunk ``c`` of ``m`` trials, by hand: ``(correct, tie, count2)`` arrays.
+def _cell_trials(cfg, stream_seed, seed, m):
+    """The first ``m`` trials of a cell, by hand: ``(correct, tie, count2)`` arrays.
 
-    The pulse times come from ``spawn_rng(stream_seed, "chunk", c)``, A's then
-    B's; the counts, A's then B's, and the tie uniforms from ``spawn_rng(seed,
-    "chunk", c)``.
+    A's pulse times come from ``spawn_rng(stream_seed, "A")`` and B's from
+    ``spawn_rng(stream_seed, "B")``; each trial's A count, B count and tie
+    coin, in turn, from one ``binomial`` draw of ``spawn_rng(seed,
+    "readout")``.
     """
-    rng = spawn_rng(stream_seed, "chunk", c)
-    times = [random_times(n, cfg.duration_s, m, rng) for n in (cfg.n_a, cfg.n_b)]
-    rng = spawn_rng(seed, "chunk", c)
-    count1, count2 = [
-        rng.binomial(cfg.n_devices,
-                     on_probability(gap_survival(t, cfg.duration_s, cfg.params.retention), cfg.p_on))
-        for t in times
-    ]
-    u = rng.random(m)
+    pi = [on_probability(gap_survival(random_times(n, cfg.duration_s, m, spawn_rng(stream_seed, label)),
+                                      cfg.duration_s, cfg.params.retention), cfg.p_on)
+          for n, label in ((cfg.n_a, "A"), (cfg.n_b, "B"))]
+    n = cfg.n_devices
+    draws = spawn_rng(seed, "readout").binomial((n, n, 1), np.stack((*pi, np.full(m, 0.5)), axis=1))
+    count1, count2, coin = draws.T
     tie = count1 == count2
-    choose_a = np.where(tie, u < 0.5, count1 > count2)
+    choose_a = np.where(tie, coin == 1, count1 > count2)
     return choose_a == (cfg.n_a > cfg.n_b), tie, count2
 
 
@@ -177,39 +176,28 @@ class TestEstimateAccuracy:
         assert point.ci_low <= point.accuracy <= point.ci_high
         assert point.n_trials == 50
 
-    def test_split_at_chunk_boundary_is_exact(self):
-        # Chunk c of a run draws its streams from the stream seed and its
-        # counts and tie uniforms from the run's seed, both as
-        # spawn_rng(., "chunk", c), so each chunk can be run on its own.
-        cfg = _config(p_on=0.2)
-        whole = estimate_accuracy(cfg, trials=2 * TRIAL_CHUNK, master_seed=3)
-        streams = derive_seed(3, "streams", 2.0, 40, 20)
-        parts = [_chunk(cfg, streams, 3, c, TRIAL_CHUNK) for c in (0, 1)]
-        assert round(whole.accuracy * whole.n_trials) == sum(
-            int(np.count_nonzero(correct)) for correct, _, _ in parts
-        )
-        assert whole.n_ties == sum(int(np.count_nonzero(tie)) for _, tie, _ in parts)
-        # Each chunk draws its own streams (A's 40 pulses nearly saturate its
-        # synapse, so B's counts show it).
-        assert not np.array_equal(parts[0][2], parts[1][2])
-
     @pytest.mark.parametrize("trials", [1, TRIAL_CHUNK, 2 * TRIAL_CHUNK + 3])
     def test_run_trials_are_the_trials_it_counts(self, trials):
         # run_trials returns estimate_accuracy's cell trial by trial, across
-        # chunk boundaries and into a partial last chunk.
+        # chunk boundaries and into a partial last chunk, as one unchunked
+        # draw of each generator rebuilds it.
         cfg = _config(p_on=0.2)
         batch = run_trials(cfg, trials, 3)
         point = estimate_accuracy(cfg, trials, 3)
         assert all(field.shape == (trials,) for field in batch)
         assert round(point.accuracy * trials) == np.count_nonzero(batch.correct)
         assert point.n_ties == np.count_nonzero(batch.tie)
-        streams = derive_seed(3, "streams", 2.0, 40, 20)
-        for c, start in enumerate(range(0, trials, TRIAL_CHUNK)):
-            stop = min(start + TRIAL_CHUNK, trials)
-            correct, tie, count2 = _chunk(cfg, streams, 3, c, stop - start)
-            assert np.array_equal(batch.correct[start:stop], correct)
-            assert np.array_equal(batch.tie[start:stop], tie)
-            assert np.array_equal(batch.count2[start:stop], count2)
+        correct, tie, count2 = _cell_trials(cfg, derive_seed(3, "streams", 2.0, 40, 20), 3, trials)
+        assert np.array_equal(batch.correct, correct)
+        assert np.array_equal(batch.tie, tie)
+        assert np.array_equal(batch.count2, count2)
+
+    @pytest.mark.parametrize("trials", [1, 2, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 3])
+    def test_a_run_is_a_prefix_of_a_longer_one(self, trials):
+        cfg = _config(p_on=0.2)
+        longer = run_trials(cfg, 700, 11)
+        for name, field, whole in zip(longer._fields, run_trials(cfg, trials, 11), longer):
+            assert np.array_equal(field, whole[:trials]), name
 
     def test_needs_a_trial(self):
         for run in (estimate_accuracy, run_trials):
@@ -234,7 +222,7 @@ class TestEstimateAccuracy:
 class TestSweep:
     def test_single_cell_equals_estimate(self):
         # A cell's streams come from derive_seed(master_seed, "streams",
-        # duration_s, n_a, n_b), its counts and tie uniforms from its cell
+        # duration_s, n_a, n_b), its counts and tie coins from its cell
         # seed; estimate_accuracy is the one-cell sweep whose stream seed
         # derives from its own seed the same way.
         cells = sweep_cells(
@@ -255,7 +243,7 @@ class TestSweep:
         )
         assert cells == [(cfg, cell_seed, streams)]
         point = sweep(cells, 40)[0]
-        correct, tie, _ = _chunk(cfg, streams, cell_seed, 0, 40)
+        correct, tie, _ = _cell_trials(cfg, streams, cell_seed, 40)
         assert point.accuracy == np.count_nonzero(correct) / 40
         assert point.n_ties == np.count_nonzero(tie)
         own_streams = derive_seed(cell_seed, "streams", 2.0, 40, 20)
@@ -295,6 +283,35 @@ class TestSweep:
                                           p_on_values=[0.02, 0.05, 0.1])), 300)
         assert len(points) == 21
         assert len(calls) == one_cell == 4
+
+    def test_chunk_size_changes_no_draw(self, monkeypatch):
+        # TRIAL_CHUNK bounds the trials held at once and nothing else.
+        axes = dict(durations_s=[0.5, 2.0], ratios=[(40, 20)], device_counts=[5, 20],
+                    i_cc_values_uA=[270.0], p_on_values=[0.05, 0.2], master_seed=29)
+        cfg = _config(p_on=0.2)
+        expected = sweep(sweep_cells(**axes), 300), run_trials(cfg, 300, 3)
+        for chunk in (7, 1000):
+            monkeypatch.setattr(experiment, "TRIAL_CHUNK", chunk)
+            points, batch = sweep(sweep_cells(**axes), 300), run_trials(cfg, 300, 3)
+            assert points == expected[0], chunk
+            assert all(np.array_equal(a, b) for a, b in zip(batch, expected[1])), chunk
+
+    def test_generators_per_stream_set_and_cell(self, monkeypatch):
+        # Two per stream set (A's and B's times) and one per cell (its
+        # readout), whatever the number of trials.
+        labels = []
+
+        def counted(root, *parts):
+            labels.append(parts)
+            return spawn_rng(root, *parts)
+
+        monkeypatch.setattr(experiment, "spawn_rng", counted)
+        cells = sweep_cells(durations_s=[0.5, 2.0], ratios=[(40, 20)], device_counts=[5, 20, 50],
+                            i_cc_values_uA=[270.0], p_on_values=[0.05, 0.2], master_seed=31)
+        for trials in (1, 3 * TRIAL_CHUNK + 1):
+            labels.clear()
+            sweep(cells, trials)
+            assert sorted(labels) == [("A",)] * 2 + [("B",)] * 2 + [("readout",)] * 12, trials
 
     def test_deterministic(self):
         axes = dict(

@@ -13,6 +13,7 @@ AVX-512: the bytes are meant to be a function of config and seed alone.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,3 +97,18 @@ def test_trace_rows_match_on_the_avx2_path(tmp_path):
                  "fixtures/deck.json"):
         written, golden = (root / "out" / path for root in (tmp_path, ROOT))
         assert written.read_bytes() == golden.read_bytes(), path
+
+
+def test_readme_refresh_commands_are_the_golden_runs():
+    # The README's commands for regenerating out/ run every config above, with FLAGS.
+    readme = (ROOT / "README.md").read_text()
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "memdecide.cli trace" in b]
+    runs = []
+    for line in block.splitlines():
+        loop = re.fullmatch(r"for c in ([\w ]+); do (.*); done", line)
+        command, config, flags = re.fullmatch(r"python -m memdecide\.cli (\w+) --config configs/(\S+)\.cfg ?(.*)",
+                                              loop[2] if loop else line).groups()
+        runs += [(command, config.replace("$c", c), flags.split()) for c in (loop[1].split() if loop else [config])]
+    expected = [(command, config) for command, config, _ in SIMULATIONS] + [("calibrate", "calibrate_example")]
+    assert [run[:2] for run in runs] == expected
+    assert all(flags == FLAGS[command] for command, _, flags in runs)

@@ -48,24 +48,28 @@ def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05,
 
 
 class TestDecide:
-    def test_sign_comparison(self, rng):
-        choose_a, tie = decide([9, 0], [3, 1], rng)
-        assert choose_a.tolist() == [True, False]
-        assert tie.tolist() == [False, False]
+    def test_sign_comparison(self):
+        for coin in ([0, 0], [1, 1]):
+            choose_a, tie = decide([9, 0], [3, 1], coin)
+            assert choose_a.tolist() == [True, False]
+            assert tie.tolist() == [False, False]
 
-    def test_tie_is_uniform(self, rng):
+    def test_tie_is_uniform(self):
+        # A tie takes its coin (1 is A), and read_out's coins are fair.
+        choose_a, tie = decide([5, 5], [5, 5], [1, 0])
+        assert choose_a.tolist() == [True, False] and tie.all()
         n = 10_000
-        choose_a, tie = decide(np.full(n, 5), np.full(n, 5), rng)
-        assert tie.all()
-        a_rate = np.count_nonzero(choose_a) / n
+        batch = run_trials(_config(p_on=0.0), n, 3)
+        assert batch.tie.all()
+        a_rate = np.count_nonzero(batch.choose_a) / n
         assert abs(a_rate - 0.5) < 3.0 * math.sqrt(0.25 / n)
 
-    def test_adjacent_large_counts_are_not_a_tie(self, rng):
+    def test_adjacent_large_counts_are_not_a_tie(self):
         # Both counts give one float64 current (2**59 * 270 uA), but the
         # comparator reads the counts, which differ.
         params = DeviceParams(270.0, RetentionDistribution(1.0))
         assert params.current_uA(2**59 + 1, 2**60) == params.current_uA(2**59, 2**60)
-        choose_a, tie = decide([2**59 + 1], [2**59], rng)
+        choose_a, tie = decide([2**59 + 1], [2**59], [0])
         assert choose_a.tolist() == [True] and tie.tolist() == [False]
 
     def test_trials_run_at_two_to_the_sixty_cells(self):
