@@ -9,7 +9,7 @@ one cell go through that lifecycle.
 import numpy as np
 
 from memdecide import DeviceParams, RetentionDistribution, SwitchingCurve
-from memdecide.synapse import pulse_update
+from memdecide.synapse import trace_counts
 
 rng = np.random.default_rng(1)
 
@@ -22,31 +22,28 @@ for v in (0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75):
 
 # Retention is lognormal; the median scales with the compliance current. Here
 # one second, with a half-decade of spread.
-params = DeviceParams(
-    i_cc_uA=300.0,
-    retention=RetentionDistribution(median_s=1.0, sigma_log=0.5),
-)
-draws = params.retention.sample(rng, 5)
+retention = RetentionDistribution(median_s=1.0, sigma_log=0.5)
+params = DeviceParams(i_cc_uA=300.0, retention=retention)
+draws = retention.median_s * np.exp(retention.sigma_log * rng.standard_normal(5))
 print("\nfive retention times (s):", " ".join(f"{d:.2f}" for d in draws))
 
-# The cell's whole state is the time its filament dissolves: it is ON at t
-# while that expiry is after t, and -inf means it has never switched. A
-# synapse is an array of such expiries; this one has a single cell. The
-# simulation takes a pulse's switching probability, which the curve gives for
-# the pulse's amplitude. Fire ten pulses at the half-switching amplitude and
-# read the cell after each one.
-expiry = np.full(1, -np.inf)
+# Each pulse switches an OFF cell with the probability the curve gives for its
+# amplitude, and gives a lit cell a fresh retention time. trace_counts reads
+# the ON count of a pool of fresh cells at sorted times; with a pool of one it
+# is this cell's own process, 1 while ON and 0 while OFF, and a read at a pulse
+# time sees that pulse. Fire ten pulses at the half-switching amplitude and
+# read the cell at each one, then after the train.
 v_pulse = 0.6
 p_on = float(curve.probability(v_pulse))
+pulse_times = 0.1 * np.arange(10)
+after = np.array([1.0, 1.5, 2.0, 3.0, 5.0])
+counts = trace_counts(1, pulse_times, p_on, retention, np.concatenate((pulse_times, after)), rng)
 print(f"\npulse train at {v_pulse:.1f} V (p_on = {p_on}), one pulse per 100 ms:")
-for k in range(10):
-    t = 0.1 * k
-    pulse_update(expiry, t, p_on, params.retention, rng)
-    count = int(expiry[0] > t)
+for t, count in zip(pulse_times, counts):
     print(f"  t={t:.1f} s: {'ON' if count else 'off'}, "
           f"read current {params.current_uA(count, 1):.0f} uA")
 
 # After the train stops the filament dissolves on its own.
 print("\nafter the train:")
-for t in (1.0, 1.5, 2.0, 3.0, 5.0):
-    print(f"  t={t:.1f} s: {'still ON' if expiry[0] > t else 'relaxed OFF'}")
+for t, count in zip(after, counts[pulse_times.size:]):
+    print(f"  t={t:.1f} s: {'still ON' if count else 'relaxed OFF'}")

@@ -23,8 +23,9 @@ mechanisms drive the dynamics:
 A pulse delivered to a cell that is already ON rebuilds the filament: the
 expiry is resampled from the retention distribution (refresh, not stacking).
 This module holds the parameters of that model, and every field must be
-finite. :func:`memdecide.synapse.pulse_update` defines the model, one
-filament-expiry time per cell; the commands draw the ON counts it implies.
+finite. The commands draw the ON counts that the model implies; the tests
+hold them to ``tests/reference_kernel.py``, which keeps one filament-expiry
+time per cell.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class RetentionDistribution:
 
     ``sigma_log`` is the standard deviation of the natural log of the retention
     time; 0 degenerates to a deterministic retention of exactly ``median_s``.
-    Samples are strictly positive.
+    Retention times are strictly positive.
     """
 
     median_s: float
@@ -116,21 +117,17 @@ class RetentionDistribution:
         if self.sigma_log < 0.0:
             raise ValueError(f"sigma_log must be >= 0, got {self.sigma_log}")
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw retention time(s) in seconds."""
-        z = rng.standard_normal(size)
-        return self.median_s * np.exp(self.sigma_log * z)
-
     def survival(self, d, out=None) -> np.ndarray:
         """``P(R > d)`` for a retention time ``R``, elementwise over an array of ``d >= 0``.
 
         At ``sigma_log = 0`` this is the step ``d < median_s``: a filament
-        that lives exactly ``d`` is OFF at ``d``, as in the kernel's strict
-        ``expiry > t``. Otherwise it is ``erfc(ln(d / median_s) / (sigma_log
-        * sqrt(2))) / 2`` through :func:`memdecide._normal.erfc`, the Cephes
-        ``erfc`` on numpy arrays, so no run needs scipy. ``out``, a
-        C-contiguous float64 array of ``d``'s shape, receives the result and
-        may be ``d`` itself; by default it is a new array.
+        that lives exactly ``d`` is OFF at ``d``, as a cell is ON only while
+        its expiry is strictly after the read time. Otherwise it is
+        ``erfc(ln(d / median_s) / (sigma_log * sqrt(2))) / 2`` through
+        :func:`memdecide._normal.erfc`, the Cephes ``erfc`` on numpy arrays,
+        so no run needs scipy. ``out``, a C-contiguous float64 array of
+        ``d``'s shape, receives the result and may be ``d`` itself; by
+        default it is a new array.
         """
         d = np.asarray(d, dtype=float)
         x = np.empty(d.shape) if out is None else out

@@ -24,9 +24,10 @@ the coin and the choice).
 This module holds the trial's types and kernels and composes none of them:
 :mod:`memdecide.experiment` does, in one place and under one random-number
 layout, for sweeps, accuracy estimates and single trials alike.
-The per-cell kernel :func:`memdecide.synapse.pulse_update` still defines the
-model: ``pi`` is derived from it, and the tests check this sampler and the
-trace chain against it in law.
+``pi`` is the law of one cell of the model in :mod:`memdecide.device`. The
+tests check this sampler in law against the per-cell reference kernel
+``tests/reference_kernel.py``, and ``pi`` against the exact oracle
+``tests/exact_accuracy.py``; neither imports memdecide.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def on_probability(survive: np.ndarray, p_on: float) -> np.ndarray:
     before it and refreshed, or OFF and switched) with probability
     ``q_1 = p_on``, ``q_j = p_on + (1 - p_on) * q_{j-1} * S(t_j - t_{j-1})``,
     and is ON at the end with ``pi = q_K * S(duration_s - t_K)``; ``pi = 0``
-    for a stream without pulses. This is the law of one cell under
-    :func:`memdecide.synapse.pulse_update`. The recurrence runs in place, one
+    for a stream without pulses: the law of one cell of the model, which
+    ``tests/reference_kernel.py`` simulates. The recurrence runs in place, one
     contiguous row of ``survive`` per pulse (which it leaves as it is), with
     the roundings of the formula as written: ``(1 - p_on) * q``, then ``*
     S``, then ``p_on +``.

@@ -9,14 +9,12 @@ synaptic weight is the number of cells currently ON; the summed current is
 weight only decays, as individual filaments dissolve.
 
 A cell is ON at time ``t`` if and only if its filament-expiry time is after
-``t`` (``-inf`` for a cell that has never switched). :func:`pulse_update`,
-one pulse over an expiry array of any shape ``(..., N)``, is the one
-state-update kernel and the definition of the model; the tests hold the
-commands to it in law. Neither command runs it: a pulse gives every lit cell
-a fresh retention time, so after it only the number of lit cells matters.
-Traces draw that number as one chain (:func:`trace_counts`), and trials the
-end-of-window count (:mod:`memdecide.network`). The cell model and its
-parameters are described in :mod:`memdecide.device`.
+``t``. A pulse gives every lit cell (ON, or just switched) a fresh retention
+time, so after it only the number of lit cells matters. Traces draw that
+number as one chain (:func:`trace_counts`), and trials the end-of-window
+count (:mod:`memdecide.network`); the tests hold both in law to
+``tests/reference_kernel.py``, which keeps every cell's expiry time. The cell
+model and its parameters are described in :mod:`memdecide.device`.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 
 from .device import RetentionDistribution
 
-__all__ = ["Trace", "pulse_update", "trace_counts"]
+__all__ = ["Trace", "trace_counts"]
 
 
 class Trace(NamedTuple):
@@ -36,37 +34,6 @@ class Trace(NamedTuple):
     times: np.ndarray
     count_on: np.ndarray
     current_uA: np.ndarray
-
-
-def pulse_update(
-    expiry: np.ndarray,
-    t: float,
-    p_on,
-    retention: RetentionDistribution,
-    rng: np.random.Generator,
-) -> None:
-    """Deliver one pulse at time ``t`` to every cell of ``expiry`` (shape ``(..., N)``), in place.
-
-    A cell whose expiry is at or before ``t`` is OFF. Every OFF cell switches
-    with probability ``p_on``, and every lit cell (ON, or just switched) gets
-    the expiry ``t + retention`` (refresh, not stack). Draws: one uniform per
-    cell, then one retention time per lit cell, both in C order. Every other
-    cell is OFF from ``t`` on.
-
-    The kernel stores the sum ``t_j + R`` and later tests ``expiry > t``;
-    :func:`trace_counts`, :func:`memdecide.network.on_probability` and the
-    exact oracles test the age instead, ``t - t_j < R``. The two agree
-    except where the sum rounds across a tie that the exact age does not
-    reach, which a continuous ``R`` hits with probability zero. At
-    ``sigma_log = 0`` it can be hit: ``1.9 + 0.15`` rounds to ``2.05``, while
-    ``2.05 - 1.9`` is ``0.14999999999999991``, so a cell with a 0.15 s
-    filament lit at 1.9 s reads OFF at 2.05 s here and ON in the age form.
-    This is why the law tests that hold the chain to this kernel at
-    ``sigma_log = 0`` place the median off their sample grid.
-    """
-    lit = (expiry > t) | (rng.random(expiry.shape) < p_on)
-    idx = np.flatnonzero(lit)
-    np.put(expiry, idx, t + retention.sample(rng, idx.size))
 
 
 def trace_counts(

@@ -38,9 +38,10 @@ from memdecide import (
     spawn_rng,
 )
 from memdecide.cli import main as cli_main
-from memdecide.synapse import pulse_update, trace_counts
+from memdecide.synapse import trace_counts
 
 from exact_accuracy import exact_accuracy, expected_on_count_no_decay
+from reference_kernel import retention_times
 
 MASTER_SEED = 2026
 SIGMA_LOG = 0.5
@@ -79,8 +80,8 @@ def _accuracy(n_a, n_b, n_devices, duration, retention, p_on, trials, label):
 def test_binomial_oracle_equivalence():
     """Mean final ON count matches n(1-(1-p)^k) within 3 SE, decay disabled.
 
-    All trials of a case are rows of one ``(trials, n)`` expiry array driven
-    by the shared pulse kernel.
+    The ``trials × n`` cells of a case are one pool of fresh cells, traced by
+    the chain that trace runs and read once after the train.
     """
     no_decay = RetentionDistribution(1e9, 0.0)
     trials = 10_000
@@ -89,10 +90,8 @@ def test_binomial_oracle_equivalence():
     details = []
     for n, p, k in cases:
         rng = spawn_rng(MASTER_SEED, "binomial-oracle", n, p, k)
-        expiry = np.full((trials, n), -np.inf)
-        for j in range(k):
-            pulse_update(expiry, 0.1 * j, p, no_decay, rng)
-        mean = np.count_nonzero(expiry > 0.1 * k) / trials
+        (count,) = trace_counts(trials * n, 0.1 * np.arange(k), p, no_decay, np.array([0.1 * k]), rng)
+        mean = count / trials
         expected = expected_on_count_no_decay(n, p, k)
         q = 1.0 - (1.0 - p) ** k
         se = math.sqrt(n * q * (1.0 - q) / trials)
@@ -359,7 +358,7 @@ def test_cli_determinism(tmp_path, capsys):
     )
     ret_rows = []
     for i_cc, med in ((10.0, 0.01), (300.0, 1.0)):
-        for s in RetentionDistribution(med, 0.5).sample(rng, 40):
+        for s in retention_times(rng, med, 0.5, 40):
             ret_rows.append(f"{i_cc!r},{float(s)!r}")
     ret_csv = tmp_path / "ret.csv"
     ret_csv.write_text("i_cc_uA,retention_s\n" + "\n".join(ret_rows) + "\n")
@@ -416,8 +415,7 @@ def test_calibration_round_trips():
     )
     sw_ok = abs(fitted.v_median - 0.6) <= 0.01 and abs(fitted.v_spread - 0.05) <= 0.01
 
-    true_ret = RetentionDistribution(0.1, 0.5)
-    samples = true_ret.sample(rng, 10_000)
+    samples = retention_times(rng, 0.1, 0.5, 10_000)
     table, _ = fit_retention([RetentionRecord(100.0, float(s)) for s in samples])
     (_, fitted_ret), = table
     ret_ok = (

@@ -24,6 +24,8 @@ from memdecide import (
     write_deck,
 )
 
+from reference_kernel import retention_times
+
 
 def _synthetic_switching(curve, n, rng, lo=0.4, hi=0.8):
     v = rng.uniform(lo, hi, n)
@@ -171,8 +173,7 @@ class TestRetentionFit:
         assert stderrs == [(0.0, 0.0)]
 
     def test_round_trip_recovers_generator(self, rng):
-        true = RetentionDistribution(0.1, 0.5)
-        samples = true.sample(rng, 10_000)
+        samples = retention_times(rng, 0.1, 0.5, 10_000)
         table, _ = fit_retention([RetentionRecord(50.0, float(s)) for s in samples])
         (_, fitted), = table
         assert fitted.median_s == pytest.approx(0.1, rel=0.02)
@@ -181,9 +182,9 @@ class TestRetentionFit:
     def test_standard_errors_match_replicate_spread(self, rng):
         # The asymptotic SEs at the truth against the spread of 400 fits of
         # 300 records each; the spread's own relative SE is about 1/sqrt(800).
-        true, n, reps = RetentionDistribution(0.1, 0.5), 300, 400
-        fits = [fit_retention([RetentionRecord(50.0, float(s)) for s in true.sample(rng, n)])
-                for _ in range(reps)]
+        n, reps = 300, 400
+        fits = [fit_retention([RetentionRecord(50.0, float(s))
+                               for s in retention_times(rng, 0.1, 0.5, n)]) for _ in range(reps)]
         medians = [table[0][1].median_s for table, _ in fits]
         sigmas = [table[0][1].sigma_log for table, _ in fits]
         se_median = np.median([se[0][0] for _, se in fits])
@@ -196,7 +197,7 @@ class TestRetentionFit:
     def test_two_groups_sorted_and_monotone(self, rng):
         records = []
         for i_cc, median in ((300.0, 1.0), (10.0, 0.01)):
-            for s in RetentionDistribution(median, 0.3).sample(rng, 50):
+            for s in retention_times(rng, median, 0.3, 50):
                 records.append(RetentionRecord(i_cc, float(s)))
         import warnings
 

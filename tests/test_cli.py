@@ -21,6 +21,8 @@ from memdecide import cli
 from memdecide.cli import build_parser, main
 from memdecide.stream import random_times
 
+from reference_kernel import retention_times
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -107,7 +109,7 @@ def _calibration_fixtures(tmp_path, rng):
     ret = tmp_path / "ret.csv"
     rows = []
     for i_cc, median in ((10.0, 0.01), (300.0, 1.0)):
-        for s in RetentionDistribution(median, 0.5).sample(rng, 100):
+        for s in retention_times(rng, median, 0.5, 100):
             rows.append(f"{i_cc!r},{float(s)!r}")
     ret.write_text("i_cc_uA,retention_s\n" + "\n".join(rows) + "\n")
     return sw, ret

@@ -1,8 +1,10 @@
 """Single-cell model: switching curve, retention law, pulse and relaxation lifecycle.
 
-The lifecycle tests drive one cell, or many independent ones, with
-:func:`memdecide.synapse.pulse_update` on an expiry vector, the only cell
-state: a cell is ON at ``t`` while its expiry is after ``t``.
+The lifecycle tests drive one cell, or many independent ones, with the
+per-cell reference kernel (``reference_kernel.pulse_update``) on an expiry
+vector, the only cell state: a cell is ON at ``t`` while its expiry is after
+``t``. They pin the model that the trace chain and the trial sampler are
+held to, and read the cells through ``DeviceParams.current_uA``.
 """
 
 import math
@@ -14,7 +16,8 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from memdecide import DeviceParams, RetentionDistribution, SwitchingCurve
-from memdecide.synapse import pulse_update
+
+from reference_kernel import pulse_update, retention_times
 
 CURVE = SwitchingCurve(v_median=0.6, v_spread=0.05)
 P_CERTAIN = 1.0
@@ -35,7 +38,7 @@ def _params(median_s=1.0, sigma_log=0.0, i_cc=300.0, **kw):
 
 def _pulse(expiry, t, p_on, params, rng):
     """Deliver one pulse to the cells of ``expiry``; returns the array."""
-    pulse_update(expiry, t, p_on, params.retention, rng)
+    pulse_update(expiry, t, p_on, params.retention.median_s, params.retention.sigma_log, rng)
     return expiry
 
 
@@ -99,24 +102,6 @@ class TestSwitchingCurve:
 
 
 class TestRetention:
-    def test_degenerate_spread_is_exact(self, rng):
-        dist = RetentionDistribution(median_s=1.0, sigma_log=0.0)
-        assert dist.sample(rng) == 1.0
-
-    def test_median_convergence(self, rng):
-        dist = RetentionDistribution(median_s=1.0, sigma_log=0.5)
-        samples = dist.sample(rng, size=100_000)
-        assert np.all(samples > 0.0)
-        # Sample-median standard error is ~1.2533 * sigma_log / sqrt(n) in the
-        # log domain, about 0.2% here; [0.98, 1.02] is a ~10-sigma band.
-        assert 0.98 <= np.median(samples) <= 1.02
-
-    def test_millisecond_scale(self, rng):
-        dist = RetentionDistribution(median_s=0.01, sigma_log=0.5)
-        samples = dist.sample(rng, size=100_000)
-        assert np.all(samples > 0.0)
-        assert 0.0098 <= np.median(samples) <= 0.0102
-
     @pytest.mark.parametrize("median,sigma", [(0.0, 0.5), (-1.0, 0.5), (1.0, -0.1)])
     def test_invalid_parameters_rejected(self, median, sigma):
         with pytest.raises(ValueError):
@@ -150,9 +135,10 @@ class TestRetentionSurvival:
 
     @pytest.mark.parametrize("median,sigma", [(0.05, 0.5), (2.0, 0.5), (2.0, 0.0)])
     def test_matches_sampled_frequency(self, rng, median, sigma):
+        # Against retention times drawn by the reference kernel's own sampler.
         dist = RetentionDistribution(median, sigma)
         n = 10**5
-        samples = dist.sample(rng, n)
+        samples = retention_times(rng, median, sigma, n)
         d = median * np.array([0.3, 0.8, 1.0, 1.5, 4.0])
         s = dist.survival(d)
         freq = (samples[:, np.newaxis] > d).mean(axis=0)

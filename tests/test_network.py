@@ -20,9 +20,9 @@ from memdecide import (
 from memdecide.experiment import _trial_batches
 from memdecide.network import gap_survival, on_probability as _recurrence
 from memdecide.stream import random_times
-from memdecide.synapse import pulse_update
 
 from exact_accuracy import _on_probability as exact_on_probability
+from reference_kernel import on_counts
 
 
 def on_probability(times, duration, p_on, retention):
@@ -223,12 +223,12 @@ LAW_CASES = [
 
 
 class TestCollapsedSamplerLaw:
-    """The end-of-window count sampler against the per-cell kernel, in law.
+    """The end-of-window count sampler against the per-cell reference kernel, in law.
 
     A trial draws each count as ``binomial(N, on_probability(...))``.
     Here every row of a fixed stream matrix drives ``REPLICAS`` synapses of
-    ``N`` cells through :func:`pulse_update`, and the ON counts at the window
-    end are compared with the sampler on the same streams.
+    ``N`` cells through ``reference_kernel.on_counts``, and the ON counts at
+    the window end are compared with the sampler on the same streams.
     """
 
     N = 10
@@ -236,13 +236,8 @@ class TestCollapsedSamplerLaw:
 
     def _kernel_counts(self, retention, p_on, times, duration, rng):
         """ON counts at ``duration``, shape ``(rows, REPLICAS)``: each stream row in turn."""
-        counts = []
-        for row in times:
-            expiry = np.full((self.REPLICAS, self.N), -np.inf)
-            for t in row:
-                pulse_update(expiry, t, p_on, retention, rng)
-            counts.append(np.count_nonzero(expiry > duration, axis=1))
-        return np.array(counts)
+        return np.array([on_counts((self.REPLICAS, self.N), row, p_on, retention.median_s,
+                                   retention.sigma_log, [duration], rng)[:, 0] for row in times])
 
     @pytest.mark.parametrize("case,retention,p_on,times,duration", LAW_CASES,
                              ids=[c[0] for c in LAW_CASES])

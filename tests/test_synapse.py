@@ -1,9 +1,12 @@
 """Parallel synapse: vectorized switching, relaxation, traces, oracles.
 
-A synapse is its expiry array: these tests drive it with ``pulse_update`` and
-read it by counting the cells whose expiry is after the read time, which is
-what ON means. ``trace_counts``, the pooled chain that traces run, is held
-to that kernel in law: mean, variance and lag-1 covariance over the samples.
+``trace_counts`` is the pooled chain that traces run. It is held in law to
+the per-cell reference kernel of ``reference_kernel.py``, whose synapse is
+an expiry array read by counting the cells whose expiry is after the read
+time, which is what ON means: mean, variance and lag-1 covariance over the
+samples. With decay disabled the chain's final count is held to the closed
+form, and so is the kernel's (``TestStimulate``), so that the kernel answers
+to something besides the chain.
 """
 
 import math
@@ -20,9 +23,10 @@ from memdecide import (
     spawn_rng,
 )
 from memdecide.device import check_p_on
-from memdecide.synapse import pulse_update, trace_counts
+from memdecide.synapse import trace_counts
 
 from exact_accuracy import expected_on_count_no_decay
+from reference_kernel import on_counts, pulse_update
 
 P_CERTAIN = 1.0
 P_NEVER = 0.0
@@ -33,6 +37,11 @@ NO_DECAY = RetentionDistribution(median_s=1e9, sigma_log=0.0)
 
 def _params(retention=NO_DECAY, **kw):
     return DeviceParams(i_cc_uA=300.0, retention=retention, **kw)
+
+
+def _law(retention):
+    """``(median, sigma)``, the reference kernel's arguments for ``retention``."""
+    return retention.median_s, retention.sigma_log
 
 
 def _read(expiry, params, t):
@@ -48,15 +57,9 @@ def _trace(n, stream, p_on, retention, samples, rng):
 
 
 def _final_counts(n, p, k, trials, seed):
-    """Final ON counts after k pulses with decay disabled, one per trial."""
-    counts = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        rng = spawn_rng(seed, i)
-        expiry = np.full(n, -np.inf)
-        for j in range(k):
-            pulse_update(expiry, 0.1 * j, p, NO_DECAY, rng)
-        counts[i] = np.count_nonzero(expiry > 0.1 * k)
-    return counts
+    """Reference-kernel ON counts after k pulses with decay disabled, one per trial."""
+    return np.array([on_counts((1, n), 0.1 * np.arange(k), p, *_law(NO_DECAY), [0.1 * k],
+                               spawn_rng(seed, i))[0, 0] for i in range(trials)])
 
 
 class TestConstruction:
@@ -76,12 +79,12 @@ class TestConstruction:
 class TestStimulate:
     def test_certain_switching(self, rng):
         expiry = np.full(10, -np.inf)
-        pulse_update(expiry, 0.0, P_CERTAIN, NO_DECAY, rng)
+        pulse_update(expiry, 0.0, P_CERTAIN, *_law(NO_DECAY), rng)
         assert np.count_nonzero(expiry > 0.0) == 10
 
     def test_impossible_switching(self, rng):
         expiry = np.full(10, -np.inf)
-        pulse_update(expiry, 0.0, P_NEVER, NO_DECAY, rng)
+        pulse_update(expiry, 0.0, P_NEVER, *_law(NO_DECAY), rng)
         assert np.count_nonzero(expiry > 0.0) == 0
 
     @pytest.mark.parametrize("p_on", [-0.1, 1.1, math.nan])
@@ -117,7 +120,7 @@ class TestRead:
         # read the current is the ON count times the ON current.
         params = _params(retention=RetentionDistribution(1.0, 0.5))
         expiry = np.full(10, -np.inf)
-        pulse_update(expiry, 0.0, P_CERTAIN, params.retention, rng)
+        pulse_update(expiry, 0.0, P_CERTAIN, *_law(params.retention), rng)
         reads = [_read(expiry, params, t) for t in np.linspace(0.0, 10.0, 10_001)]
         counts = [count for count, _ in reads]
         assert counts[0] == 10 and counts[-1] == 0
@@ -127,7 +130,7 @@ class TestRead:
     def test_leakage_included(self, rng):
         params = _params(i_off_uA=2.0)
         expiry = np.full(10, -np.inf)
-        pulse_update(expiry, 0.0, P_CERTAIN, params.retention, rng)
+        pulse_update(expiry, 0.0, P_CERTAIN, *_law(params.retention), rng)
         count, current = _read(expiry, params, 0.0)
         assert count == 10 and current == 10 * 300.0
         # All retention draws are finite, so far in the future everything is
@@ -138,22 +141,8 @@ class TestRead:
     def test_full_relaxation(self, rng):
         params = _params(retention=RetentionDistribution(0.01, 0.5))
         expiry = np.full(10, -np.inf)
-        pulse_update(expiry, 0.0, P_CERTAIN, params.retention, rng)
+        pulse_update(expiry, 0.0, P_CERTAIN, *_law(params.retention), rng)
         assert _read(expiry, params, 5.0) == (0, 0.0)
-
-
-def _manual_trace(shape, stream, p_on, retention, samples, rng):
-    """Reference for ``trace_counts``: ``shape[0]`` independent ``shape[1]``-cell
-    synapses as one expiry array, one pulse_update per pulse and one count per
-    synapse and sample, in merged time order with a pulse first at equal times."""
-    expiry = np.full(shape, -np.inf)
-    pulses = list(stream.times)
-    counts = np.zeros((shape[0], samples.size), dtype=np.int64)
-    for i, t in enumerate(samples):
-        while pulses and pulses[0] <= t:
-            pulse_update(expiry, pulses.pop(0), p_on, retention, rng)
-        counts[:, i] = np.count_nonzero(expiry > t, axis=1)
-    return counts
 
 
 def _assert_same_law(chain, kernel, z=4.0):
@@ -198,7 +187,7 @@ class TestTrace:
             rng = np.random.default_rng(5)
             chain = np.array([_trace(n, stream, p_on, retention, samples, rng)
                               for _ in range(repeats)]).reshape(repeats, samples.size)
-            kernel = _manual_trace((repeats, n), stream, p_on, retention, samples, rng)
+            kernel = on_counts((repeats, n), stream.times, p_on, *_law(retention), samples, rng)
             _assert_same_law(chain, kernel)
 
     def test_empty_stream_flat_zero(self, rng):
@@ -248,12 +237,15 @@ class TestTrace:
         assert sample_times[crossing] < sample_times[-1]
 
     def test_final_count_against_binomial_oracle(self):
-        # p=0.01 for 50 pulses: mean final count ~= 50 * (1 - 0.99^50).
-        counts = _final_counts(50, 0.01, 50, trials=2000, seed=303)
-        expected = expected_on_count_no_decay(50, 0.01, 50)
-        q = 1.0 - 0.99**50
-        se = math.sqrt(50 * q * (1 - q) / 2000)
-        assert abs(counts.mean() - expected) < 3.0 * se
+        # p=0.01 for 50 pulses: mean final count ~= 50 * (1 - 0.99^50). The
+        # trials' cells are one pool of fresh cells, read once after the train.
+        n, p, k, trials = 50, 0.01, 50, 2000
+        (count,) = trace_counts(trials * n, 0.1 * np.arange(k), p, NO_DECAY, np.array([0.1 * k]),
+                                spawn_rng(303))
+        expected = expected_on_count_no_decay(n, p, k)
+        q = 1.0 - (1.0 - p) ** k
+        se = math.sqrt(n * q * (1 - q) / trials)
+        assert abs(count / trials - expected) < 3.0 * se
 
     def test_low_probability_integration_is_near_linear(self):
         # Small switching probability, long retention: mean count grows almost
@@ -292,7 +284,7 @@ class TestTraceCounts:
         rng = np.random.default_rng(17)
         chain = np.array([trace_counts(n, stream.times, p_on, retention, samples, rng)
                           for _ in range(repeats)])
-        kernel = _manual_trace((repeats, n), stream, p_on, retention, samples, rng)
+        kernel = on_counts((repeats, n), stream.times, p_on, *_law(retention), samples, rng)
         _assert_same_law(chain, kernel)
 
     def test_survival_rounding_keeps_counts_non_increasing(self, rng):
@@ -312,16 +304,16 @@ class TestTraceCounts:
         # after the pulse, and every other cell is left as it was.
         expiry = np.array([[-np.inf, 2.0, -np.inf], [0.5, 1.5, 3.0]])
         before = expiry.copy()
-        assert pulse_update(expiry, 1.0, 0.0, RetentionDistribution(0.2, 0.5), rng) is None
+        assert pulse_update(expiry, 1.0, 0.0, 0.2, 0.5, rng) is None
         on = before > 1.0
         assert np.all(expiry[on] > 1.0) and not np.any(expiry[on] == before[on])
         assert np.array_equal(expiry[~on], before[~on])
         # At p_on=1 every cell is lit.
-        pulse_update(expiry, 1.2, 1.0, RetentionDistribution(0.2, 0.5), rng)
+        pulse_update(expiry, 1.2, 1.0, 0.2, 0.5, rng)
         assert np.all(expiry > 1.2)
         # No cell lit: nothing is written.
         before = expiry.copy()
-        pulse_update(expiry, 10.0, 0.0, NO_DECAY, rng)
+        pulse_update(expiry, 10.0, 0.0, *_law(NO_DECAY), rng)
         assert np.array_equal(expiry, before)
 
 
