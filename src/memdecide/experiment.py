@@ -48,7 +48,7 @@ import numpy as np
 
 from .calibration import ParamDeck, default_deck
 from .device import DeviceParams, check_p_on
-from .network import TrialBatch, TwoAfcConfig, check_trial_devices, gap_survival, on_probability, read_out
+from .network import TrialBatch, TwoAfcConfig, check_trial_devices, on_probability, read_out, stream_gaps
 from .seeding import derive_seed, spawn_rng
 from .stream import TRIAL_CHUNK, PulseStream, random_times
 from .synapse import Trace, trace_counts
@@ -197,10 +197,13 @@ def _trial_batches(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int):
     """Yield ``(cell index, TrialBatch)`` for every chunk of every ``(config, seed, stream_seed)`` cell.
 
     Cells that share a stream seed, window and ratio share each chunk's pulse
-    times; among them, the survival of the gaps is evaluated once per
-    retention law and ``pi`` once per retention law and ``p_on``. Each cell
-    then draws its counts and tie coins from its own seed (the layout in the
-    module docstring). A cell's chunks come in trial order.
+    times. Per chunk, the gaps of both streams are one
+    :func:`memdecide.network.stream_gaps` matrix, whose survival is one call
+    per retention law, and each stream's ``pi`` is one
+    :func:`memdecide.network.on_probability` recurrence per law over all its
+    ``p_on`` values. Each cell then draws its counts and tie coins from its
+    own seed (the layout in the module docstring). A cell's chunks come in
+    trial order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -214,13 +217,14 @@ def _trial_batches(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int):
     for (stream, duration_s, n_a, n_b), laws in stream_sets.items():
         streams = [(n, spawn_rng(stream, label)) for n, label in ((n_a, "A"), (n_b, "B"))]
         for start in range(0, trials, TRIAL_CHUNK):
-            times = [random_times(n, duration_s, min(TRIAL_CHUNK, trials - start), rng) for n, rng in streams]
+            m = min(TRIAL_CHUNK, trials - start)
+            gaps = stream_gaps([random_times(n, duration_s, m, rng) for n, rng in streams], duration_s)
             for retention, by_p_on in laws.items():
-                survive = [gap_survival(t, duration_s, retention) for t in times]
-                for p_on, members in by_p_on.items():
-                    pi_a, pi_b = [on_probability(s, p_on) for s in survive]
+                survive = retention.survival(gaps)
+                pi_a, pi_b = (on_probability(s, list(by_p_on)) for s in (survive[:n_a], survive[n_a:]))
+                for a, b, members in zip(pi_a, pi_b, by_p_on.values()):
                     for i in members:
-                        yield i, read_out(cells[i][0], pi_a, pi_b, readout[i])
+                        yield i, read_out(cells[i][0], a, b, readout[i])
 
 
 def sweep(cells: Sequence[tuple[TwoAfcConfig, int, int]], trials: int) -> list[AccuracyPoint]:

@@ -17,10 +17,11 @@ independent and identically distributed, so each count is exactly
 ``Binomial(N, pi)``, ``pi`` being one cell's chance to be ON at the end. A
 trial therefore draws its pulse times, two binomial counts and a tie coin,
 and its cost does not grow with ``N``. Three kernels make a trial:
-:func:`gap_survival` (the retention survival of each gap, which depends on
-the streams and the retention law), :func:`on_probability` (the recurrence
-that turns it into ``pi`` at one ``p_on``) and :func:`read_out` (the counts,
-the coin and the choice).
+:func:`stream_gaps` (the gaps of both streams in one matrix, whose retention
+survival depends on the streams and the retention law),
+:func:`on_probability` (the recurrence that turns a stream's survival into
+``pi``, at every ``p_on`` at once) and :func:`read_out` (the counts, the coin
+and the choice).
 This module holds the trial's types and kernels and composes none of them:
 :mod:`memdecide.experiment` does, in one place and under one random-number
 layout, for sweeps, accuracy estimates and single trials alike.
@@ -33,15 +34,15 @@ tests check this sampler in law against the per-cell reference kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .device import DeviceParams, RetentionDistribution, check_p_on
+from .device import DeviceParams, check_p_on
 from .stream import check_duration, check_n_pulses
 
 __all__ = [
-    "TwoAfcConfig", "check_trial_devices", "TrialBatch", "decide", "gap_survival", "on_probability",
+    "TwoAfcConfig", "check_trial_devices", "TrialBatch", "decide", "stream_gaps", "on_probability",
     "read_out",
 ]
 
@@ -103,43 +104,52 @@ def decide(count1, count2, coin) -> tuple[np.ndarray, np.ndarray]:
     return np.where(tie, np.asarray(coin) == 1, count1 > count2), tie
 
 
-def gap_survival(times: np.ndarray, duration_s: float, retention: RetentionDistribution) -> np.ndarray:
-    """Retention survival of every gap of a sorted ``(m, K)`` pulse-time matrix, as a ``(K, m)`` array.
+def stream_gaps(times: Sequence[np.ndarray], duration_s: float) -> np.ndarray:
+    """Every gap of sorted ``(m, K_s)`` pulse-time matrices, one per stream, as one ``(sum K_s, m)`` matrix.
 
-    Row ``j < K - 1`` holds ``S(t_{j+1} - t_j)`` and the last row ``S(duration_s
-    - t_K)``, for every stream at once: the transposed gap matrix, so that
-    each pulse's gaps are one contiguous row for :func:`on_probability`. It
-    depends on the streams and the retention law only, so streams shared by
-    several ``p_on`` values are evaluated once.
+    Each stream's ``K_s`` rows follow those of the streams before it. Its row
+    ``j < K_s - 1`` holds ``t_{j+1} - t_j`` and its last row ``duration_s -
+    t_K``, for every trial at once: the transposed gap matrix, so that each
+    pulse's gaps are one contiguous row for :func:`on_probability`. The gaps
+    depend on the streams alone, so one ``survival`` call per retention law
+    evaluates those of every stream, whatever the number of ``p_on`` values.
     """
-    m, k = times.shape
-    survive = np.empty((k, m))
-    if k:
-        np.subtract(times.T[1:], times.T[:-1], out=survive[:-1])
-        np.subtract(duration_s, times[:, -1], out=survive[-1])
-        retention.survival(survive, out=survive)
-    return survive
+    m = times[0].shape[0]
+    gaps = np.empty((sum(t.shape[1] for t in times), m))
+    row = 0
+    for t in times:
+        k = t.shape[1]
+        if k:
+            stream = gaps[row:row + k]
+            np.subtract(t.T[1:], t.T[:-1], out=stream[:-1])
+            np.subtract(duration_s, t[:, -1], out=stream[-1])
+        row += k
+    return gaps
 
 
-def on_probability(survive: np.ndarray, p_on: float) -> np.ndarray:
-    """Chance that one cell is ON at the end of the window, per stream, from :func:`gap_survival`.
+def on_probability(survive: np.ndarray, p_on) -> np.ndarray:
+    """Chance that one cell is ON at the end of the window, per stream and ``p_on``.
 
-    With ``S`` the retention survival, a cell is lit by pulse ``j`` (ON
-    before it and refreshed, or OFF and switched) with probability
-    ``q_1 = p_on``, ``q_j = p_on + (1 - p_on) * q_{j-1} * S(t_j - t_{j-1})``,
-    and is ON at the end with ``pi = q_K * S(duration_s - t_K)``; ``pi = 0``
-    for a stream without pulses: the law of one cell of the model, which
-    ``tests/reference_kernel.py`` simulates. The recurrence runs in place, one
-    contiguous row of ``survive`` per pulse (which it leaves as it is), with
-    the roundings of the formula as written: ``(1 - p_on) * q``, then ``*
-    S``, then ``p_on +``.
+    ``survive`` is the retention survival of one stream's block of
+    :func:`stream_gaps`, ``(K, m)``. With ``S`` the survival, a cell is lit by
+    pulse ``j`` (ON before it and refreshed, or OFF and switched) with
+    probability ``q_1 = p_on``, ``q_j = p_on + (1 - p_on) * q_{j-1} * S(t_j -
+    t_{j-1})``, and is ON at the end with ``pi = q_K * S(duration_s - t_K)``;
+    ``pi = 0`` for a stream without pulses: the law of one cell of the model,
+    which ``tests/reference_kernel.py`` simulates. ``p_on`` is a scalar or a
+    vector of ``P`` values, and ``pi`` is ``(m,)`` or ``(P, m)`` to match: one
+    recurrence runs every ``p_on`` at once. It runs in place, one contiguous
+    row of ``survive`` per pulse (which it leaves as it is), with the
+    roundings of the formula as written: ``(1 - p_on) * q``, then ``* S``,
+    then ``p_on +``.
     """
+    p_on = np.asarray(p_on, dtype=float)[..., None]
     k, m = survive.shape
     if not k:
-        return np.zeros(m)
-    q = np.full(m, float(p_on))
+        return np.zeros(p_on.shape[:-1] + (m,))
+    q, off = np.repeat(p_on, m, axis=-1), 1.0 - p_on
     for s in survive[:-1]:
-        q *= 1.0 - p_on
+        q *= off
         q *= s
         q += p_on
     q *= survive[-1]

@@ -27,17 +27,20 @@ __all__ = [
 ]
 
 # Trials held in memory at once, one chunk; no draw depends on it (see :mod:`memdecide.experiment`).
-TRIAL_CHUNK = 256
+# 1024 runs every bundled sweep cell (at most 1000 trials) as one block of numpy work.
+TRIAL_CHUNK = 1024
 
 
 def check_n_pulses(n_pulses: int) -> None:
-    """Reject a negative pulse count, or one so large that a trial chunk's
-    ``(TRIAL_CHUNK, n_pulses)`` float64 pulse-time matrix cannot exist."""
+    """Reject a negative pulse count, or one so large that a trial chunk's float64
+    gap matrix, ``(n_a + n_b, TRIAL_CHUNK)`` with both counts within this bound, cannot exist."""
     if n_pulses < 0:
         raise ValueError(f"n_pulses must be >= 0, got {n_pulses}")
-    if n_pulses > sys.maxsize // (8 * TRIAL_CHUNK):
-        raise ValueError(f"n_pulses={n_pulses} is too many: a trial chunk's ({TRIAL_CHUNK}, n_pulses) "
-                         f"float64 pulse-time matrix would exceed {sys.maxsize} bytes")
+    limit = sys.maxsize // (16 * TRIAL_CHUNK)
+    if n_pulses > limit:
+        raise ValueError(f"n_pulses={n_pulses} is too many: each stream may have at most {limit}, so that a "
+                         f"trial chunk's (n_a + n_b, {TRIAL_CHUNK}) float64 gap matrix stays within "
+                         f"{sys.maxsize} bytes")
 
 
 def check_duration(duration_s: float) -> None:
@@ -75,9 +78,12 @@ def random_times(n_pulses: int, duration_s: float, m: int, rng: np.random.Genera
     """``m`` independent random streams, one per row of an ``(m, n_pulses)`` matrix.
 
     A row is ``n_pulses`` uniform times on [0, duration_s), sorted; all rows'
-    uniforms are drawn at once, in C order. The caller applies the stream rules.
+    uniforms are drawn at once, in C order, then scaled and sorted in place.
+    The caller applies the stream rules.
     """
-    times = np.sort(rng.random((m, n_pulses)) * duration_s, axis=1)
+    times = rng.random((m, n_pulses))
+    times *= duration_s
+    times.sort(axis=1)
     # Exact collisions of uniform draws are measure-zero but representable in
     # binary64; nudge duplicates up by one ulp so every row stays strict.
     # Column by column, so each row gets the same nudges as on its own.

@@ -19,7 +19,7 @@ from memdecide import (DeviceParams, ParamDeck, RetentionDistribution, Switching
                        estimate_accuracy, read_deck, run_trials, spawn_rng)
 from memdecide import cli
 from memdecide.cli import build_parser, main
-from memdecide.stream import random_times
+from memdecide.stream import TRIAL_CHUNK, random_times
 
 from reference_kernel import retention_times
 
@@ -78,8 +78,10 @@ def _sweep_config(out_dir, trials=30):
 
 _CONFIGS = {"trace": _trace_config, "trial": _trial_config, "sweep": _sweep_config}
 
-_TOO_MANY_PULSES = (f"n_pulses={2**60} is too many: a trial chunk's (256, n_pulses) float64 "
-                    f"pulse-time matrix would exceed {sys.maxsize} bytes")
+# Each count is bounded so that the two streams' gaps together fit one chunk's matrix.
+_TOO_MANY_PULSES = (f"n_pulses={2**60} is too many: each stream may have at most "
+                    f"{sys.maxsize // (16 * TRIAL_CHUNK)}, so that a trial chunk's (n_a + n_b, {TRIAL_CHUNK}) "
+                    f"float64 gap matrix stays within {sys.maxsize} bytes")
 
 
 def _set(payload, dotted, value):

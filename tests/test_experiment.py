@@ -25,7 +25,7 @@ from memdecide import (
 )
 from memdecide import experiment
 from memdecide.experiment import TRIAL_CHUNK, sample_count
-from memdecide.network import gap_survival, on_probability
+from memdecide.network import on_probability, stream_gaps
 from memdecide.stream import random_times
 from memdecide.synapse import trace_counts
 
@@ -58,8 +58,8 @@ def _cell_trials(cfg, stream_seed, seed, m):
     coin, in turn, from one ``binomial`` draw of ``spawn_rng(seed,
     "readout")``.
     """
-    pi = [on_probability(gap_survival(random_times(n, cfg.duration_s, m, spawn_rng(stream_seed, label)),
-                                      cfg.duration_s, cfg.params.retention), cfg.p_on)
+    pi = [on_probability(cfg.params.retention.survival(stream_gaps(
+              [random_times(n, cfg.duration_s, m, spawn_rng(stream_seed, label))], cfg.duration_s)), cfg.p_on)
           for n, label in ((cfg.n_a, "A"), (cfg.n_b, "B"))]
     n = cfg.n_devices
     draws = spawn_rng(seed, "readout").binomial((n, n, 1), np.stack((*pi, np.full(m, 0.5)), axis=1))
@@ -195,7 +195,7 @@ class TestEstimateAccuracy:
     @pytest.mark.parametrize("trials", [1, 2, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 3])
     def test_a_run_is_a_prefix_of_a_longer_one(self, trials):
         cfg = _config(p_on=0.2)
-        longer = run_trials(cfg, 700, 11)
+        longer = run_trials(cfg, 3 * TRIAL_CHUNK - 1, 11)
         for name, field, whole in zip(longer._fields, run_trials(cfg, trials, 11), longer):
             assert np.array_equal(field, whole[:trials]), name
 
@@ -265,7 +265,7 @@ class TestSweep:
     def test_streams_and_survival_are_shared(self, monkeypatch):
         # 7 synapse sizes and 3 switching probabilities at one window, ratio
         # and compliance current make as many survival calls as one cell:
-        # one per chunk and stream.
+        # one per chunk, for both streams' gaps at once.
         calls = []
         survival = RetentionDistribution.survival
 
@@ -276,13 +276,18 @@ class TestSweep:
         monkeypatch.setattr(RetentionDistribution, "survival", counted)
         axes = dict(durations_s=[2.0], ratios=[(40, 20)], device_counts=[5],
                     i_cc_values_uA=[270.0], p_on_values=[0.05], master_seed=23)
-        sweep(sweep_cells(**axes), 300)
-        one_cell = len(calls)
-        calls.clear()
-        points = sweep(sweep_cells(**dict(axes, device_counts=[3, 5, 10, 20, 30, 50, 100],
-                                          p_on_values=[0.02, 0.05, 0.1])), 300)
-        assert len(points) == 21
-        assert len(calls) == one_cell == 4
+        grid = dict(axes, device_counts=[3, 5, 10, 20, 30, 50, 100], p_on_values=[0.02, 0.05, 0.1])
+        for chunk, chunks in ((TRIAL_CHUNK, 1), (7, 43)):
+            monkeypatch.setattr(experiment, "TRIAL_CHUNK", chunk)
+            calls.clear()
+            sweep(sweep_cells(**axes), 300)
+            one_cell = list(calls)
+            calls.clear()
+            points = sweep(sweep_cells(**grid), 300)
+            assert len(points) == 21
+            assert calls == one_cell
+            assert len(calls) == chunks, chunk
+            assert calls == [(60, min(chunk, 300 - start)) for start in range(0, 300, chunk)]
 
     def test_chunk_size_changes_no_draw(self, monkeypatch):
         # TRIAL_CHUNK bounds the trials held at once and nothing else.

@@ -18,7 +18,7 @@ from memdecide import (
     spawn_rng,
 )
 from memdecide.experiment import _trial_batches
-from memdecide.network import gap_survival, on_probability as _recurrence
+from memdecide.network import on_probability as _recurrence, stream_gaps
 from memdecide.stream import random_times
 
 from exact_accuracy import _on_probability as exact_on_probability
@@ -26,8 +26,8 @@ from reference_kernel import on_counts
 
 
 def on_probability(times, duration, p_on, retention):
-    """``pi`` per stream row: the gap-survival and recurrence kernels, composed as trials compose them."""
-    return _recurrence(gap_survival(times, duration, retention), p_on)
+    """``pi`` per stream row: the gap, survival and recurrence kernels, composed as trials compose them."""
+    return _recurrence(retention.survival(stream_gaps([times], duration)), p_on)
 
 
 def _config(n_a=40, n_b=20, n_devices=20, duration=2.0, p_on=0.05,
@@ -307,3 +307,43 @@ class TestCollapsedSamplerLaw:
                 exact_on_probability(times, 2.0, p_on, median, sigma),
                 rtol=1e-12, atol=1e-15,
             )
+
+
+def _gap_survival_alone(times, duration, retention):
+    """One stream's ``(K, m)`` gap survival, written into its own matrix: the single-stream form."""
+    m, k = times.shape
+    survive = np.empty((k, m))
+    if k:
+        np.subtract(times.T[1:], times.T[:-1], out=survive[:-1])
+        np.subtract(duration, times[:, -1], out=survive[-1])
+        retention.survival(survive, out=survive)
+    return survive
+
+
+class TestBlockKernels:
+    """The kernels over a whole chunk at once, bit for bit against one stream or one ``p_on`` at a time."""
+
+    @pytest.mark.parametrize("m", [1, 7, 1024])
+    @pytest.mark.parametrize("retention", [RetentionDistribution(0.8, 0.5), RetentionDistribution(0.25, 0.0)],
+                             ids=["lognormal", "step"])
+    def test_merged_survival_rows_are_each_stream_alone(self, retention, m):
+        streams = [_streams(k, m=m, seed=200 + k) for k in (40, 0, 1, 20)]
+        merged = retention.survival(stream_gaps(streams, 2.0))
+        assert merged.shape == (61, m)
+        row = 0
+        for times in streams:
+            k = times.shape[1]
+            assert np.array_equal(merged[row:row + k], _gap_survival_alone(times, 2.0, retention))
+            row += k
+
+    @pytest.mark.parametrize("p_on", [[0.0], [1.0], [0.0, 0.01, 0.05, 0.2, 0.7, 1.0]],
+                             ids=["P=1,p_on=0", "P=1,p_on=1", "P=6"])
+    @pytest.mark.parametrize("k", [0, 1, 40])
+    def test_vector_p_on_is_one_scalar_call_each(self, k, p_on):
+        survive = RetentionDistribution(0.8, 0.5).survival(stream_gaps([_streams(k, m=300, seed=300 + k)], 2.0))
+        block = _recurrence(survive, p_on)
+        assert block.shape == (len(p_on), 300)
+        for row, p in zip(block, p_on):
+            scalar = _recurrence(survive, p)
+            assert scalar.shape == (300,)
+            assert np.array_equal(row, scalar)

@@ -176,3 +176,30 @@ class TestReplayCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
             read_stream_csv(path)
+
+
+def _sorted_uniforms(n_pulses, duration_s, m, rng):
+    """``random_times`` as a copying sort: ``np.sort(rng.random((m, n)) * d, axis=1)``, then the nudges."""
+    times = np.sort(rng.random((m, n_pulses)) * duration_s, axis=1)
+    for i in range(1, n_pulses):
+        prev, cur = times[:, i - 1], times[:, i]
+        dup = cur <= prev
+        cur[dup] = np.nextafter(prev[dup], np.inf)
+    return times
+
+
+@pytest.mark.parametrize("n_pulses,duration_s,m", [(40, 2.0, 1024), (0, 2.0, 3), (1, 0.5, 5), (12, 1e-320, 64)],
+                         ids=["chunk", "no-pulses", "one-pulse", "collisions"])
+def test_in_place_draw_is_the_copying_sort(n_pulses, duration_s, m):
+    # Bit for bit, and leaving the generator where the copying sort leaves it, call after call.
+    rng, reference = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(3):
+        times = random_times(n_pulses, duration_s, m, rng)
+        expected = _sorted_uniforms(n_pulses, duration_s, m, reference)
+        assert times.shape == (m, n_pulses)
+        assert np.array_equal(times, expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+    if duration_s < 1e-300:
+        # The subnormal window makes uniforms collide, so the nudges ran.
+        raw = np.sort(np.random.default_rng(17).random((m, n_pulses)) * duration_s, axis=1)
+        assert np.any(np.diff(raw, axis=1) <= 0.0)
